@@ -574,24 +574,25 @@ def square_function(sys: SpectralSystem, c: CoefficientVector, params: SquareFun
     """
     if len(params.N) != sys.dimension:
         raise ValueError("params.N must match system dimension")
-    keys = [k for k, v in c.items() if v != 0]
-    if not keys:
+    support = np.flatnonzero(c.values)
+    if not support.size:
         return sys.grid_function(np.zeros(len(sys.weights)))
-    lam = np.array([sys.eigenvalues(k) for k in keys])  # (n_sup, d)
+    rows = sys.positions(c.indices)[support]
+    lam = sys.eigenvalue_matrix()[rows]  # (n_sup, d)
     if np.any(lam == 0.0):
         i, j = np.argwhere(lam == 0.0)[0]
         raise ATLViolation(
-            f"coefficient at index {keys[int(i)]} sits on a zero eigenvalue (axis {int(j)})"
+            f"coefficient at index {c.indices[support[i]]} sits on a zero eigenvalue (axis {int(j)})"
         )
-    cvec = np.array([c.coeffs[k] for k in keys])
+    cvec = c.values[support]
     # per-axis kernels: k_j(a, b) = sum_i w_i (t_i a)^N (t_i b)^N e^{-t_i (a+b)}
-    M = np.ones((len(keys), len(keys)))
+    M = np.ones((len(support), len(support)))
     for j, (t, w, Nj) in enumerate(zip(params.t_nodes, params.t_weights, params.N)):
         a, inv = np.unique(lam[:, j], return_inverse=True)
         P = (np.outer(a, t)) ** Nj * np.exp(-np.outer(a, t))  # (n_a, n_t)
         Kj = (P * w) @ P.T
         M *= Kj[np.ix_(inv, inv)]
-    B = sys.basis_matrix()[[sys.position(k) for k in keys]]
+    B = sys.basis_matrix()[rows]
     C = (cvec[:, None] * np.conj(cvec)[None, :]) * M
     g2 = np.einsum("ab,bp,ap->p", C, B, B).real
     return sys.grid_function(np.sqrt(np.clip(g2, 0.0, None)))

@@ -115,35 +115,24 @@ def ou_system(d: int, k_max: int, n_nodes: int | None = None) -> SpectralSystem:
     pts, wts = _product_grid(basis.gh_nodes, basis.gh_weights, d)
 
     if d == 1:
-        indices = [(k,) for k in range(k_max + 1)]
+        indices = np.arange(k_max + 1)[:, None]
     else:
-        indices = [(k1, k2) for k1 in range(k_max + 1) for k2 in range(k_max + 1 - k1)]
+        k1, k2 = np.triu_indices(k_max + 1)
+        indices = np.column_stack([k1, k2 - k1])  # k1 + k2 <= k_max, k1 major
 
     V = hermite_vandermonde(k_max, basis.gh_nodes)
-
-    def evaluator(k, x):
-        return hermite_eval(k, x)
-
-    def build_matrix():
-        B = np.empty((len(indices), len(wts)))
-        if d == 1:
-            for i, (k,) in enumerate(indices):
-                B[i] = V[k]
-        else:
-            n = len(basis.gh_nodes)
-            for i, (k1, k2) in enumerate(indices):
-                B[i] = np.multiply.outer(V[k1], V[k2]).reshape(n * n)
-        return B
+    B = V[indices[:, 0]]
+    if d == 2:
+        n = len(basis.gh_nodes)
+        B = (B[:, :, None] * V[indices[:, 1]][:, None, :]).reshape(len(indices), n * n)
 
     return SpectralSystem(
-        dimension=1,
         basis_index_set=indices,
-        eigenvalue_maps=[lambda k: float(sum(k))],
-        basis_evaluator=evaluator,
+        eigenvalues=indices.sum(axis=1, keepdims=True).astype(float),
+        basis=B,
         points=pts,
         weights=wts,
         name=f"ou(d={d},K={k_max})",
-        basis_matrix_builder=build_matrix,
     )
 
 

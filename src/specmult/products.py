@@ -341,20 +341,14 @@ def torus_system(n_max: int, n_grid: int | None = None) -> SpectralSystem:
         raise ValueError("grid too coarse for the requested band")
     pts = (np.arange(n_grid) / n_grid)[:, None]
     w = np.full(n_grid, 1.0 / n_grid)
-    indices = [(n, s) for n in range(1, n_max + 1) for s in (0, 1)]
-
-    def evaluator(k, x):
-        n, s = k
-        x = np.asarray(x)[..., 0]
-        if s == 0:
-            return math.sqrt(2.0) * np.cos(2.0 * math.pi * n * x)
-        return math.sqrt(2.0) * np.sin(2.0 * math.pi * n * x)
-
+    n = np.arange(1, n_max + 1)
+    arg = 2.0 * math.pi * n[:, None] * pts[:, 0]
+    rows = np.stack([np.cos(arg), np.sin(arg)], axis=1)  # (n, s, x): s = 0 cos, s = 1 sin
+    indices = np.column_stack([np.repeat(n, 2), np.tile([0, 1], n_max)])
     return SpectralSystem(
-        dimension=1,
         basis_index_set=indices,
-        eigenvalue_maps=[lambda k: (2.0 * math.pi * k[0]) ** 2],
-        basis_evaluator=evaluator,
+        eigenvalues=(2.0 * math.pi * indices[:, :1]) ** 2,
+        basis=math.sqrt(2.0) * rows.reshape(2 * n_max, n_grid),
         points=pts,
         weights=w,
         name=f"torus(n<={n_max})",

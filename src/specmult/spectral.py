@@ -1,9 +1,10 @@
 """Finite joint spectral calculus on truncated eigen-systems.
 
-A :class:`SpectralSystem` bundles a finite orthonormal basis, a d-vector of
-eigenvalue maps and a quadrature rule for the underlying measure.  Joint
-multiplier operators m(L_1, ..., L_d) are diagonal in the basis, so applying
-one is coefficient-wise multiplication by m evaluated on the joint spectrum.
+A :class:`SpectralSystem` holds a finite orthonormal basis as arrays: an
+(n, d) array of joint eigenvalues, an (n, n_points) matrix of basis values
+and a quadrature rule for the underlying measure.  Joint multiplier
+operators m(L_1, ..., L_d) are diagonal in the basis, so applying one is
+multiplying the coefficient array by m evaluated on the eigenvalue rows.
 
 Everything here is exact linear algebra on finite sums; the only analysis
 lives in the quadrature rule a system is built with.  The L^2 domain
@@ -12,6 +13,8 @@ condition for m(L) is vacuous for finite systems and is not modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -84,7 +87,16 @@ class GridFunction:
             return float(a.max(initial=0.0))
         if p <= 0:
             raise ValueError("p must be positive")
-        return float((self.weights @ a**p) ** (1.0 / p))
+        with np.errstate(over="ignore", under="ignore"):  # handled below
+            total = self.weights @ a**p
+        if np.finfo(float).tiny <= total < np.inf:
+            # a term that underflowed moves total by less than its weight * ulp(total)
+            return float(total ** (1.0 / p))
+        # a**p overflowed or underflowed as a whole: factor out the sup
+        scale = a.max(initial=0.0)
+        if scale == 0.0 or not np.isfinite(scale):
+            return float(scale)
+        return float(scale * (self.weights @ (a / scale) ** p) ** (1.0 / p))
 
     def inner(self, other: "GridFunction") -> complex:
         return complex(np.sum(self.weights * self.values * np.conj(other.values)))
@@ -93,42 +105,44 @@ class GridFunction:
         return GridFunction(self.points, self.weights, values)
 
 
-@dataclass(frozen=True)
 class CoefficientVector:
-    """Spectral coefficients, a finite map multi-index -> complex."""
+    """Spectral coefficients: ``values[i]`` belongs to the multi-index ``indices[i]``.
 
-    coeffs: Mapping[MultiIndex, complex]
+    Build one from a mapping ``{multi-index: value}``, or from matching
+    ``indices`` and ``values`` sequences.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", {tuple(k): complex(v) for k, v in dict(self.coeffs).items()}
-        )
+    def __init__(
+        self,
+        coeffs: Mapping[MultiIndex, complex] | None = None,
+        *,
+        indices: Sequence[MultiIndex] = (),
+        values=(),
+    ):
+        if coeffs is not None:
+            coeffs = {tuple(k): v for k, v in dict(coeffs).items()}
+            indices, values = tuple(coeffs), list(coeffs.values())
+        self.indices = tuple(indices)
+        self.values = np.asarray(values, dtype=complex)
+        if self.values.shape != (len(self.indices),):
+            raise ValueError("need one value per index")
+
+    @cached_property
+    def _position(self) -> dict:
+        return dict(zip(self.indices, range(len(self.indices))))
 
     def get(self, k: MultiIndex) -> complex:
-        return self.coeffs.get(tuple(k), 0.0 + 0.0j)
+        i = self._position.get(tuple(k))
+        return 0.0 + 0.0j if i is None else complex(self.values[i])
 
     def items(self):
-        return self.coeffs.items()
+        return zip(self.indices, self.values.tolist())
 
     def norm(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return float(np.linalg.norm(np.fromiter(self.coeffs.values(), dtype=complex)))
-
-    def __add__(self, other: "CoefficientVector") -> "CoefficientVector":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + v
-        return CoefficientVector(out)
-
-    def __sub__(self, other: "CoefficientVector") -> "CoefficientVector":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) - v
-        return CoefficientVector(out)
+        return float(np.linalg.norm(self.values))
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -162,17 +176,20 @@ class MultiplierSpec:
 
 
 class SpectralSystem:
-    """Truncated joint eigen-system of d commuting operators.
+    """Truncated joint eigen-system of d commuting operators, held as arrays.
+
+    Row i of every per-basis array belongs to the multi-index
+    ``basis_index_set[i]``.
 
     Parameters
     ----------
-    dimension : int
-        Number of eigenvalue maps d (= multiplier arity).
-    basis_index_set : sequence of multi-indices
-        All of one common length (``index_length``), not necessarily d.
-    eigenvalue_maps : sequence of callables
-        d maps multi-index -> eigenvalue >= 0.
-    basis_evaluator : callable (multi-index, (n, space_dim) points) -> (n,) values
+    basis_index_set : (n, index_length) ints, or n multi-indices
+        All of one common length, not necessarily d; entries >= 0.
+    eigenvalues : (n, d) array
+        Row i is the joint eigenvalue (lambda_1, ..., lambda_d) >= 0 of
+        basis element i; d is the multiplier arity.
+    basis : (n, n_points) array
+        Values of the basis elements on the quadrature grid.
     points, weights : quadrature rule for the underlying measure
     atl : bool, optional
         "Away from the low end": no index carries an all-zero eigenvalue
@@ -181,32 +198,35 @@ class SpectralSystem:
 
     def __init__(
         self,
-        dimension: int,
-        basis_index_set: Sequence[MultiIndex],
-        eigenvalue_maps: Sequence[Callable[[MultiIndex], float]],
-        basis_evaluator: Callable[[MultiIndex, np.ndarray], np.ndarray],
+        basis_index_set,
+        eigenvalues: np.ndarray,
+        basis: np.ndarray,
         points: np.ndarray,
         weights: np.ndarray,
         atl: bool | None = None,
         name: str = "",
-        basis_matrix_builder: Callable[[], np.ndarray] | None = None,
     ):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if len(eigenvalue_maps) != dimension:
-            raise ValueError("need one eigenvalue map per dimension")
-        self.dimension = int(dimension)
-        self.basis_index_set = [tuple(int(e) for e in k) for k in basis_index_set]
-        if not self.basis_index_set:
-            raise ValueError("basis_index_set must be non-empty")
-        lengths = {len(k) for k in self.basis_index_set}
-        if len(lengths) != 1:
-            raise ValueError("all multi-indices must share one length")
-        self.index_length = lengths.pop()
-        if any(e < 0 for k in self.basis_index_set for e in k):
+        try:
+            index = np.asarray(basis_index_set, dtype=int)
+        except ValueError:
+            raise ValueError("all multi-indices must share one length") from None
+        if index.ndim != 2 or len(index) == 0:
+            raise ValueError("basis_index_set must be a non-empty list of multi-indices")
+        if np.any(index < 0):
             raise ValueError("multi-index entries must be >= 0")
-        self.eigenvalue_maps = tuple(eigenvalue_maps)
-        self.basis_evaluator = basis_evaluator
+        self.basis_index_set = tuple(map(tuple, index.tolist()))
+        self.index_length = index.shape[1]
+        n = len(index)
+
+        lam = np.asarray(eigenvalues, dtype=float)
+        if lam.ndim != 2 or lam.shape[0] != n or lam.shape[1] < 1:
+            raise ValueError("eigenvalues must be an (n_basis, d) array with d >= 1")
+        if not np.all(np.isfinite(lam)) or np.any(lam < 0):
+            raise ValueError("eigenvalues must be finite and >= 0")
+        self._lam = lam
+        self.dimension = lam.shape[1]
+        self.atl = bool(np.all(lam.max(axis=1) > 0)) if atl is None else bool(atl)
+
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.points.shape[0] == 1 and np.asarray(weights).size > 1:
             self.points = self.points.T
@@ -214,20 +234,11 @@ class SpectralSystem:
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be positive")
         self.space_dim = self.points.shape[1]
+        self._basis = np.asarray(basis, dtype=float)
+        if self._basis.shape != (n, len(self.weights)):
+            raise ValueError("basis matrix has wrong shape")
         self.name = name
-
-        lam = np.empty((len(self.basis_index_set), dimension))
-        for i, k in enumerate(self.basis_index_set):
-            for j, emap in enumerate(self.eigenvalue_maps):
-                lam[i, j] = emap(k)
-        if not np.all(np.isfinite(lam)) or np.any(lam < 0):
-            raise ValueError("eigenvalues must be finite and >= 0")
-        self._lam = lam
-        self.atl = bool(np.all(lam.max(axis=1) > 0)) if atl is None else bool(atl)
-
-        self._position = {k: i for i, k in enumerate(self.basis_index_set)}
-        self._basis_matrix: np.ndarray | None = None
-        self._basis_matrix_builder = basis_matrix_builder
+        self._position = dict(zip(self.basis_index_set, range(n)))
 
     # -- derived structure ------------------------------------------------
 
@@ -240,6 +251,15 @@ class SpectralSystem:
             raise KeyError(f"index {k} not in basis")
         return self._position[k]
 
+    def positions(self, indices: Sequence[MultiIndex]) -> np.ndarray:
+        """Basis rows of ``indices``; KeyError for an index not in the basis."""
+        if indices is self.basis_index_set:
+            return np.arange(len(self))
+        try:
+            return np.fromiter(map(self._position.__getitem__, indices), np.intp, len(indices))
+        except KeyError as exc:
+            raise KeyError(f"index {exc.args[0]} not in basis") from None
+
     def eigenvalues(self, k: MultiIndex) -> np.ndarray:
         """The d-vector (lambda_1(k), ..., lambda_d(k))."""
         return self._lam[self.position(k)].copy()
@@ -249,18 +269,8 @@ class SpectralSystem:
         return self._lam.copy()
 
     def basis_matrix(self) -> np.ndarray:
-        """(n_basis, n_points) matrix of basis values on the grid (cached)."""
-        if self._basis_matrix is None:
-            if self._basis_matrix_builder is not None:
-                B = np.asarray(self._basis_matrix_builder())
-            else:
-                B = np.empty((len(self), len(self.weights)))
-                for i, k in enumerate(self.basis_index_set):
-                    B[i] = self.basis_evaluator(k, self.points)
-            if B.shape != (len(self), len(self.weights)):
-                raise ValueError("basis matrix has wrong shape")
-            self._basis_matrix = B
-        return self._basis_matrix
+        """(n_basis, n_points) matrix of basis values on the grid."""
+        return self._basis
 
     def orthonormality_defect(self) -> float:
         """max |Gram - I| under the quadrature inner product."""
@@ -278,12 +288,12 @@ class SpectralSystem:
         eigenvalue is zero.
         """
         draws = rng.standard_normal(len(self))
-        out = {}
-        for i, k in enumerate(self.basis_index_set):
-            if atl_safe and np.any(self._lam[i] == 0.0):
-                continue
-            out[k] = complex(draws[i])
-        return CoefficientVector(out)
+        if not atl_safe:
+            return CoefficientVector(indices=self.basis_index_set, values=draws)
+        keep = np.all(self._lam != 0.0, axis=1)
+        return CoefficientVector(
+            indices=tuple(compress(self.basis_index_set, keep.tolist())), values=draws[keep]
+        )
 
 
 # -- operations -----------------------------------------------------------
@@ -294,14 +304,13 @@ def decompose(f: GridFunction, sys: SpectralSystem) -> CoefficientVector:
     if f.values.shape != sys.weights.shape or f.points.shape != sys.points.shape:
         raise ValueError("grid mismatch: f is not sampled on the system quadrature")
     c = sys.basis_matrix() @ (sys.weights * f.values)
-    return CoefficientVector(dict(zip(sys.basis_index_set, np.asarray(c, dtype=complex))))
+    return CoefficientVector(indices=sys.basis_index_set, values=c)
 
 
 def reconstruct(c: CoefficientVector, sys: SpectralSystem) -> GridFunction:
     """Sum of c_k * basis_k on the system grid."""
     vec = np.zeros(len(sys), dtype=complex)
-    for k, v in c.items():
-        vec[sys.position(k)] = v  # KeyError for unknown index
+    vec[sys.positions(c.indices)] = c.values
     values = vec @ sys.basis_matrix()
     if np.max(np.abs(values.imag), initial=0.0) == 0.0:
         values = values.real
@@ -309,13 +318,15 @@ def reconstruct(c: CoefficientVector, sys: SpectralSystem) -> GridFunction:
 
 
 def apply_multiplier(m: MultiplierSpec, sys: SpectralSystem, c: CoefficientVector) -> CoefficientVector:
-    """Coefficient-wise multiplication by m on the joint spectrum."""
+    """Coefficient-wise multiplication by m on the joint spectrum.
+
+    m is evaluated only on the eigenvalues of the indices c carries.
+    """
     if m.arity != sys.dimension:
         raise ValueError(f"multiplier arity {m.arity} != system dimension {sys.dimension}")
-    keys = list(c.coeffs)
-    if not keys:
-        return CoefficientVector({})
-    lam = np.array([sys.eigenvalues(k) for k in keys])
+    if not len(c):
+        return c
+    lam = sys._lam[sys.positions(c.indices)]
     vals = m(lam)
     bad = ~np.isfinite(vals)
     if np.any(bad):
@@ -327,54 +338,36 @@ def apply_multiplier(m: MultiplierSpec, sys: SpectralSystem, c: CoefficientVecto
         raise EvaluationError(
             f"multiplier {m.name or 'm'} is not finite at lambda = {point}{hint}"
         )
-    return CoefficientVector({k: c.coeffs[k] * vals[i] for i, k in enumerate(keys)})
+    return CoefficientVector(indices=c.indices, values=c.values * vals)
 
 
 def spectral_measure(c: CoefficientVector, sys: SpectralSystem) -> list[tuple[tuple, float]]:
     """The discrete measure sum |c_k|^2 delta_{lambda(k)}, aggregated by atom."""
-    masses: dict[tuple, float] = {}
-    for k, v in c.items():
-        lam = tuple(sys.eigenvalues(k))
-        masses[lam] = masses.get(lam, 0.0) + abs(v) ** 2
-    return sorted(masses.items())
+    lam = sys._lam[sys.positions(c.indices)]
+    atoms, inverse = np.unique(lam, axis=0, return_inverse=True)
+    masses = np.bincount(inverse.ravel(), weights=np.abs(c.values) ** 2, minlength=len(atoms))
+    return list(zip(map(tuple, atoms.tolist()), masses.tolist()))
 
 
 def tensor(sys_a: SpectralSystem, sys_b: SpectralSystem, max_basis: int = 100_000) -> SpectralSystem:
     """Tensor product of two systems on the product grid.
 
-    Indices concatenate, eigenvalue maps concatenate (dimension adds), the
-    basis evaluator is the product, the quadrature is the product rule.
+    Indices concatenate, eigenvalue columns concatenate (dimension adds),
+    the basis is the Kronecker product, the quadrature is the product rule.
     """
-    n = len(sys_a) * len(sys_b)
-    if n > max_basis:
-        raise CapacityError(f"tensor basis would have {n} > {max_basis} elements")
-    ia = sys_a.index_length
-    indices = [ka + kb for ka in sys_a.basis_index_set for kb in sys_b.basis_index_set]
+    na, nb = len(sys_a), len(sys_b)
+    if na * nb > max_basis:
+        raise CapacityError(f"tensor basis would have {na * nb} > {max_basis} elements")
 
-    def map_for(j: int):
-        if j < sys_a.dimension:
-            return lambda k, _m=sys_a.eigenvalue_maps[j]: _m(k[:ia])
-        return lambda k, _m=sys_b.eigenvalue_maps[j - sys_a.dimension]: _m(k[ia:])
+    def pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row (i, j) of the product is row i of a next to row j of b."""
+        return np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])
 
-    maps = [map_for(j) for j in range(sys_a.dimension + sys_b.dimension)]
-    sa = sys_a.space_dim
-
-    def evaluator(k, pts):
-        pts = np.atleast_2d(pts)
-        return sys_a.basis_evaluator(k[:ia], pts[:, :sa]) * sys_b.basis_evaluator(k[ia:], pts[:, sa:])
-
-    na, nb = len(sys_a.weights), len(sys_b.weights)
-    pts = np.hstack(
-        [np.repeat(sys_a.points, nb, axis=0), np.tile(sys_b.points, (na, 1))]
-    )
-    wts = np.kron(sys_a.weights, sys_b.weights)
     return SpectralSystem(
-        sys_a.dimension + sys_b.dimension,
-        indices,
-        maps,
-        evaluator,
-        pts,
-        wts,
+        pair(np.array(sys_a.basis_index_set), np.array(sys_b.basis_index_set)),
+        pair(sys_a.eigenvalue_matrix(), sys_b.eigenvalue_matrix()),
+        np.kron(sys_a.basis_matrix(), sys_b.basis_matrix()),
+        pair(sys_a.points, sys_b.points),
+        np.kron(sys_a.weights, sys_b.weights),
         name=f"{sys_a.name}(x){sys_b.name}",
-        basis_matrix_builder=lambda: np.kron(sys_a.basis_matrix(), sys_b.basis_matrix()),
     )

@@ -127,6 +127,18 @@ def test_identity_estimate_is_one(p):
     assert est.p == p and est.trials == 4
 
 
+def test_identity_report_at_huge_p(tmp_path, capsys):
+    # norm_lp must neither overflow nor underflow as p -> inf
+    out = tmp_path / "ne"
+    rc = main(
+        ["norm-estimate", "--seed", "0", "--out", str(out),
+         "--override", "operator=identity", "--override", "p=1e300"]
+    )
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["results"]["estimate"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_zero_estimate_is_zero():
     assert estimate_pnorm("zero", 2.0, trials=3, seed=1).estimate == 0.0
 
@@ -284,6 +296,14 @@ def test_main_usage_error_exit(capsys):
     rc = main(["norm-estimate", "--seed", "3", "--override", "p=1.0"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("usage error: p: expected")
+
+
+def test_main_torus_grid_too_coarse_exit(capsys):
+    rc = main(
+        ["riesz-cross-check", "--seed", "0", "--override", "n_max=8", "--override", "n_y=8"]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("usage error: n_y: expected at least")
 
 
 def test_main_bad_override_exit(capsys):

@@ -1,0 +1,61 @@
+"""The benchmark tracer still finds every library call it times.
+
+``perfbench/tracer.py`` wraps the public functions of each layer and a few
+named methods from outside.  A rename, a method turned into an attribute or
+a name dropped from ``__all__`` would leave a per-layer metric of
+``BENCHMARK.json`` reading 0; this test fails instead.
+"""
+import importlib
+import importlib.util
+import inspect
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traced_names(layers) -> list[str]:
+    """Span names behind the per-layer metrics: ``layer.attr[.method]``."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    names = {m["name"].rsplit(".", 1)[0] for m in metrics}
+    return sorted(n for n in names if "." in n and n.split(".", 1)[0] in layers)
+
+
+def _resolve(name: str):
+    layer, *path = name.split(".")
+    obj = importlib.import_module(f"specmult.{layer}")
+    for attr in path:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_tracer_installs_and_restores(tracer_module):
+    names = _traced_names(tracer_module.LAYERS)
+    assert "spectral.SpectralSystem.random_coefficients" in names
+    originals = {name: _resolve(name) for name in names}
+    assert [name for name, fn in originals.items() if not inspect.isfunction(fn)] == []
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        patched = [name for name in names if _resolve(name) is not originals[name]]
+        from specmult.ouhermite import ou_system
+
+        ou_system(1, 4).random_coefficients(np.random.default_rng(0))
+    finally:
+        tracer.uninstall()
+    assert patched == names
+    assert {"ouhermite.ou_system", "spectral.SpectralSystem.random_coefficients"} <= {
+        span[0] for span in tracer.spans
+    }
+    assert all(_resolve(name) is originals[name] for name in names)

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specmult.ouhermite import ou_system
+from specmult.ouhermite import hermite_eval, ou_system
 from specmult.products import torus_system
 from specmult.spectral import (
     CapacityError,
@@ -34,6 +38,23 @@ def test_grid_function_validation():
         GridFunction([[0.0], [1.0]], [1.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="positive"):
         GridFunction([[0.0]], [0.0], [1.0])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e200, 1e-200])
+@pytest.mark.parametrize("p", [1e3, 1e6])
+def test_norm_lp_large_p_tends_to_sup(scale, p):
+    w = np.full(4, 0.25)
+    f = GridFunction(np.arange(4.0)[:, None], w, scale * np.array([3.0, 1.0, 0.5, 0.0]))
+    sup = 3.0 * scale
+    # w_max^{1/p} sup <= ||f||_p <= sup for a probability measure
+    assert 0.25 ** (1.0 / p) * sup * (1 - 1e-12) <= f.norm_lp(p) <= sup * (1 + 1e-12)
+    assert f.norm_lp(p) == pytest.approx(sup, rel=2.0 * np.log(4.0) / p)
+
+
+def test_norm_lp_zero_and_infinite_functions():
+    f = GridFunction(np.zeros((3, 1)), np.ones(3), np.zeros(3))
+    assert f.norm_lp(1e6) == 0.0 and f.norm_lp(2.0) == 0.0
+    assert f.with_values(np.array([1.0, np.inf, 0.0])).norm_lp(2.0) == np.inf
 
 
 def test_orthonormality_defect_below_tolerance(ou1):
@@ -142,16 +163,23 @@ def test_spectral_measure_four_atoms(ou1):
     assert abs(sum(mass for _, mass in atoms) - c.norm() ** 2) < 1e-15
 
 
+def test_basis_arrays_match_pointwise_formulas():
+    # the vectorized builders reproduce the per-index formulas bit for bit
+    ou2 = ou_system(2, 5)
+    for i, k in enumerate(ou2.basis_index_set):
+        assert np.array_equal(ou2.basis_matrix()[i], hermite_eval(k, ou2.points))
+        assert ou2.eigenvalues(k)[0] == float(sum(k))
+    tor = torus_system(3, 32)
+    x = tor.points[:, 0]
+    for i, (n, s) in enumerate(tor.basis_index_set):
+        trig = np.cos if s == 0 else np.sin
+        assert np.array_equal(tor.basis_matrix()[i], math.sqrt(2.0) * trig(2.0 * math.pi * n * x))
+        assert tor.eigenvalues((n, s))[0] == (2.0 * math.pi * n) ** 2
+
+
 def test_tensor_of_singletons():
     def single(lam_value):
-        return SpectralSystem(
-            1,
-            [(0,)],
-            [lambda k, v=lam_value: v],
-            lambda k, pts: np.ones(len(np.atleast_2d(pts))),
-            [[0.0]],
-            [1.0],
-        )
+        return SpectralSystem([(0,)], [[lam_value]], [[1.0]], [[0.0]], [1.0])
 
     prod = tensor(single(1.0), single(2.0))
     assert len(prod) == 1 and prod.dimension == 2
@@ -227,11 +255,89 @@ def test_random_coefficients_atl_safe(ou1):
 
 def test_multi_index_entries_validated():
     with pytest.raises(ValueError, match=">= 0"):
-        SpectralSystem(
-            1,
-            [(-1,)],
-            [lambda k: 1.0],
-            lambda k, pts: np.ones(len(np.atleast_2d(pts))),
-            [[0.0]],
-            [1.0],
+        SpectralSystem([(-1,)], [[1.0]], [[1.0]], [[0.0]], [1.0])
+
+
+# -- properties ------------------------------------------------------------
+
+PROPERTY = settings(max_examples=12, derandomize=True, deadline=None)
+_SYSTEMS: dict = {}
+
+
+def _system(name: str):
+    """ou(1, 12), or ou(1, 8) (x) torus(2): cached, hypothesis reruns often."""
+    if name not in _SYSTEMS:
+        _SYSTEMS[name] = (
+            ou_system(1, 12) if name == "ou" else tensor(ou_system(1, 8), torus_system(2, 32))
         )
+    return _SYSTEMS[name]
+
+
+def _coefficients(sys_, rng, density: float) -> CoefficientVector:
+    """Complex normal coefficients on a random part of the basis."""
+    keep = rng.random(len(sys_)) < density
+    values = rng.standard_normal(len(sys_)) + 1j * rng.standard_normal(len(sys_))
+    indices = [k for k, kept in zip(sys_.basis_index_set, keep) if kept]
+    return CoefficientVector(indices=indices, values=values[keep])
+
+
+def _bounded_multiplier(arity: int, s: float, u: float) -> MultiplierSpec:
+    """m(lam) = (1 + |lam|_1)^{-s + iu}, so |m| <= 1 on the spectrum."""
+
+    def evaluate(lam):
+        r = 1.0 + np.atleast_2d(lam).sum(axis=1)
+        return r ** (-s) * np.exp(1j * u * np.log(r))
+
+    return MultiplierSpec(arity, evaluate)
+
+
+systems = st.sampled_from(["ou", "tensor"])
+seeds = st.integers(0, 2**32 - 1)
+densities = st.floats(0.0, 1.0)
+exponents = st.floats(0.0, 3.0)
+frequencies = st.floats(-5.0, 5.0)
+# no subnormal products: the bounds below are relative to the inputs
+scalars = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+
+@PROPERTY
+@given(systems, seeds, densities, exponents, frequencies, scalars, scalars)
+def test_apply_multiplier_is_linear(name, seed, density, s, u, a, b):
+    sys_ = _system(name)
+    m = _bounded_multiplier(sys_.dimension, s, u)
+    rng = np.random.default_rng(seed)
+    c1 = _coefficients(sys_, rng, 1.0)
+    c2 = _coefficients(sys_, rng, density)
+
+    def dense(c):
+        out = np.zeros(len(sys_), dtype=complex)
+        out[sys_.positions(c.indices)] = c.values
+        return out
+
+    combined = CoefficientVector(indices=sys_.basis_index_set, values=a * dense(c1) + b * dense(c2))
+    lhs = apply_multiplier(m, sys_, combined).values
+    rhs = a * dense(apply_multiplier(m, sys_, c1)) + b * dense(apply_multiplier(m, sys_, c2))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13 * (abs(a) * c1.norm() + abs(b) * c2.norm())
+
+
+@PROPERTY
+@given(systems, seeds, densities, exponents, frequencies, exponents, frequencies)
+def test_apply_multiplier_is_multiplicative(name, seed, density, s1, u1, s2, u2):
+    sys_ = _system(name)
+    m1 = _bounded_multiplier(sys_.dimension, s1, u1)
+    m2 = _bounded_multiplier(sys_.dimension, s2, u2)
+    product = MultiplierSpec(sys_.dimension, lambda lam: m1(lam) * m2(lam))
+    c = _coefficients(sys_, np.random.default_rng(seed), density)
+    once = apply_multiplier(product, sys_, c)
+    twice = apply_multiplier(m1, sys_, apply_multiplier(m2, sys_, c))
+    assert once.indices == twice.indices == c.indices
+    assert np.max(np.abs(once.values - twice.values), initial=0.0) <= 1e-13 * c.norm()
+
+
+@PROPERTY
+@given(seeds, densities)
+def test_tensor_parseval(seed, density):
+    t = _system("tensor")
+    c = _coefficients(t, np.random.default_rng(seed), density)
+    f = reconstruct(c, t)
+    assert abs(f.norm_lp(2) ** 2 - c.norm() ** 2) <= 1e-12 * max(c.norm() ** 2, 1.0)
