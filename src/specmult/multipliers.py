@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
-from .spectral import CoefficientVector, GridFunction, MultiplierSpec, SpectralSystem
+from .spectral import CoefficientVector, GridFunction, MultiplierSpec, SpectralSystem, gauss_legendre
 
 __all__ = [
     "MarcOrder",
@@ -169,7 +168,7 @@ def marcinkiewicz_seminorm(
     if len(gamma) != d:
         raise ValueError("gamma must have one entry per multiplier argument")
     R = dyadic.radii()
-    xi, wq = roots_legendre(n_gl)
+    xi, wq = gauss_legendre(n_gl)
     xi = (xi + 1.0) / 2.0  # nodes on [0,1]
     wq = wq / 2.0
     # per-axis evaluation abscissae: log lam = log R_i + xi_j * log 2

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as _gamma
-from scipy.special import roots_legendre
 
 from .ouhermite import _mehler_dr_raw, _w_dr_raw, hermite_basis, lebesgue_weights
-from .spectral import GridFunction, MultiplierSpec, SpectralSystem
+from .spectral import GridFunction, MultiplierSpec, SpectralSystem, gauss_legendre
 
 __all__ = [
     "KappaSpec",
@@ -161,6 +160,14 @@ def kappa_zero() -> KappaSpec:
 _LAPLACE_N = 8192
 
 
+def _check_spectral_points(lam, a) -> None:
+    """Reject negative spectral points and the indeterminate origin (arrays or scalars)."""
+    if np.any((lam < 0) | (a < 0)):
+        raise ValueError("need lam >= 0 and a >= 0")
+    if np.any((lam == 0) & (a == 0)):
+        raise ValueError("m_kappa(0, 0) is indeterminate (the a > 0 convention does not apply)")
+
+
 def m_kappa(lam: float, a: float, kappa: KappaSpec, force_numeric: bool = False) -> complex:
     """m_kappa(lam, a) = lam int_0^inf e^{-(lam+a)t} kappa(t) dt, kappa in t.
 
@@ -168,10 +175,7 @@ def m_kappa(lam: float, a: float, kappa: KappaSpec, force_numeric: bool = False)
     The numeric path integrates in log t for full-support profiles (both
     endpoints are then tame) and by Gauss-Legendre in t on compact supports.
     """
-    if lam < 0 or a < 0:
-        raise ValueError("need lam >= 0 and a >= 0")
-    if lam == 0.0 and a == 0.0:
-        raise ValueError("m_kappa(0, 0) is indeterminate (the a > 0 convention does not apply)")
+    _check_spectral_points(lam, a)
     if lam == 0.0:
         return 0.0 + 0.0j
     if kappa.closed_form is not None and not force_numeric:
@@ -185,21 +189,26 @@ def m_kappa(lam: float, a: float, kappa: KappaSpec, force_numeric: bool = False)
         t = np.exp(v)
         return complex(lam * np.sum(w * np.exp(-c * t) * kappa(np.exp(-t)) * t))
     t_lo, t_hi = -math.log(kappa.support[1]), -math.log(kappa.support[0])
-    xi, w = roots_legendre(512)
+    xi, w = gauss_legendre(512)
     t = 0.5 * (t_hi - t_lo) * xi + 0.5 * (t_hi + t_lo)
     w = 0.5 * (t_hi - t_lo) * w
     return complex(lam * np.sum(w * np.exp(-c * t) * kappa(np.exp(-t))))
 
 
 def multiplier_from_kappa(kappa: KappaSpec, force_numeric: bool = False) -> MultiplierSpec:
-    """The two-variable multiplier (lam, a) -> m_kappa(lam, a)."""
+    """The two-variable multiplier (lam, a) -> m_kappa(lam, a).
+
+    A closed form is evaluated on all rows at once; the numeric path calls
+    m_kappa row by row.
+    """
 
     def evaluate(lam):
-        lam = np.atleast_2d(lam)
-        out = np.empty(lam.shape[0], dtype=complex)
-        for i, (l, a) in enumerate(lam):
-            out[i] = m_kappa(float(l), float(a), kappa, force_numeric)
-        return out
+        lam = np.atleast_2d(np.asarray(lam, dtype=float))
+        if kappa.closed_form is None or force_numeric:
+            return np.array([m_kappa(float(l), float(a), kappa, True) for l, a in lam], dtype=complex)
+        l, a = lam[:, 0], lam[:, 1]
+        _check_spectral_points(l, a)
+        return np.where(l == 0.0, 0j, kappa.closed_form(l, a))
 
     return MultiplierSpec(arity=2, evaluate=evaluate, sup_norm_hint=None, name=f"m[{kappa.name}]")
 
@@ -375,6 +384,25 @@ def _split_point(p) -> tuple[np.ndarray, np.ndarray]:
     return np.atleast_1d(np.asarray(x1, dtype=float)), np.atleast_1d(np.asarray(x2, dtype=float))
 
 
+def _stack_points(points) -> tuple[np.ndarray, np.ndarray]:
+    """(x1, x2) arrays with one row per product point."""
+    if not len(points):
+        return np.empty((0, 1)), np.empty((0, 1))
+    x1, x2 = zip(*(_split_point(p) for p in points))
+    return np.array(x1), np.array(x2)
+
+
+def _eta_rows(model: HeatKernelModel, x, y) -> np.ndarray:
+    """max(|x1 - y1|, zeta(x2, y2)) row by row at stacked points x = (x1, x2), y = (y1, y2)."""
+    return np.maximum(np.linalg.norm(x[0] - y[0], axis=-1), model.zeta(x[1], y[1]))
+
+
+def _ball_volume_rows(model: HeatKernelModel, x, R: np.ndarray) -> np.ndarray:
+    """|B(x1, R)| * mu(B(x2, R)) row by row at stacked points x = (x1, x2) and radii R."""
+    d = x[0].shape[1]
+    return _UNIT_BALL_VOLUME[d] * R**d * model.ball_volume(x[1], R)
+
+
 class EtaMetric:
     """eta(x, y) = max(|x1 - y1|, zeta(x2, y2)): the product metric."""
 
@@ -382,9 +410,7 @@ class EtaMetric:
         self.model = model
 
     def __call__(self, x, y) -> float:
-        x1, x2 = _split_point(x)
-        y1, y2 = _split_point(y)
-        return float(max(np.linalg.norm(x1 - y1), self.model.zeta(x2, y2)))
+        return float(_eta_rows(self.model, _stack_points([x]), _stack_points([y]))[0])
 
 
 def in_local_region(x1, y1, s: float) -> bool:
@@ -400,9 +426,7 @@ def in_local_region(x1, y1, s: float) -> bool:
 
 def ball_volume_product(model: HeatKernelModel, x, R: float) -> float:
     """(Lambda x mu)(B_eta(x, R)) = |B_Rd(x1,R)| * mu(B_Y(x2,R))."""
-    x1, x2 = _split_point(x)
-    d = len(x1)
-    return float(_UNIT_BALL_VOLUME[d] * R**d * model.ball_volume(x2, R))
+    return float(_ball_volume_rows(model, _stack_points([x]), np.array([R], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -457,38 +481,57 @@ def _r_quadrature(kappa: KappaSpec, n_r: int) -> tuple[np.ndarray, np.ndarray]:
     if not kappa.compact:
         raise ValueError("kernel quadrature needs kappa with compact support inside (0, 1)")
     lo, hi = kappa.support
-    xi, w = roots_legendre(n_r)
+    xi, w = gauss_legendre(n_r)
     return 0.5 * (hi - lo) * xi + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+
+
+# point pairs per block of the batched kernel quadrature: the (pairs, n_r)
+# work arrays stay at a few hundred kB whatever the sample size
+_PAIR_BLOCK = 32
+
+
+def _kernel_rows(kind: str, x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int) -> np.ndarray:
+    """One of the three kernels at stacked point pairs x = (x1, x2), y = (y1, y2).
+
+    The kernels differ in one factor of the r-integrand: ``"K"`` takes
+    dM_r/dr(x1, y1), ``"bound"`` takes |dM_r/dr| with sup|kappa| in place of
+    kappa, ``"Ktilde"`` takes dW_r/dr(x1 - y1).  model.kernel is batched over
+    the r-nodes for one pair at a time.  Each element goes through the float
+    operations of the one-pair quadrature, so batched and one-pair values
+    agree bit for bit.
+    """
+    (x1, x2), (y1, y2) = x, y
+    r, w = _r_quadrature(kappa, n_r)
+    t = -np.log(r)
+    weight = w if kind == "bound" else w * kappa(r)
+    out = np.empty(len(x1), dtype=float if kind == "bound" else complex)
+    for lo in range(0, len(x1), _PAIR_BLOCK):
+        blk = slice(lo, lo + _PAIR_BLOCK)
+        a, b = x1[blk, None, :], y1[blk, None, :]
+        if kind == "Ktilde":
+            factor = _w_dr_raw(r, a - b, x1.shape[1])
+        else:
+            factor = _mehler_dr_raw(r, a, b, x1.shape[1])
+            if kind == "bound":
+                factor = np.abs(factor)
+        pk = np.array([model.kernel(t, p, q) for p, q in zip(x2[blk], y2[blk])])
+        out[blk] = np.sum(weight * factor * pk, axis=-1)
+    return kappa.sup_norm * out if kind == "bound" else out
 
 
 def kernel_K(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 512) -> complex:
     """K(x, y) = int kappa(r) dM_r/dr(x1, y1) p_{-log r}(x2, y2) dr."""
-    x1, x2 = _split_point(x)
-    y1, y2 = _split_point(y)
-    r, w = _r_quadrature(kappa, n_r)
-    md = _mehler_dr_raw(r, x1, y1, len(x1))
-    pk = model.kernel(-np.log(r), x2, y2)
-    return complex(np.sum(w * kappa(r) * md * pk))
+    return complex(_kernel_rows("K", _stack_points([x]), _stack_points([y]), kappa, model, n_r)[0])
 
 
 def kernel_K_bound(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 512) -> float:
     """sup|kappa| * int |dM_r/dr| p_{-log r} dr >= |K| (p is positive)."""
-    x1, x2 = _split_point(x)
-    y1, y2 = _split_point(y)
-    r, w = _r_quadrature(kappa, n_r)
-    md = np.abs(_mehler_dr_raw(r, x1, y1, len(x1)))
-    pk = model.kernel(-np.log(r), x2, y2)
-    return float(kappa.sup_norm * np.sum(w * md * pk))
+    return float(_kernel_rows("bound", _stack_points([x]), _stack_points([y]), kappa, model, n_r)[0])
 
 
 def kernel_Ktilde(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 512) -> complex:
     """Comparison kernel: dW_r/dr(x1 - y1) in place of the Mehler derivative."""
-    x1, x2 = _split_point(x)
-    y1, y2 = _split_point(y)
-    r, w = _r_quadrature(kappa, n_r)
-    wd = _w_dr_raw(r, x1 - y1, len(x1))
-    pk = model.kernel(-np.log(r), x2, y2)
-    return complex(np.sum(w * kappa(r) * wd * pk))
+    return complex(_kernel_rows("Ktilde", _stack_points([x]), _stack_points([y]), kappa, model, n_r)[0])
 
 
 def local_mask(grid: ProductGrid, s: float = 2.0) -> np.ndarray:
@@ -500,25 +543,31 @@ def local_mask(grid: ProductGrid, s: float = 2.0) -> np.ndarray:
 
 
 def apply_T_split(
-    f: GridFunction,
+    f: GridFunction | Sequence[GridFunction],
     kappa: KappaSpec,
     model: HeatKernelModel,
     grid: ProductGrid,
     s: float = 2.0,
     base_mask: np.ndarray | None = None,
     n_r: int = 512,
-) -> tuple[GridFunction, GridFunction]:
+) -> tuple[GridFunction, GridFunction] | list[tuple[GridFunction, GridFunction]]:
     """(T_loc f, T_glob f) with the rough cutoff chi_{N_s}(x1, y1).
 
     T integrates K(x, y) f(y) dmu(y2) dy1 on the product grid; the local part
     keeps pairs with (x1, y1) in N_s, the global part is the exact quadrature
     complement.  ``base_mask`` restricts the kernel itself to a pair set (used
     to verify idempotence of the cutoff).
+
+    ``f`` may also be a sequence of functions on the grid: each r-node's
+    Mehler and heat matrices are then built once for the whole stack, and a
+    list of (T_loc f, T_glob f) pairs comes back.
     """
+    single = isinstance(f, GridFunction)
+    fs = [f] if single else list(f)
     n1, n2 = grid.shape
-    if f.values.shape[0] != n1 * n2:
+    if any(g.values.shape[0] != n1 * n2 for g in fs):
         raise ValueError("function does not live on the given product grid")
-    F = f.values.reshape(n1, n2)
+    F = np.stack([g.values.reshape(n1, n2) for g in fs])  # (k, n1, n2)
     x1 = grid.x1_points
     mask = local_mask(grid, s)
     base = np.ones((n1, n1), dtype=bool) if base_mask is None else np.asarray(base_mask, dtype=bool)
@@ -527,8 +576,8 @@ def apply_T_split(
     y2 = grid.y_points
     wy = grid.y_weights
     wx = grid.x1_lebesgue_weights
-    T_full = np.zeros((n1, n2), dtype=complex)
-    T_loc = np.zeros((n1, n2), dtype=complex)
+    T_full = np.zeros(F.shape, dtype=complex)
+    T_loc = np.zeros(F.shape, dtype=complex)
     for ri, ki in zip(r, kr):
         md = _mehler_dr_raw(float(ri), x1[:, None, :], x1[None, :, :], grid.d)
         pk = model.kernel(-math.log(ri), y2[:, None, :], y2[None, :, :])
@@ -536,7 +585,12 @@ def apply_T_split(
         A = md * base * wx[None, :]
         T_full += ki * (A @ right)
         T_loc += ki * ((A * mask) @ right)
-    return grid.function(T_loc), grid.function(T_full - T_loc)
+    pts, wts = grid.points(), grid.weights()  # shared by every returned function
+    splits = [
+        (GridFunction(pts, wts, loc.reshape(-1)), GridFunction(pts, wts, (full - loc).reshape(-1)))
+        for loc, full in zip(T_loc, T_full)
+    ]
+    return splits[0] if single else splits
 
 
 # -- the difference integral of the local-part analysis ----------------------
@@ -614,49 +668,51 @@ class CZEstimateReport:
     kind: str
 
 
-def cz_growth_check(pairs, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 512) -> CZEstimateReport:
-    """sup over pairs of |Ktilde(x,y)| (Lambda x mu)(B(x, eta(x,y))) / sup|kappa|."""
-    eta = EtaMetric(model)
-    vals, skipped = [], 0
-    denom = kappa.sup_norm if kappa.sup_norm > 0 else 1.0
-    for x, y in pairs:
-        e = eta(x, y)
-        if e == 0.0:
-            skipped += 1
-            continue
-        vals.append(abs(kernel_Ktilde(x, y, kappa, model, n_r)) * ball_volume_product(model, x, e) / denom)
-    vals = np.array(vals)
+def _select(x, keep: np.ndarray):
+    return x[0][keep], x[1][keep]
+
+
+def _report(vals: np.ndarray, n_filtered: int, kind: str) -> CZEstimateReport:
     return CZEstimateReport(
         sup=float(vals.max()) if len(vals) else 0.0,
         values=vals,
         n_used=len(vals),
-        n_filtered=skipped,
-        kind="growth",
+        n_filtered=n_filtered,
+        kind=kind,
     )
+
+
+def cz_growth_check(pairs, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 512) -> CZEstimateReport:
+    """sup over pairs of |Ktilde(x,y)| (Lambda x mu)(B(x, eta(x,y))) / sup|kappa|.
+
+    Pairs with eta(x, y) = 0 are filtered out; the rest are evaluated in one
+    batched kernel quadrature.
+    """
+    x = _stack_points([p[0] for p in pairs])
+    y = _stack_points([p[1] for p in pairs])
+    e = _eta_rows(model, x, y)
+    keep = e != 0.0
+    x, y, e = _select(x, keep), _select(y, keep), e[keep]
+    denom = kappa.sup_norm if kappa.sup_norm > 0 else 1.0
+    K = _kernel_rows("Ktilde", x, y, kappa, model, n_r)
+    # hypot rounds like Python's abs(complex); NumPy's complex abs can differ in the last bit
+    vals = np.hypot(K.real, K.imag) * _ball_volume_rows(model, x, e) / denom
+    return _report(vals, len(keep) - len(vals), "growth")
 
 
 def cz_smooth_check(triples, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 512) -> CZEstimateReport:
     """Smoothness audit on triples (x, y, y') with 2 eta(y,y') <= eta(x,y)."""
-    eta = EtaMetric(model)
-    delta = model.lipschitz_delta
-    vals, skipped = [], 0
+    x, y, yp = (_stack_points([t[i] for t in triples]) for i in range(3))
+    e_xy = _eta_rows(model, x, y)
+    e_yy = _eta_rows(model, y, yp)
+    keep = (e_yy != 0.0) & ~(2.0 * e_yy > e_xy)
+    x, y, yp = _select(x, keep), _select(y, keep), _select(yp, keep)
+    e_xy, e_yy = e_xy[keep], e_yy[keep]
     denom = kappa.sup_norm if kappa.sup_norm > 0 else 1.0
-    for x, y, yp in triples:
-        e_xy = eta(x, y)
-        e_yy = eta(y, yp)
-        if e_yy == 0.0 or 2.0 * e_yy > e_xy:
-            skipped += 1
-            continue
-        diff = abs(kernel_Ktilde(x, y, kappa, model, n_r) - kernel_Ktilde(x, yp, kappa, model, n_r))
-        vals.append(diff * (e_xy / e_yy) ** delta * ball_volume_product(model, x, e_xy) / denom)
-    vals = np.array(vals)
-    return CZEstimateReport(
-        sup=float(vals.max()) if len(vals) else 0.0,
-        values=vals,
-        n_used=len(vals),
-        n_filtered=skipped,
-        kind="smooth",
-    )
+    diff = _kernel_rows("Ktilde", x, y, kappa, model, n_r) - _kernel_rows("Ktilde", x, yp, kappa, model, n_r)
+    ratio = (e_xy / e_yy) ** model.lipschitz_delta
+    vals = np.hypot(diff.real, diff.imag) * ratio * _ball_volume_rows(model, x, e_xy) / denom
+    return _report(vals, len(keep) - len(vals), "smooth")
 
 
 # -- seeded samplers (prefix-stable: first n of a 2n draw equal the n draw) --

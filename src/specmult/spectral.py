@@ -13,11 +13,12 @@ condition for m(L) is vacuous for finite systems and is not modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from scipy.special import roots_legendre
 
 __all__ = [
     "MultiIndex",
@@ -32,12 +33,26 @@ __all__ = [
     "apply_multiplier",
     "spectral_measure",
     "tensor",
+    "gauss_legendre",
 ]
 
 #: Multi-indices are plain tuples of non-negative ints.
 MultiIndex = tuple
 
 TAU_ORTH = 1e-10  # orthonormality tolerance of shipped quadrature rules
+
+
+@lru_cache(maxsize=32)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1]: (nodes, weights).
+
+    Built once per n on first use and shared by every caller, so both
+    arrays are read-only; map them to an interval with new arrays.
+    """
+    nodes, weights = roots_legendre(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 class EvaluationError(ValueError):

@@ -306,6 +306,17 @@ def test_main_torus_grid_too_coarse_exit(capsys):
     assert capsys.readouterr().err.startswith("usage error: n_y: expected at least")
 
 
+def test_main_hermite_grid_too_coarse_exit(capsys):
+    # k_max=24 on 32 Gauss-Hermite nodes misses the 1e-5 agreement (2.2e-5 at seed 0)
+    rc = main(
+        ["riesz-cross-check", "--seed", "0", "--override", "k_max=24", "--override", "n_x=32"]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("usage error: n_x: expected at least 2*k_max + 8 = 56")
+    assert build_config("riesz-cross-check", overrides={"k_max": "12", "n_x": "32"}, seed=0)
+    assert build_config("riesz-cross-check", overrides={"k_max": "24", "n_x": "56"}, seed=0)
+
+
 def test_main_bad_override_exit(capsys):
     rc = main(["cz-decompose", "--override", "nonsense"])
     assert rc == 2

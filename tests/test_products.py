@@ -1,9 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
-from specmult.ouhermite import ou_system
+from specmult import spectral
+from specmult.ouhermite import _mehler_dr_raw, _w_dr_raw, ou_system
 from specmult.products import (
     EtaMetric,
     KappaSpec,
@@ -34,7 +37,7 @@ from specmult.products import (
     torus_heat_model,
     torus_system,
 )
-from specmult.spectral import apply_multiplier, reconstruct, tensor
+from specmult.spectral import apply_multiplier, gauss_legendre, reconstruct, tensor
 
 # frozen regression values (seeded samplers, default quadrature)
 KTILDE_GROWTH_R1 = 0.1654779510228895      # x=(0,0), y=(1,1), chi_[0.1,0.9], R x R
@@ -117,6 +120,29 @@ def test_multiplier_from_kappa():
     assert m.arity == 2
     vals = m(np.array([[1.0, 1.0], [2.0, 2.0]]))
     assert np.allclose(vals, [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "kappa", [kappa_one(), kappa_imag(1.5), kappa_indicator(0.2, 0.7), kappa_zero()], ids=lambda k: k.name
+)
+def test_multiplier_from_kappa_rows_match_m_kappa(kappa):
+    # the closed form on all rows at once against m_kappa point by point;
+    # NumPy's array power differs from Python's scalar power by a few ulp
+    lam = np.array([[0.0, 1.0], [0.0, 3.5], [1.0, 0.0], [2.0, 1.0], [0.3, 7.0], [12.0, 39.4784]])
+    got = multiplier_from_kappa(kappa)(lam)
+    want = np.array([m_kappa(float(l), float(a), kappa) for l, a in lam])
+    np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
+    assert np.all(got[:2] == 0.0)
+    with pytest.raises(ValueError, match="indeterminate"):
+        multiplier_from_kappa(kappa)(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="lam >= 0"):
+        multiplier_from_kappa(kappa)(np.array([[-1.0, 1.0]]))
+
+
+def test_multiplier_from_kappa_numeric_rows(kid):
+    lam = np.array([[0.0, 2.0], [2.0, 1.0], [5.0, 0.5]])
+    got = multiplier_from_kappa(kid, force_numeric=True)(lam)
+    assert np.array_equal(got, [m_kappa(float(l), float(a), kid, True) for l, a in lam])
 
 
 def test_kappa_spec_validation():
@@ -266,6 +292,122 @@ def test_ktilde_translation_invariance(euclid1, kid):
     assert a == b
 
 
+_LEGENDRE_512 = roots_legendre(512)  # the reference rule, independent of the cache
+
+
+def _r_rule(kappa):
+    lo, hi = kappa.support
+    xi, w = _LEGENDRE_512
+    return 0.5 * (hi - lo) * xi + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+
+
+def _kernels_pointwise(x, y, kappa, model):
+    """The three kernels of one pair, each r-quadrature written out."""
+    r, w = _r_rule(kappa)
+    pk = model.kernel(-np.log(r), x.x2, y.x2)
+    md = _mehler_dr_raw(r, x.x1, y.x1, len(x.x1))
+    return (
+        complex(np.sum(w * kappa(r) * md * pk)),
+        float(kappa.sup_norm * np.sum(w * np.abs(md) * pk)),
+        complex(np.sum(w * kappa(r) * _w_dr_raw(r, x.x1 - y.x1, len(x.x1)) * pk)),
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernels_match_pointwise_formulas(euclid1, torus, kid, d):
+    # the batched evaluator reproduces the per-pair quadrature bit for bit
+    for model in (euclid1, euclidean_heat_model(2), torus):
+        for x, y in sample_product_pairs(6, 17, model, d=d):
+            got = (
+                kernel_K(x, y, kid, model),
+                kernel_K_bound(x, y, kid, model),
+                kernel_Ktilde(x, y, kid, model),
+            )
+            assert got == _kernels_pointwise(x, y, kid, model)
+
+
+def _eta_pointwise(model, x, y):
+    return float(max(np.linalg.norm(x.x1 - y.x1), model.zeta(x.x2, y.x2)))
+
+
+def _volume_pointwise(model, x, R):
+    return float(2.0 * R**1 * model.ball_volume(x.x2, R))
+
+
+def test_cz_values_match_pointwise_formulas(euclid1, kid):
+    # every audited value, not only the sup, equals the per-pair formula on
+    # the frozen samples (seeds 7 and 8, x1 in R^1)
+    growth = cz_growth_check(sample_product_pairs(200, 7, euclid1), kid, euclid1)
+    want = []
+    for x, y in sample_product_pairs(200, 7, euclid1):
+        e = _eta_pointwise(euclid1, x, y)
+        want.append(abs(_kernels_pointwise(x, y, kid, euclid1)[2]) * _volume_pointwise(euclid1, x, e))
+    assert np.array_equal(growth.values, np.array(want) / kid.sup_norm)
+
+    smooth = cz_smooth_check(sample_product_triples(200, 8, euclid1), kid, euclid1)
+    want, skipped = [], 0
+    for x, y, yp in sample_product_triples(200, 8, euclid1):
+        e_xy, e_yy = _eta_pointwise(euclid1, x, y), _eta_pointwise(euclid1, y, yp)
+        if e_yy == 0.0 or 2.0 * e_yy > e_xy:
+            skipped += 1
+            continue
+        diff = abs(_kernels_pointwise(x, y, kid, euclid1)[2] - _kernels_pointwise(x, yp, kid, euclid1)[2])
+        want.append(diff * (e_xy / e_yy) ** 1.0 * _volume_pointwise(euclid1, x, e_xy) / kid.sup_norm)
+    assert np.array_equal(smooth.values, want)
+    assert smooth.n_filtered == skipped
+
+
+def test_cz_batched_matches_scalar_helpers():
+    # with x1 in R^2 and a complex kappa the audits still agree exactly with
+    # EtaMetric, ball_volume_product and abs(kernel_Ktilde) pair by pair
+    model = euclidean_heat_model(2)
+    eta = EtaMetric(model)
+    chirp = KappaSpec(evaluate=lambda r: np.exp(7j * np.asarray(r)), support=(0.1, 0.9), sup_norm=1.0)
+    pairs = sample_product_pairs(200, 3, model, d=2)
+    want = [
+        abs(kernel_Ktilde(x, y, chirp, model)) * ball_volume_product(model, x, eta(x, y)) for x, y in pairs
+    ]
+    assert np.array_equal(cz_growth_check(pairs, chirp, model).values, want)
+    assert cz_growth_check([], chirp, model).n_used == 0
+
+
+def test_gauss_legendre_rule_is_shared_and_read_only():
+    nodes, weights = gauss_legendre(16)
+    assert gauss_legendre(16)[0] is nodes
+    assert np.array_equal(nodes, roots_legendre(16)[0])
+    with pytest.raises(ValueError, match="read-only"):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        weights *= 2.0
+
+
+def test_no_rule_rebuilt_per_call(monkeypatch, euclid1, torus, kid):
+    # kernel audits and the T split reuse the cached rule instead of
+    # rebuilding roots_legendre(n_r) on every call
+    builds = []
+
+    def counting(n):
+        builds.append(n)
+        return roots_legendre(n)
+
+    monkeypatch.setattr(spectral, "roots_legendre", counting)
+    gauss_legendre.cache_clear()
+    pairs = sample_product_pairs(400, 7, euclid1)
+    grid = product_grid(torus, d=1, k_max=6, n_y=16)
+    f = grid.function(np.ones(grid.shape[0] * grid.shape[1]))
+    cz_growth_check(pairs[:2], kid, euclid1)
+    apply_T_split(f, kid, torus, grid)
+    assert builds == [512]
+    cz_growth_check(pairs, kid, euclid1)
+    apply_T_split(f, kid, torus, grid)
+    assert builds == [512]
+    gauss_legendre.cache_clear()  # drop the rules built through the patched name
+    # and no other module builds a rule of its own
+    package = Path(spectral.__file__).parent
+    callers = [p.name for p in package.glob("*.py") if "roots_legendre(" in p.read_text()]
+    assert callers == ["spectral.py"]
+
+
 def test_ktilde_growth_frozen(euclid1, kid):
     x, y = ProductPoint([0.0], [0.0]), ProductPoint([1.0], [1.0])
     e = EtaMetric(euclid1)(x, y)
@@ -290,6 +432,19 @@ def test_t_split_additivity_and_idempotence(torus, kid):
     loc2, glob2 = apply_T_split(f, kid, torus, grid, base_mask=mask, n_r=128)
     assert np.array_equal(loc2.values, loc.values)
     assert np.all(glob2.values == 0.0)
+
+
+def test_t_split_stack_matches_single_calls(torus, kid):
+    grid = product_grid(torus, d=1, k_max=6, n_y=16)
+    rng = np.random.default_rng(4)
+    n = grid.shape[0] * grid.shape[1]
+    fs = [grid.function(rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(3)]
+    stacked = apply_T_split(fs, kid, torus, grid, n_r=128)
+    assert len(stacked) == 3
+    for f, (loc, glob) in zip(fs, stacked):
+        loc1, glob1 = apply_T_split(f, kid, torus, grid, n_r=128)
+        assert np.array_equal(loc.values, loc1.values)
+        assert np.array_equal(glob.values, glob1.values)
 
 
 def test_t_split_grid_mismatch(torus, kid):
