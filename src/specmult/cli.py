@@ -25,6 +25,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -266,21 +267,20 @@ def build_config(
 
 # -- operator registry and norm estimation -----------------------------------
 
-_SYSTEM_CACHE: dict[str, SpectralSystem] = {}
-
-
-def _cached_system(key: str, build: Callable[[], SpectralSystem]) -> SpectralSystem:
-    if key not in _SYSTEM_CACHE:
-        _SYSTEM_CACHE[key] = build()
-    return _SYSTEM_CACHE[key]
+@lru_cache(maxsize=None)
+def _square_system(d: int, k_max: int) -> SpectralSystem:
+    """OU(1, k_max), or its tensor with the 3-mode torus when d = 2; built once."""
+    if d == 1:
+        return ou_system(1, k_max)
+    return tensor(ou_system(1, k_max), torus_system(3, 32))
 
 
 def _ou16() -> SpectralSystem:
-    return _cached_system("ou16", lambda: ou_system(1, 16))
+    return _square_system(1, 16)
 
 
 def _ou_torus() -> SpectralSystem:
-    return _cached_system("ou12xtorus3", lambda: tensor(ou_system(1, 12), torus_system(3, 32)))
+    return _square_system(2, 12)
 
 
 def operator_registry() -> dict[str, tuple[Callable[[], SpectralSystem], str, bool]]:
@@ -380,12 +380,9 @@ def _run_marcinkiewicz(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
     rho = cfg.param("rho")
     if len(rho) != m.arity:
         raise UsageError(f"rho: length {len(rho)} != multiplier arity {m.arity}")
-    order = MarcOrder(rho)
-    grids = np.meshgrid(*[np.arange(r + 1) for r in order.rho], indexing="ij")
     rows = []
     norm = 0.0
-    for gamma in zip(*(g.ravel() for g in grids)):
-        gamma = tuple(int(e) for e in gamma)
+    for gamma in MarcOrder(rho).gammas():
         value = marcinkiewicz_seminorm(m, gamma)
         norm = max(norm, value)
         rows.append([",".join(map(str, gamma)), value])
@@ -456,14 +453,6 @@ def _svg_line_chart(x: np.ndarray, curves: dict[str, np.ndarray], title: str) ->
         )
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def _square_system(d: int, k_max: int) -> SpectralSystem:
-    if d == 1:
-        return _cached_system(f"ou{k_max}", lambda: ou_system(1, k_max))
-    return _cached_system(
-        f"ou{k_max}xtorus3", lambda: tensor(ou_system(1, k_max), torus_system(3, 32))
-    )
 
 
 def _run_square_function(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
@@ -575,6 +564,15 @@ def _run_cz_decompose(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
         raw = rng.random((cfg.param("fibers"), 1 << system.l_max)) ** 2 * 6.0
         f = np.repeat(raw, pts, axis=1)
         s = s * float((f @ system.weights).max()) * 1.5
+    # a window average above s selects the whole window, and no parent cube
+    # caps that average: above doubling_constant * s it breaks the good bound
+    top = float(f.mean(axis=1).max())
+    if top > system.doubling_constant * s + 1e-12:
+        least = cfg.param("threshold") * top / (system.doubling_constant * s)
+        raise UsageError(
+            f"threshold: expected at least {least!r} so that the whole window is not "
+            f"selected (got {cfg.param('threshold')!r})"
+        )
     res = cz_decompose(f, s, system)
     w = system.weights
     l1_f = float((np.abs(f) @ w).sum())

@@ -17,12 +17,21 @@ samples per decade.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .spectral import CoefficientVector, GridFunction, MultiplierSpec, SpectralSystem, gauss_legendre
+from .spectral import (
+    CoefficientVector,
+    GridFunction,
+    MultiplierSpec,
+    SpectralSystem,
+    _trapezoid,
+    gauss_legendre,
+)
 
 __all__ = [
     "MarcOrder",
@@ -75,6 +84,10 @@ class MarcOrder:
         if any(r < 0 for r in self.rho):
             raise ValueError("order entries must be >= 0")
 
+    def gammas(self) -> Iterator[tuple]:
+        """Every order gamma <= rho componentwise, the last entry fastest."""
+        return itertools.product(*(range(r + 1) for r in self.rho))
+
 
 @dataclass(frozen=True)
 class DyadicRange:
@@ -113,44 +126,25 @@ _STEP_REL = 1e-4  # relative step for central differences
 
 
 def _partial_values(m: MultiplierSpec, gamma, lam: np.ndarray) -> np.ndarray:
-    """lam^0-free partial derivative values d^gamma m at rows of lam."""
+    """lam^0-free partial derivative values d^gamma m at rows of lam.
+
+    Analytic partials win; otherwise the tensor central-difference stencil
+    with per-axis relative steps h_j = _STEP_REL * lam_j, nodes
+    lam_j + (g_j/2 - i) h_j and weights (-1)^i C(g_j, i), last axis fastest.
+    """
     gamma = tuple(int(g) for g in gamma)
     if m.partials is not None and gamma in m.partials:
         return np.asarray(m.partials[gamma](lam), dtype=complex).reshape(lam.shape[0])
-    if all(g == 0 for g in gamma):
+    if not any(gamma):
         return m(lam)
-    # tensorized central-difference stencil with per-axis relative steps
-    offsets = [np.zeros(lam.shape[0])]
-    coeffs = [np.ones(1)]
-    shifts = np.zeros((1, lam.shape[1]))
-    weights = np.ones(1)
-    for axis, g in enumerate(gamma):
-        if g == 0:
-            continue
-        h = _STEP_REL * lam[:, axis]
-        i = np.arange(g + 1)
-        c = (-1.0) ** i * np.array([math.comb(g, int(j)) for j in i])
-        off = (g / 2.0 - i)  # in units of h, per stencil node
-        new_shifts = []
-        new_weights = []
-        for s_row, w_row in zip(shifts, weights):
-            for ci, oi in zip(c, off):
-                row = s_row.copy()
-                row[axis] = oi
-                new_shifts.append(row)
-                new_weights.append(w_row * ci)
-        shifts = np.array(new_shifts)
-        weights = np.array(new_weights)
+    h = _STEP_REL * lam  # (n, d)
+    axes = [[(g / 2.0 - i, (-1.0) ** i * math.comb(g, i)) for i in range(g + 1)] for g in gamma]
     vals = np.zeros(lam.shape[0], dtype=complex)
-    h_axes = _STEP_REL * lam  # (n, d)
-    for s_row, w_row in zip(shifts, weights):
-        pts = lam + s_row[None, :] * h_axes
-        vals += w_row * m(pts)
-    denom = np.ones(lam.shape[0])
-    for axis, g in enumerate(gamma):
-        if g:
-            denom *= (_STEP_REL * lam[:, axis]) ** g
-    return vals / denom
+    for node in itertools.product(*axes):
+        offset, coeff = zip(*node)
+        vals += math.prod(coeff) * m(lam + np.array(offset) * h)
+    # scalar exponents: NumPy squares for g = 2, where an exponent array would call pow
+    return vals / math.prod(h[:, j] ** g for j, g in enumerate(gamma))
 
 
 def marcinkiewicz_seminorm(
@@ -161,47 +155,32 @@ def marcinkiewicz_seminorm(
 ) -> float:
     """sup over R-boxes of int_{R < lam < 2R} |lam^gamma d^gamma m|^2 dlam/lam.
 
-    Per-axis Gauss-Legendre in log lam; exact 2-homogeneity in m.
+    Per-axis Gauss-Legendre in log lam on the d-fold tensor grid; exact
+    2-homogeneity in m.
     """
     gamma = tuple(int(g) for g in gamma)
     d = m.arity
     if len(gamma) != d:
         raise ValueError("gamma must have one entry per multiplier argument")
+    if d > 2:
+        raise NotImplementedError("seminorm implemented for d <= 2")
     R = dyadic.radii()
     xi, wq = gauss_legendre(n_gl)
-    xi = (xi + 1.0) / 2.0  # nodes on [0,1]
-    wq = wq / 2.0
-    # per-axis evaluation abscissae: log lam = log R_i + xi_j * log 2
-    s_axis = np.log(R)[:, None] + xi[None, :] * math.log(2.0)  # (nR, nq)
-    lam_axis = np.exp(s_axis.ravel())
-    nR, nq = len(R), n_gl
-
-    if d == 1:
-        lam = lam_axis[:, None]
-        vals = _partial_values(m, gamma, lam)
-        integrand = np.abs(lam[:, 0] ** gamma[0] * vals) ** 2
-        per_box = integrand.reshape(nR, nq) @ wq * math.log(2.0)
-        return float(per_box.max())
-    if d == 2:
-        L1, L2 = np.meshgrid(lam_axis, lam_axis, indexing="ij")
-        lam = np.stack([L1.ravel(), L2.ravel()], axis=1)
-        vals = _partial_values(m, gamma, lam)
-        integrand = np.abs(lam[:, 0] ** gamma[0] * lam[:, 1] ** gamma[1] * vals) ** 2
-        V = integrand.reshape(nR, nq, nR, nq)
-        per_box = np.einsum("iajb,a,b->ij", V, wq, wq) * math.log(2.0) ** 2
-        return float(per_box.max())
-    raise NotImplementedError("seminorm implemented for d <= 2")
+    # per-axis abscissae: log lam = log R_i + xi_j log 2, xi_j on [0, 1]
+    lam_axis = np.exp((np.log(R)[:, None] + (xi[None, :] + 1.0) / 2.0 * math.log(2.0)).ravel())
+    lam = np.stack(np.meshgrid(*[lam_axis] * d, indexing="ij", copy=False), axis=-1).reshape(-1, d)
+    weight = math.prod(lam[:, j] ** g for j, g in enumerate(gamma))
+    box = (np.abs(weight * _partial_values(m, gamma, lam)) ** 2).reshape((len(R), n_gl) * d)
+    for axis in range(2 * d - 1, 0, -2):  # contract the node axes, last first
+        box = np.moveaxis(box, axis, -1) @ (wq / 2.0)
+    return float(box.max() * math.log(2.0) ** d)
 
 
 def mar_norm(m: MultiplierSpec, rho: MarcOrder, dyadic: DyadicRange = DyadicRange()) -> float:
     """sup over gamma <= rho of the Marcinkiewicz seminorms."""
     if len(rho.rho) != m.arity:
         raise ValueError("order length must match multiplier arity")
-    grids = np.meshgrid(*[np.arange(r + 1) for r in rho.rho], indexing="ij")
-    best = 0.0
-    for gamma in zip(*(g.ravel() for g in grids)):
-        best = max(best, marcinkiewicz_seminorm(m, gamma, dyadic))
-    return best
+    return max([0.0] + [marcinkiewicz_seminorm(m, gamma, dyadic) for gamma in rho.gammas()])
 
 
 # -- Mellin transform -------------------------------------------------------
@@ -218,10 +197,7 @@ class LogGrid:
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         s = np.linspace(-self.s_max, self.s_max, self.n)
-        w = np.full(self.n, s[1] - s[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return s, w
+        return s, _trapezoid(self.n, s[1] - s[0])
 
 
 def _check_tails(g: np.ndarray, s: np.ndarray, w: np.ndarray, grid: LogGrid, what: str):
@@ -239,11 +215,9 @@ def mellin(m: MultiplierSpec, u, grid: LogGrid = LogGrid()) -> complex:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if len(u) != m.arity:
         raise ValueError("u must have one entry per multiplier argument")
-    s, w = grid.nodes()
     if m.arity == 1:
-        g = m(np.exp(s)[:, None])
-        _check_tails(g, s, w, grid, "mellin integrand")
-        return complex(np.sum(w * np.exp(-1j * u[0] * s) * g))
+        return complex(mellin_on_grid(m, u, grid)[0])
+    s, w = grid.nodes()
     if m.arity == 2:
         # row-chunked tensor quadrature; the full grid is never materialized
         e1 = w * np.exp(-1j * u[0] * s)
@@ -323,9 +297,7 @@ def plancherel_residual(
     _check_tails(g, s, w, grid, "plancherel integrand")
     u = np.linspace(-u_max, u_max, n_u)
     M = _fourier_rows(u, s, w * g)
-    wu = np.full(n_u, u[1] - u[0])
-    wu[0] *= 0.5
-    wu[-1] *= 0.5
+    wu = _trapezoid(n_u, u[1] - u[0])
     edge_mass = float(np.sum(wu[np.abs(u) >= 0.95 * u_max] * np.abs(M[np.abs(u) >= 0.95 * u_max]) ** 2))
     if edge_mass > grid.tail_tol:
         raise MellinTailError(f"plancherel u-window too small: edge mass {edge_mass:.3e}")
@@ -405,12 +377,10 @@ def decay_check(
     lam = np.exp(s)
     base = m(lam[:, None])
     S = np.zeros(len(u_grid))
-    E = None
+    E = np.exp(-1j * np.outer(u_grid, s))
     for t in t_samples:
         tl = t * lam
         g = tl ** N[0] * np.exp(-tl) * base
-        if E is None:
-            E = np.exp(-1j * np.outer(u_grid, s))
         S = np.maximum(S, np.abs(E @ (w * g)))
     u_max = float(u_grid.max())
     decade = u_grid >= u_max / 10.0
@@ -516,11 +486,7 @@ def default_t_grid(lam_min: float, lam_max: float, n: int = 256) -> tuple[np.nda
     if not 0 < lam_min <= lam_max:
         raise ValueError("need 0 < lam_min <= lam_max")
     t = np.geomspace(1e-4 / lam_max, 1e4 / lam_min, n)
-    h = math.log(t[-1] / t[0]) / (n - 1)
-    w = np.full(n, h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return t, w
+    return t, _trapezoid(n, math.log(t[-1] / t[0]) / (n - 1))
 
 
 @dataclass(frozen=True)

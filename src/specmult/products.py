@@ -24,8 +24,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 
-from .ouhermite import _mehler_dr_raw, _w_dr_raw, hermite_basis, lebesgue_weights
-from .spectral import GridFunction, MultiplierSpec, SpectralSystem, gauss_legendre
+from .ouhermite import _mehler_dr_raw, _product_grid, _w_dr_raw, hermite_basis, lebesgue_weights
+from .spectral import GridFunction, MultiplierSpec, SpectralSystem, _trapezoid, gauss_legendre
 
 __all__ = [
     "KappaSpec",
@@ -183,9 +183,7 @@ def m_kappa(lam: float, a: float, kappa: KappaSpec, force_numeric: bool = False)
     c = lam + a
     if not kappa.compact:
         v = np.linspace(-46.0, math.log(46.0 / c), _LAPLACE_N)
-        w = np.full(_LAPLACE_N, v[1] - v[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        w = _trapezoid(_LAPLACE_N, v[1] - v[0])
         t = np.exp(v)
         return complex(lam * np.sum(w * np.exp(-c * t) * kappa(np.exp(-t)) * t))
     t_lo, t_hi = -math.log(kappa.support[1]), -math.log(kappa.support[0])
@@ -463,13 +461,7 @@ class ProductGrid:
 def product_grid(model: HeatKernelModel, d: int = 1, k_max: int = 12, n_y: int = 32,
                  n_x: int | None = None) -> ProductGrid:
     basis = hermite_basis(d, k_max, n_x)
-    if d == 1:
-        x1 = basis.gh_nodes[:, None]
-        gw = basis.gh_weights
-    else:
-        from .ouhermite import _product_grid
-
-        x1, gw = _product_grid(basis.gh_nodes, basis.gh_weights, d)
+    x1, gw = _product_grid(basis.gh_nodes, basis.gh_weights, d)
     y_pts, y_w = model.grid(n_y)
     return ProductGrid(x1, gw, lebesgue_weights(x1, gw), y_pts, y_w)
 

@@ -55,6 +55,14 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _trapezoid(n: int, h: float) -> np.ndarray:
+    """Weights of the n-node trapezoid rule with uniform spacing h."""
+    w = np.full(n, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 class EvaluationError(ValueError):
     """A multiplier evaluated non-finite on a spectrum point."""
 

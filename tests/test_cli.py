@@ -317,6 +317,21 @@ def test_main_hermite_grid_too_coarse_exit(capsys):
     assert build_config("riesz-cross-check", overrides={"k_max": "24", "n_x": "56"}, seed=0)
 
 
+def test_main_cz_threshold_selecting_whole_window_exit(tmp_path, capsys):
+    # the step fixture has window average 1: below threshold 1/2 the selected
+    # top cube's average exceeds 2 s, and no parent cube caps it
+    rc = main(["cz-decompose", "--out", str(tmp_path / "low"), "--override", "threshold=0.49"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("usage error: threshold: expected at least 0.5 ")
+    assert main(["cz-decompose", "--out", str(tmp_path / "edge"), "--override", "threshold=0.5"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 6
+
+
+def test_square_systems_built_once():
+    assert cli._ou16() is cli._square_system(1, 16)
+    assert cli._ou_torus() is cli._square_system(2, 12)
+
+
 def test_main_bad_override_exit(capsys):
     rc = main(["cz-decompose", "--override", "nonsense"])
     assert rc == 2

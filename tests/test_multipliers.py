@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from specmult.multipliers import (
+    _STEP_REL,
     ATLViolation,
     DecayProfile,
     DyadicRange,
@@ -29,10 +30,13 @@ from specmult.multipliers import (
     square_function_params,
     worst_case_order,
 )
+from specmult.multipliers import _partial_values
 from specmult.ouhermite import ou_system
 from specmult.spectral import CoefficientVector, MultiplierSpec, reconstruct, tensor
 
 MAR_RIESZ1_RHO1 = 0.6931462268866521  # frozen regression value, default dyadic range
+MAR_RIESZ2_RHO11 = 0.48045301391729195  # mar_norm(riesz2, (1, 1)), default dyadic range
+SEMINORM_RIESZ2_11_SMALL = 0.004119911576609029  # gamma (1, 1), K = 2, no off-dyadic, n_gl = 8
 
 
 def lam_exp():
@@ -103,6 +107,68 @@ def test_mar_norm_constant():
 def test_mar_norm_riesz_frozen():
     got = mar_norm(builtin_multiplier("riesz1"), MarcOrder((1,)))
     assert got == pytest.approx(MAR_RIESZ1_RHO1, rel=1e-12)
+
+
+def test_mar_norm_riesz2_frozen():
+    got = mar_norm(builtin_multiplier("riesz2"), MarcOrder((1, 1)))
+    assert got == pytest.approx(MAR_RIESZ2_RHO11, rel=1e-13)
+    # the max above is the gamma = 0 box; this pins the 2-d stencil and contraction
+    small = DyadicRange(K=2, n_offdyadic=0)
+    got = marcinkiewicz_seminorm(builtin_multiplier("riesz2"), (1, 1), small, n_gl=8)
+    assert got == pytest.approx(SEMINORM_RIESZ2_11_SMALL, rel=1e-13)
+
+
+def test_marc_order_gammas_last_entry_fastest():
+    assert list(MarcOrder((2, 1)).gammas()) == list(np.ndindex(3, 2))
+    assert list(MarcOrder((0,)).gammas()) == [(0,)]
+
+
+def _log_uniform_points(n, d, seed):
+    return 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n, d))
+
+
+def test_partial_values_written_out_d1():
+    m = builtin_multiplier("imag_decay")  # no analytic partials
+    lam = _log_uniform_points(2000, 1, 0)
+    h = _STEP_REL * lam
+
+    def at(o):
+        return m(lam + o * h)
+
+    written = {
+        0: m(lam),
+        1: (at(0.5) - at(-0.5)) / h[:, 0],
+        2: (at(1.0) - 2.0 * at(0.0) + at(-1.0)) / h[:, 0] ** 2,
+        3: (at(1.5) - 3.0 * at(0.5) + 3.0 * at(-0.5) - at(-1.5)) / h[:, 0] ** 3,
+        4: (at(2.0) - 4.0 * at(1.0) + 6.0 * at(0.0) - 4.0 * at(-1.0) + at(-2.0)) / h[:, 0] ** 4,
+    }
+    for g, expected in written.items():
+        np.testing.assert_array_equal(_partial_values(m, (g,), lam), expected)
+    riesz1 = builtin_multiplier("riesz1")  # analytic partials win over the stencil
+    np.testing.assert_array_equal(_partial_values(riesz1, (1,), lam), riesz1.partials[(1,)](lam))
+
+
+def test_partial_values_written_out_d2():
+    m = builtin_multiplier("riesz2")  # no analytic partials
+    lam = _log_uniform_points(2000, 2, 1)
+    h = _STEP_REL * lam
+    h1, h2 = h[:, 0], h[:, 1]
+
+    def at(o1, o2):
+        return m(np.column_stack([lam[:, 0] + o1 * h1, lam[:, 1] + o2 * h2]))
+
+    written = {
+        (1, 0): (at(0.5, 0.0) - at(-0.5, 0.0)) / h1,
+        (1, 1): (at(0.5, 0.5) - at(0.5, -0.5) - at(-0.5, 0.5) + at(-0.5, -0.5)) / (h1 * h2),
+        (0, 2): (at(0.0, 1.0) - 2.0 * at(0.0, 0.0) + at(0.0, -1.0)) / h2**2,
+        (2, 2): (
+            at(1.0, 1.0) - 2.0 * at(1.0, 0.0) + at(1.0, -1.0)
+            - 2.0 * at(0.0, 1.0) + 4.0 * at(0.0, 0.0) - 2.0 * at(0.0, -1.0)
+            + at(-1.0, 1.0) - 2.0 * at(-1.0, 0.0) + at(-1.0, -1.0)
+        ) / (h1**2 * h2**2),
+    }
+    for g, expected in written.items():
+        np.testing.assert_array_equal(_partial_values(m, g, lam), expected)
 
 
 def test_mar_norm_product_bounded_by_factor_norms():

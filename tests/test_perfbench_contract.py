@@ -59,3 +59,43 @@ def test_tracer_installs_and_restores(tracer_module):
         span[0] for span in tracer.spans
     }
     assert all(_resolve(name) is originals[name] for name in names)
+
+
+def test_tracer_counters_bind_and_count(tracer_module):
+    # each span counter binds the traced call's own argument names; a
+    # renamed argument would crash every traced benchmark run
+    assert set(tracer_module.COUNTERS) == {
+        "multipliers.marcinkiewicz_seminorm",
+        "products.cz_growth_check",
+        "products.cz_smooth_check",
+    }
+    multipliers = importlib.import_module("specmult.multipliers")
+    products = importlib.import_module("specmult.products")
+    model = products.euclidean_heat_model(1)
+    kappa = products.kappa_indicator(0.1, 0.9)
+    pairs = products.sample_product_pairs(2, 0, model)
+    triples = products.sample_product_triples(2, 0, model)
+    x, y, _ = triples[0]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        # positional arguments, so only the counter depends on the parameter names
+        seminorm = multipliers.marcinkiewicz_seminorm(
+            multipliers.builtin_multiplier("riesz2"), (1, 1), multipliers.DyadicRange(1, 0), 4
+        )
+        growth = products.cz_growth_check(pairs + [(x, x)], kappa, model, 16)
+        smooth = products.cz_smooth_check(triples + [(x, y, y)], kappa, model, 16)
+        values = multipliers.builtin_multiplier("riesz1")(np.ones((5, 1)))
+    finally:
+        tracer.uninstall()
+    assert np.isfinite(seminorm) and values.shape == (5,)
+    assert (growth.n_filtered, smooth.n_filtered) == (1, 1)
+    summary = tracer_module.summarize(tracer.spans, 0, len(tracer.spans))
+    names = summary["names"]
+    # 3 radii x 4 Gauss-Legendre nodes per axis, squared; 4 stencil nodes for gamma = (1, 1)
+    assert names["multipliers.marcinkiewicz_seminorm"]["amount"] == (144,)
+    assert summary["seminorm_points"] == 4 * 144
+    assert names["products.cz_growth_check"]["amount"] == (1, 3)
+    assert names["products.cz_smooth_check"]["amount"] == (1, 3)
+    assert names["spectral.MultiplierSpec.__call__"]["calls"] == 4 + 1
+    assert names["spectral.MultiplierSpec.__call__"]["amount"] == (4 * 144 + 5,)
