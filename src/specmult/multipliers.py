@@ -155,8 +155,10 @@ def marcinkiewicz_seminorm(
 ) -> float:
     """sup over R-boxes of int_{R < lam < 2R} |lam^gamma d^gamma m|^2 dlam/lam.
 
-    Per-axis Gauss-Legendre in log lam on the d-fold tensor grid; exact
-    2-homogeneity in m.
+    Per-axis Gauss-Legendre in log lam on the d-fold tensor grid, evaluated
+    one radius of the first axis at a time: each block contracts its node
+    axes but the first, and the stacked (n_R, n_gl, ...) blocks contract the
+    first node axis in one product.  Exact 2-homogeneity in m.
     """
     gamma = tuple(int(g) for g in gamma)
     d = m.arity
@@ -168,11 +170,15 @@ def marcinkiewicz_seminorm(
     xi, wq = gauss_legendre(n_gl)
     # per-axis abscissae: log lam = log R_i + xi_j log 2, xi_j on [0, 1]
     lam_axis = np.exp((np.log(R)[:, None] + (xi[None, :] + 1.0) / 2.0 * math.log(2.0)).ravel())
-    lam = np.stack(np.meshgrid(*[lam_axis] * d, indexing="ij", copy=False), axis=-1).reshape(-1, d)
-    weight = math.prod(lam[:, j] ** g for j, g in enumerate(gamma))
-    box = (np.abs(weight * _partial_values(m, gamma, lam)) ** 2).reshape((len(R), n_gl) * d)
-    for axis in range(2 * d - 1, 0, -2):  # contract the node axes, last first
-        box = np.moveaxis(box, axis, -1) @ (wq / 2.0)
+    blocks = []
+    for first in lam_axis.reshape(len(R), n_gl):
+        lam = np.stack(np.meshgrid(first, *[lam_axis] * (d - 1), indexing="ij", copy=False), axis=-1).reshape(-1, d)
+        weight = math.prod(lam[:, j] ** g for j, g in enumerate(gamma))
+        box = (np.abs(weight * _partial_values(m, gamma, lam)) ** 2).reshape((n_gl,) + (len(R), n_gl) * (d - 1))
+        for axis in range(2 * d - 2, 0, -2):  # contract the other node axes, last first
+            box = np.moveaxis(box, axis, -1) @ (wq / 2.0)
+        blocks.append(box)
+    box = np.moveaxis(np.stack(blocks), 1, -1) @ (wq / 2.0)
     return float(box.max() * math.log(2.0) ** d)
 
 
@@ -559,7 +565,8 @@ def square_function(sys: SpectralSystem, c: CoefficientVector, params: SquareFun
         M *= Kj[np.ix_(inv, inv)]
     B = sys.basis_matrix()[rows]
     C = (cvec[:, None] * np.conj(cvec)[None, :]) * M
-    g2 = np.einsum("ab,bp,ap->p", C, B, B).real
+    # B is real, so only Re C reaches the real part of sum_ab C_ab B_bp B_ap
+    g2 = np.einsum("ap,ap->p", C.real @ B, B)
     return sys.grid_function(np.sqrt(np.clip(g2, 0.0, None)))
 
 
@@ -629,11 +636,8 @@ def builtin_multiplier(name: str, u: float = 1.0) -> MultiplierSpec:
     if name == "riesz2":
         def f(lam):
             lam = np.atleast_2d(lam)
-            out = np.zeros(lam.shape[0], dtype=complex)
-            tot = lam.sum(axis=1)
-            nz = tot > 0
-            out[nz] = lam[nz, 0] / tot[nz]
-            return out
+            tot = lam[:, 0] + lam[:, 1]
+            return np.divide(lam[:, 0], tot, out=np.zeros(len(tot)), where=tot > 0)
         def sector(z):
             z = np.atleast_2d(z)
             return z[:, 0] / (z[:, 0] + z[:, 1])

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 
 from .ouhermite import _mehler_dr_raw, _product_grid, _w_dr_raw, hermite_basis, lebesgue_weights
@@ -601,6 +600,8 @@ def di_integral(x1, y1) -> float:
     Split at 1/2 and at r* = max(1/2, 1 - |x1|^2), where the two kernels
     change regime.
     """
+    from scipy.integrate import quad
+
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     y1 = np.atleast_1d(np.asarray(y1, dtype=float))
     if np.array_equal(x1, y1):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +34,8 @@ from specmult.multipliers import (
 )
 from specmult.multipliers import _partial_values
 from specmult.ouhermite import ou_system
-from specmult.spectral import CoefficientVector, MultiplierSpec, reconstruct, tensor
+from specmult.products import torus_system
+from specmult.spectral import CoefficientVector, MultiplierSpec, gauss_legendre, reconstruct, tensor
 
 MAR_RIESZ1_RHO1 = 0.6931462268866521  # frozen regression value, default dyadic range
 MAR_RIESZ2_RHO11 = 0.48045301391729195  # mar_norm(riesz2, (1, 1)), default dyadic range
@@ -116,6 +119,42 @@ def test_mar_norm_riesz2_frozen():
     small = DyadicRange(K=2, n_offdyadic=0)
     got = marcinkiewicz_seminorm(builtin_multiplier("riesz2"), (1, 1), small, n_gl=8)
     assert got == pytest.approx(SEMINORM_RIESZ2_11_SMALL, rel=1e-13)
+
+
+def _full_grid_seminorm(m, gamma, dyadic, n_gl=32):
+    """The seminorm on the whole d-fold tensor grid at once, node axes contracted last first."""
+    d = m.arity
+    R = dyadic.radii()
+    xi, wq = gauss_legendre(n_gl)
+    lam_axis = np.exp((np.log(R)[:, None] + (xi[None, :] + 1.0) / 2.0 * math.log(2.0)).ravel())
+    lam = np.stack(np.meshgrid(*[lam_axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    weight = math.prod(lam[:, j] ** g for j, g in enumerate(gamma))
+    box = (np.abs(weight * _partial_values(m, gamma, lam)) ** 2).reshape((len(R), n_gl) * d)
+    for axis in range(2 * d - 1, 0, -2):
+        box = np.moveaxis(box, axis, -1) @ (wq / 2.0)
+    return float(box.max() * math.log(2.0) ** d)
+
+
+def test_blocked_seminorm_equals_full_grid():
+    # per-radius blocks end in the full grid's (n_R, n_gl, ...) contraction, bit for bit
+    dyadic = DyadicRange(K=3)
+    for name, rho in (("imag_decay", (4,)), ("riesz1", (2,)), ("log_bump", (2,)), ("riesz2", (2, 2))):
+        m = builtin_multiplier(name)
+        for gamma in MarcOrder(rho).gammas():
+            assert marcinkiewicz_seminorm(m, gamma, dyadic) == _full_grid_seminorm(m, gamma, dyadic), (name, gamma)
+
+
+def test_seminorm_memory_below_one_full_grid_array():
+    dyadic = DyadicRange(K=8)
+    full_grid_complex = (32 * len(dyadic.radii())) ** 2 * 16
+    m = builtin_multiplier("riesz2")
+    tracemalloc.start()
+    try:
+        marcinkiewicz_seminorm(m, (1, 1), dyadic)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_grid_complex
 
 
 def test_marc_order_gammas_last_entry_fastest():
@@ -470,6 +509,41 @@ def test_square_function_l2_identity_two_axes():
     assert g.norm_lp(2) ** 2 == pytest.approx(expect, rel=1e-6)
 
 
+def _square_function_einsum(sys, c, params):
+    """g_N from the per-axis t-kernels and the 3-operand contraction sum_ab C_ab B_bp B_ap."""
+    support = np.flatnonzero(c.values)
+    rows = sys.positions(c.indices)[support]
+    lam = sys.eigenvalue_matrix()[rows]
+    cvec = c.values[support]
+    M = np.ones((len(support), len(support)))
+    for j, (t, w, Nj) in enumerate(zip(params.t_nodes, params.t_weights, params.N)):
+        P = np.outer(lam[:, j], t) ** Nj * np.exp(-np.outer(lam[:, j], t))
+        M *= (P * w) @ P.T
+    B = sys.basis_matrix()[rows]
+    C = (cvec[:, None] * np.conj(cvec)[None, :]) * M
+    return np.sqrt(np.clip(np.einsum("ab,bp,ap->p", C, B, B).real, 0.0, None))
+
+
+def _complex_coefficients(sys, seed):
+    # zero where an eigenvalue vanishes, as the square function requires
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(len(sys)) + 1j * rng.standard_normal(len(sys))
+    values[np.any(sys.eigenvalue_matrix() == 0.0, axis=1)] = 0.0
+    return CoefficientVector(indices=sys.basis_index_set, values=values)
+
+
+def test_square_function_matches_three_operand_einsum(ou1):
+    # complex coefficients: Im C must drop out of the real-basis contraction
+    ou_torus = tensor(ou_system(1, 12), torus_system(3, 32))
+    for sys, N in ((ou1, (1,)), (ou_torus, (2, 2)), (ou_torus, (1, 2))):
+        params = square_function_params(sys, N)
+        for seed in range(3):
+            c = _complex_coefficients(sys, seed)
+            assert np.any(c.values.imag != 0.0)
+            got = square_function(sys, c, params).values
+            np.testing.assert_allclose(got, _square_function_einsum(sys, c, params), rtol=1e-13, atol=0.0)
+
+
 def test_square_function_zero_eigenvalue_rejected(ou1):
     params = square_function_params(ou1, 1)
     with pytest.raises(ATLViolation, match=r"index \(0,\).*axis 0"):
@@ -501,3 +575,15 @@ def test_builtin_names():
 
 def test_riesz2_vanishes_at_origin():
     assert builtin_multiplier("riesz2")(np.array([[0.0, 0.0]]))[0] == 0.0
+
+
+def test_riesz2_evaluator_is_plain_division():
+    lam = 10.0 ** np.random.default_rng(5).uniform(-6.0, 6.0, size=(4000, 2))
+    lam[:5] = 0.0
+    lam[5:8, 0] = 0.0  # zero numerator, positive total
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = builtin_multiplier("riesz2")(lam)
+    assert got.dtype == complex and np.all(got.imag == 0.0)
+    assert np.all(got[:5] == 0.0)
+    np.testing.assert_array_equal(got[5:].real, lam[5:, 0] / (lam[5:, 0] + lam[5:, 1]))
