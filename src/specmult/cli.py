@@ -498,15 +498,7 @@ def _run_riesz_cross_check(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
 
     # resolvent partition: L(L+A)^{-1} + A(L+A)^{-1} = I on the joint spectrum
     riesz = builtin_multiplier("riesz2")
-    flip = MultiplierSpec(
-        2,
-        lambda lam: np.where(
-            np.atleast_2d(lam).sum(axis=1) == 0.0,
-            0.0,
-            np.atleast_2d(lam)[:, 1] / np.atleast_2d(lam).sum(axis=1),
-        ).astype(complex),
-        name="riesz2-flip",
-    )
+    flip = MultiplierSpec(2, lambda lam: riesz(lam[:, ::-1]), name="riesz2-flip")
     c = sys_.random_coefficients(np.random.default_rng(cfg.seed))
     ca = apply_multiplier(riesz, sys_, c)
     cb = apply_multiplier(flip, sys_, c)

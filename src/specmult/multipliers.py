@@ -199,7 +199,6 @@ class LogGrid:
     s_max: float = 30.0
     n: int = 1 << 14
     tail_tol: float = 1e-9
-    edge_fraction: float = 0.05
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         s = np.linspace(-self.s_max, self.s_max, self.n)
@@ -207,7 +206,7 @@ class LogGrid:
 
 
 def _check_tails(g: np.ndarray, s: np.ndarray, w: np.ndarray, grid: LogGrid, what: str):
-    edge = (1.0 - grid.edge_fraction) * grid.s_max
+    edge = 0.95 * grid.s_max
     zone = np.abs(s) >= edge
     mass = float(np.sum(w[zone] * np.abs(g[zone])))
     if mass > grid.tail_tol:
@@ -259,11 +258,16 @@ def mellin_on_grid(m: MultiplierSpec, u_values: np.ndarray, grid: LogGrid = LogG
     return _fourier_rows(np.asarray(u_values, dtype=float), s, w * g)
 
 
-def _fourier_rows(u: np.ndarray, s: np.ndarray, wg: np.ndarray, chunk: int = 256) -> np.ndarray:
+# frequencies per block of _fourier_rows: the complex (block, len(s)) phase
+# matrix is 64 MB on the default 2^14-node log grid
+_U_BLOCK = 256
+
+
+def _fourier_rows(u: np.ndarray, s: np.ndarray, wg: np.ndarray) -> np.ndarray:
     out = np.empty(len(u), dtype=complex)
-    for i in range(0, len(u), chunk):
-        block = u[i : i + chunk]
-        out[i : i + chunk] = np.exp(-1j * np.outer(block, s)) @ wg
+    for i in range(0, len(u), _U_BLOCK):
+        block = u[i : i + _U_BLOCK]
+        out[i : i + _U_BLOCK] = np.exp(-1j * np.outer(block, s)) @ wg
     return out
 
 
@@ -330,13 +334,9 @@ def make_mNt(m: MultiplierSpec, N, t) -> MultiplierSpec:
         tl = t[None, :] * lam
         return np.prod(tl ** N[None, :], axis=1) * np.exp(-tl.sum(axis=1)) * m(lam)
 
-    hint = None
-    if m.sup_norm_hint is not None:
-        hint = m.sup_norm_hint * float(np.prod(N**N * np.exp(-N)))
     return MultiplierSpec(
         arity=m.arity,
         evaluate=evaluate,
-        sup_norm_hint=hint,
         name=f"{m.name or 'm'}[N={tuple(N.astype(int))},t={tuple(t)}]",
     )
 
@@ -360,7 +360,6 @@ def decay_check(
     N,
     rho,
     u_grid: np.ndarray | None = None,
-    t_samples: np.ndarray | None = None,
     grid: LogGrid = LogGrid(),
 ) -> DecayReport:
     """Envelope decay of sup_t |Mellin(m_{N,t})(u)| against (1+|u|)^{-rho}.
@@ -376,9 +375,8 @@ def decay_check(
         raise ValueError("need N > rho componentwise")
     if u_grid is None:
         u_grid = np.geomspace(2.0, 40.0, 25)
-    if t_samples is None:
-        # reference scale lam ~ 1: same [1e-4, 1e4] span as the g_N grid
-        t_samples = np.geomspace(1e-4, 1e4, 256)
+    # reference scale lam ~ 1: same [1e-4, 1e4] span as the g_N grid
+    t_samples = np.geomspace(1e-4, 1e4, 256)
     s, w = grid.nodes()
     lam = np.exp(s)
     base = m(lam[:, None])
@@ -434,7 +432,6 @@ def rotate_multiplier(m: MultiplierSpec, phi, eps) -> MultiplierSpec:
         arity=m.arity,
         evaluate=evaluate,
         sector_evaluate=sector,
-        sup_norm_hint=None,
         name=f"{m.name or 'm'}[rotated]",
     )
 
@@ -531,10 +528,7 @@ def square_function_params(sys: SpectralSystem, N, n: int = 256) -> SquareFuncti
 
 def square_constant(N) -> float:
     """prod_j Gamma(2 N_j) / 4^{N_j}: the exact L^2 factor of g_N."""
-    from scipy.special import gamma as _gamma
-
-    N = np.atleast_1d(np.asarray(N, dtype=float))
-    return float(np.prod(_gamma(2 * N) / 4.0**N))
+    return float(math.prod(math.gamma(2 * n) / 4.0**n for n in np.atleast_1d(N).tolist()))
 
 
 def square_function(sys: SpectralSystem, c: CoefficientVector, params: SquareFunctionParams) -> GridFunction:
@@ -591,9 +585,9 @@ def builtin_multiplier(name: str, u: float = 1.0) -> MultiplierSpec:
     (lam1/(lam1+lam2)).
     """
     if name == "one":
-        return MultiplierSpec(1, _one, sector_evaluate=lambda z: np.ones(np.atleast_2d(z).shape[0], dtype=complex), sup_norm_hint=1.0, name="one")
+        return MultiplierSpec(1, _one, sector_evaluate=lambda z: np.ones(np.atleast_2d(z).shape[0], dtype=complex), name="one")
     if name == "zero":
-        return MultiplierSpec(1, _zeros, sup_norm_hint=0.0, name="zero")
+        return MultiplierSpec(1, _zeros, name="zero")
     if name == "riesz1":
         f = lambda lam: (np.atleast_2d(lam)[:, 0] / (1.0 + np.atleast_2d(lam)[:, 0])).astype(complex)
         partials = {
@@ -603,7 +597,7 @@ def builtin_multiplier(name: str, u: float = 1.0) -> MultiplierSpec:
         return MultiplierSpec(
             1, f, partials=partials,
             sector_evaluate=lambda z: np.atleast_2d(z)[:, 0] / (1.0 + np.atleast_2d(z)[:, 0]),
-            sup_norm_hint=1.0, name="riesz1",
+            name="riesz1",
         )
     if name == "imag":
         f = lambda lam: np.atleast_2d(lam)[:, 0] ** complex(0, u)
@@ -614,13 +608,13 @@ def builtin_multiplier(name: str, u: float = 1.0) -> MultiplierSpec:
         return MultiplierSpec(
             1, f, partials=partials,
             sector_evaluate=lambda z: np.atleast_2d(z)[:, 0] ** complex(0, u),
-            sup_norm_hint=1.0, name=f"imag(u={u})",
+            name=f"imag(u={u})",
         )
     if name == "imag_decay":
         def f(lam):
             x = np.atleast_2d(lam)[:, 0]
             return x ** complex(0, u) * np.exp(-x)
-        return MultiplierSpec(1, f, sup_norm_hint=1.0, name=f"imag_decay(u={u})")
+        return MultiplierSpec(1, f, name=f"imag_decay(u={u})")
     if name == "log_bump":
         def f(lam):
             x = np.atleast_2d(lam)[:, 0]
@@ -632,7 +626,7 @@ def builtin_multiplier(name: str, u: float = 1.0) -> MultiplierSpec:
             x = np.atleast_2d(lam)[:, 0]
             lg = np.log(x)
             return (np.exp(-0.5 * lg**2) * (lg**2 + lg - 1.0) / x**2).astype(complex)
-        return MultiplierSpec(1, f, partials={(1,): f1, (2,): f2}, sup_norm_hint=1.0, name="log_bump")
+        return MultiplierSpec(1, f, partials={(1,): f1, (2,): f2}, name="log_bump")
     if name == "riesz2":
         def f(lam):
             lam = np.atleast_2d(lam)
@@ -641,7 +635,7 @@ def builtin_multiplier(name: str, u: float = 1.0) -> MultiplierSpec:
         def sector(z):
             z = np.atleast_2d(z)
             return z[:, 0] / (z[:, 0] + z[:, 1])
-        return MultiplierSpec(2, f, sector_evaluate=sector, sup_norm_hint=1.0, name="riesz2")
+        return MultiplierSpec(2, f, sector_evaluate=sector, name="riesz2")
     raise KeyError(f"unknown multiplier {name!r}")
 
 

@@ -22,7 +22,6 @@ from .spectral import GridFunction, SpectralSystem
 
 __all__ = [
     "HermiteBasis",
-    "MehlerParams",
     "hermite_basis",
     "hermite_vandermonde",
     "hermite_eval",
@@ -73,19 +72,18 @@ def hermite_eval(k, x) -> np.ndarray:
 class HermiteBasis:
     """Per-axis Gauss-Hermite rule for the Gaussian probability measure."""
 
-    dimension: int
-    k_max: int
     gh_nodes: np.ndarray
     gh_weights: np.ndarray  # sums to 1 (gamma is a probability measure)
 
 
-def hermite_basis(d: int, k_max: int, n_nodes: int | None = None) -> HermiteBasis:
+def hermite_basis(k_max: int, n_nodes: int | None = None) -> HermiteBasis:
+    """The Gauss-Hermite rule for degrees up to k_max on one axis."""
     if n_nodes is None:
         n_nodes = default_node_count(k_max)
     if n_nodes < k_max + 1:
         raise ValueError("need at least k_max+1 Gauss-Hermite nodes")
     nodes, w = hermgauss(n_nodes)
-    return HermiteBasis(d, k_max, nodes, w / np.sqrt(np.pi))
+    return HermiteBasis(nodes, w / np.sqrt(np.pi))
 
 
 def default_node_count(k_max: int) -> int:
@@ -111,7 +109,7 @@ def ou_system(d: int, k_max: int, n_nodes: int | None = None) -> SpectralSystem:
     """
     if d not in (1, 2):
         raise ValueError("dimension d must be 1 or 2")
-    basis = hermite_basis(d, k_max, n_nodes)
+    basis = hermite_basis(k_max, n_nodes)
     pts, wts = _product_grid(basis.gh_nodes, basis.gh_weights, d)
 
     if d == 1:
@@ -145,16 +143,9 @@ def lebesgue_weights(points: np.ndarray, gamma_weights: np.ndarray) -> np.ndarra
     return gamma_weights * np.pi ** (d / 2.0) * np.exp(np.sum(pts**2, axis=1))
 
 
-@dataclass(frozen=True)
-class MehlerParams:
-    r: float
-    d: int
-
-    def __post_init__(self):
-        if not 0.0 < self.r < 1.0:
-            raise ValueError(f"r must lie strictly in (0,1), got {self.r}")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+def _check_r(r: float) -> None:
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"r must lie strictly in (0,1), got {r}")
 
 
 def _as_vectors(x1, y1) -> tuple[np.ndarray, np.ndarray]:
@@ -167,18 +158,20 @@ def _as_vectors(x1, y1) -> tuple[np.ndarray, np.ndarray]:
     return x1, y1
 
 
-def _mehler_kernel_raw(r, x1, y1, d):
-    """M_r with broadcasting; the trailing axis of x1, y1 is the space axis."""
+def _mehler_kernel_raw(r, x1, y1):
+    """M_r with broadcasting; the trailing axis of x1, y1 is the space axis, of length d."""
     r = np.asarray(r, dtype=float)
     u = r[..., None] * x1 - y1 if r.ndim else r * x1 - y1
+    d = u.shape[-1]
     q = np.sum(u * u, axis=-1)
     s = 1.0 - r * r
     return np.pi ** (-d / 2.0) * s ** (-d / 2.0) * np.exp(-q / s)
 
 
-def _mehler_dr_raw(r, x1, y1, d):
+def _mehler_dr_raw(r, x1, y1):
     r = np.asarray(r, dtype=float)
     u = r[..., None] * x1 - y1 if r.ndim else r * x1 - y1
+    d = u.shape[-1]
     q = np.sum(u * u, axis=-1)
     ux = np.sum(u * x1, axis=-1)
     s = 1.0 - r * r
@@ -188,54 +181,58 @@ def _mehler_dr_raw(r, x1, y1, d):
     return np.pi ** (-d / 2.0) * bracket * s ** (-d / 2.0 - 1.0) * np.exp(-q / s)
 
 
-def mehler_kernel(p: MehlerParams, x1, y1):
+def mehler_kernel(r: float, x1, y1):
     """M_r(x1, y1) = pi^{-d/2} (1-r^2)^{-d/2} exp(-|r x1 - y1|^2 / (1-r^2)).
 
     This is the kernel of r^L against Lebesgue measure in y1; it is positive
-    and has unit Lebesgue mass in y1 for every x1.
+    and has unit Lebesgue mass in y1 for every x1.  The trailing axis of the
+    points is the space axis; d is its length after broadcasting.
     """
+    _check_r(r)
     x1, y1 = _as_vectors(x1, y1)
-    out = _mehler_kernel_raw(np.asarray(p.r), x1, y1, p.d)
+    out = _mehler_kernel_raw(np.asarray(r), x1, y1)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def mehler_dr(p: MehlerParams, x1, y1):
+def mehler_dr(r: float, x1, y1):
     """Exact r-derivative of the Mehler kernel."""
+    _check_r(r)
     x1, y1 = _as_vectors(x1, y1)
-    out = _mehler_dr_raw(np.asarray(p.r), x1, y1, p.d)
+    out = _mehler_dr_raw(np.asarray(r), x1, y1)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _w_raw(r, z, d):
+def _w_raw(r, z):
     r = np.asarray(r, dtype=float)
-    q = np.sum(np.asarray(z, dtype=float) ** 2, axis=-1)
+    z = np.asarray(z, dtype=float)
+    d = z.shape[-1]
+    q = np.sum(z**2, axis=-1)
     s = 1.0 - r * r
     return np.pi ** (-d / 2.0) * s ** (-d / 2.0) * np.exp(-q / s)
 
 
-def _w_dr_raw(r, z, d):
+def _w_dr_raw(r, z):
     r = np.asarray(r, dtype=float)
-    q = np.sum(np.asarray(z, dtype=float) ** 2, axis=-1)
+    z = np.asarray(z, dtype=float)
+    d = z.shape[-1]
+    q = np.sum(z**2, axis=-1)
     s = 1.0 - r * r
     return np.pi ** (-d / 2.0) * r * s ** (-d / 2.0 - 1.0) * np.exp(-q / s) * (d - 2.0 * q / s)
 
 
 def heat_kernel_w(r: float, z) -> float:
     """Comparison kernel W_r(z) = pi^{-d/2} (1-r^2)^{-d/2} exp(-|z|^2/(1-r^2))."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must lie strictly in (0,1), got {r}")
+    _check_r(r)
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = _w_raw(np.asarray(r), z, z.shape[-1])
+    out = _w_raw(np.asarray(r), z)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def w_dr(r: float, x1, y1):
     """r-derivative of W_r evaluated at z = x1 - y1."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must lie strictly in (0,1), got {r}")
+    _check_r(r)
     x1, y1 = _as_vectors(x1, y1)
-    z = x1 - y1
-    out = _w_dr_raw(np.asarray(r), z, z.shape[-1])
+    out = _w_dr_raw(np.asarray(r), x1 - y1)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -248,9 +245,7 @@ def apply_semigroup_kernel(r: float, f: GridFunction) -> GridFunction:
     for band-limited f in L^2(gamma).  The kernel narrows as r -> 1, so
     quadrature accuracy there needs more nodes than the spectral default.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must lie strictly in (0,1), got {r}")
-    d = f.points.shape[1]
+    _check_r(r)
     leb = lebesgue_weights(f.points, f.weights)
-    K = _mehler_kernel_raw(np.asarray(r), f.points[:, None, :], f.points[None, :, :], d)
+    K = _mehler_kernel_raw(np.asarray(r), f.points[:, None, :], f.points[None, :, :])
     return f.with_values(K @ (leb * f.values))

@@ -207,7 +207,7 @@ def multiplier_from_kappa(kappa: KappaSpec, force_numeric: bool = False) -> Mult
         _check_spectral_points(l, a)
         return np.where(l == 0.0, 0j, kappa.closed_form(l, a))
 
-    return MultiplierSpec(arity=2, evaluate=evaluate, sup_norm_hint=None, name=f"m[{kappa.name}]")
+    return MultiplierSpec(arity=2, evaluate=evaluate, name=f"m[{kappa.name}]")
 
 
 # -- heat kernel models ------------------------------------------------------
@@ -217,8 +217,10 @@ def multiplier_from_kappa(kappa: KappaSpec, force_numeric: bool = False) -> Mult
 class HeatKernelModel:
     """The second factor Y: heat kernel, metric, measure geometry.
 
-    kernel(t, x2, y2) broadcasts over t and over point arrays whose trailing
-    axis is the space axis; it is the density of e^{-tA} against mu.
+    kernel(t, x2, y2) is the density of e^{-tA} against mu.  The trailing
+    axis of x2 and y2 is the space axis; t broadcasts against the point
+    axes in front of it, so t of shape (n_t,) with points of shape
+    (n, 1, dim) gives an (n, n_t) array.
     """
 
     name: str
@@ -226,30 +228,25 @@ class HeatKernelModel:
     kernel: Callable
     zeta: Callable
     ball_volume: Callable
-    lipschitz_delta: float
     gauss_constants: tuple
     grid: Callable
     torus: bool = False
-    window: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.lipschitz_delta <= 1.0:
-            raise ValueError("lipschitz_delta must lie in (0, 1]")
 
 
-def euclidean_heat_model(m: int = 1, window: float = 5.0) -> HeatKernelModel:
+# half-width of the Euclidean model's quadrature window [-5, 5]^m
+_EUCLID_WINDOW = 5.0
+
+
+def euclidean_heat_model(m: int = 1) -> HeatKernelModel:
     """Y = R^m with the exact Gaussian kernel (4 pi t)^{-m/2} e^{-|x-y|^2/4t}."""
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
     omega = _UNIT_BALL_VOLUME[m]
 
     def kernel(t, x2, y2):
-        # batch either t or the point pair, not both
         t = np.asarray(t, dtype=float)
         z = np.asarray(x2, dtype=float) - np.asarray(y2, dtype=float)
         q = np.sum(z * z, axis=-1)
-        if t.ndim and np.ndim(q):
-            raise ValueError("batch either t or the points, not both")
         return (4.0 * math.pi * t) ** (-m / 2.0) * np.exp(-q / (4.0 * t))
 
     def zeta(x2, y2):
@@ -260,13 +257,13 @@ def euclidean_heat_model(m: int = 1, window: float = 5.0) -> HeatKernelModel:
         return omega * np.asarray(R, dtype=float) ** m
 
     def grid(n):
-        axis = (np.arange(n) + 0.5) / n * (2.0 * window) - window
+        axis = (np.arange(n) + 0.5) / n * (2.0 * _EUCLID_WINDOW) - _EUCLID_WINDOW
         if m == 1:
             pts = axis[:, None]
         else:
             A, B = np.meshgrid(axis, axis, indexing="ij")
             pts = np.stack([A.ravel(), B.ravel()], axis=1)
-        w = np.full(pts.shape[0], (2.0 * window / n) ** m)
+        w = np.full(pts.shape[0], (2.0 * _EUCLID_WINDOW / n) ** m)
         return pts, w
 
     return HeatKernelModel(
@@ -275,10 +272,8 @@ def euclidean_heat_model(m: int = 1, window: float = 5.0) -> HeatKernelModel:
         kernel=kernel,
         zeta=zeta,
         ball_volume=ball_volume,
-        lipschitz_delta=1.0,
         gauss_constants=(omega * (4.0 * math.pi) ** (-m / 2.0), 0.25),
         grid=grid,
-        window=window,
     )
 
 
@@ -296,15 +291,14 @@ def torus_heat_model() -> HeatKernelModel:
     """Unit-circumference torus; kernel = wrapped Gaussian, mu(Y) = 1."""
 
     def kernel(t, x2, y2):
-        # wrapped Gaussian; batch either t or the point pair, not both
+        # wrapped Gaussian: the image sum runs over a trailing axis
         t = np.asarray(t, dtype=float)
         z = _wrap(np.sum(np.asarray(x2, dtype=float) - np.asarray(y2, dtype=float), axis=-1))
-        if t.ndim and np.ndim(z):
-            raise ValueError("batch either t or the points, not both")
         tmax = float(np.max(t))
         n_img = int(math.ceil(0.5 + math.sqrt(4.0 * tmax * -math.log(_THETA_TRUNC)))) + 1
         j = np.arange(-n_img, n_img + 1)
         zz = np.asarray(z)[..., None] + j
+        # a scalar t stays scalar: NumPy's scalar and array pow round differently
         tt = t[..., None] if t.ndim else t
         return np.sum((4.0 * math.pi * tt) ** -0.5 * np.exp(-(zz * zz) / (4.0 * tt)), axis=-1)
 
@@ -325,7 +319,6 @@ def torus_heat_model() -> HeatKernelModel:
         kernel=kernel,
         zeta=zeta,
         ball_volume=ball_volume,
-        lipschitz_delta=1.0,
         gauss_constants=_TORUS_GAUSS,
         grid=grid,
         torus=True,
@@ -459,7 +452,7 @@ class ProductGrid:
 
 def product_grid(model: HeatKernelModel, d: int = 1, k_max: int = 12, n_y: int = 32,
                  n_x: int | None = None) -> ProductGrid:
-    basis = hermite_basis(d, k_max, n_x)
+    basis = hermite_basis(k_max, n_x)
     x1, gw = _product_grid(basis.gh_nodes, basis.gh_weights, d)
     y_pts, y_w = model.grid(n_y)
     return ProductGrid(x1, gw, lebesgue_weights(x1, gw), y_pts, y_w)
@@ -487,9 +480,9 @@ def _kernel_rows(kind: str, x, y, kappa: KappaSpec, model: HeatKernelModel, n_r:
     The kernels differ in one factor of the r-integrand: ``"K"`` takes
     dM_r/dr(x1, y1), ``"bound"`` takes |dM_r/dr| with sup|kappa| in place of
     kappa, ``"Ktilde"`` takes dW_r/dr(x1 - y1).  model.kernel is batched over
-    the r-nodes for one pair at a time.  Each element goes through the float
-    operations of the one-pair quadrature, so batched and one-pair values
-    agree bit for bit.
+    the r-nodes and the pairs of a block at once.  Each element goes through
+    the float operations of the one-pair quadrature, so batched and one-pair
+    values agree bit for bit.
     """
     (x1, x2), (y1, y2) = x, y
     r, w = _r_quadrature(kappa, n_r)
@@ -500,12 +493,12 @@ def _kernel_rows(kind: str, x, y, kappa: KappaSpec, model: HeatKernelModel, n_r:
         blk = slice(lo, lo + _PAIR_BLOCK)
         a, b = x1[blk, None, :], y1[blk, None, :]
         if kind == "Ktilde":
-            factor = _w_dr_raw(r, a - b, x1.shape[1])
+            factor = _w_dr_raw(r, a - b)
         else:
-            factor = _mehler_dr_raw(r, a, b, x1.shape[1])
+            factor = _mehler_dr_raw(r, a, b)
             if kind == "bound":
                 factor = np.abs(factor)
-        pk = np.array([model.kernel(t, p, q) for p, q in zip(x2[blk], y2[blk])])
+        pk = model.kernel(t, x2[blk, None, :], y2[blk, None, :])
         out[blk] = np.sum(weight * factor * pk, axis=-1)
     return kappa.sup_norm * out if kind == "bound" else out
 
@@ -570,7 +563,7 @@ def apply_T_split(
     T_full = np.zeros(F.shape, dtype=complex)
     T_loc = np.zeros(F.shape, dtype=complex)
     for ri, ki in zip(r, kr):
-        md = _mehler_dr_raw(float(ri), x1[:, None, :], x1[None, :, :], grid.d)
+        md = _mehler_dr_raw(float(ri), x1[:, None, :], x1[None, :, :])
         pk = model.kernel(-math.log(ri), y2[:, None, :], y2[None, :, :])
         right = F @ (pk * wy[None, :]).T
         A = md * base * wx[None, :]
@@ -587,11 +580,11 @@ def apply_T_split(
 # -- the difference integral of the local-part analysis ----------------------
 
 
-def _di_integrand(r: float, x1: np.ndarray, y1: np.ndarray, d: int) -> float:
+def _di_integrand(r: float, x1: np.ndarray, y1: np.ndarray) -> float:
     s = 1.0 - r * r
     if s <= 0.0:
         return 0.0
-    return float(abs(_mehler_dr_raw(np.float64(r), x1, y1, d) - _w_dr_raw(np.float64(r), x1 - y1, d)))
+    return float(abs(_mehler_dr_raw(np.float64(r), x1, y1) - _w_dr_raw(np.float64(r), x1 - y1)))
 
 
 def di_integral(x1, y1) -> float:
@@ -608,12 +601,11 @@ def di_integral(x1, y1) -> float:
         raise ValueError("x1 must differ from y1")
     if not in_local_region(x1, y1, 2.0):
         raise ValueError("(x1, y1) lies outside the local region N_2")
-    d = len(x1)
     rstar = max(0.5, 1.0 - float(x1 @ x1))
     total = 0.0
     cuts = [0.0, 0.5] + ([rstar] if rstar > 0.5 else []) + [1.0]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, _ = quad(_di_integrand, lo, hi, args=(x1, y1, d), limit=200)
+        val, _ = quad(_di_integrand, lo, hi, args=(x1, y1), limit=200)
         total += val
     return total
 
@@ -703,45 +695,46 @@ def cz_smooth_check(triples, kappa: KappaSpec, model: HeatKernelModel, n_r: int 
     e_xy, e_yy = e_xy[keep], e_yy[keep]
     denom = kappa.sup_norm if kappa.sup_norm > 0 else 1.0
     diff = _kernel_rows("Ktilde", x, y, kappa, model, n_r) - _kernel_rows("Ktilde", x, yp, kappa, model, n_r)
-    ratio = (e_xy / e_yy) ** model.lipschitz_delta
-    vals = np.hypot(diff.real, diff.imag) * ratio * _ball_volume_rows(model, x, e_xy) / denom
+    vals = np.hypot(diff.real, diff.imag) * (e_xy / e_yy) * _ball_volume_rows(model, x, e_xy) / denom
     return _report(vals, len(keep) - len(vals), "smooth")
 
 
 # -- seeded samplers (prefix-stable: first n of a 2n draw equal the n draw) --
 
 
+# standard deviation of the Gaussian point draws of the product samplers
+_SAMPLE_SD = 1.5
+
+
 def _child_rngs(seed: int, n: int):
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
 
 
-def sample_product_pairs(n: int, seed: int, model: HeatKernelModel, d: int = 1,
-                         spread: float = 1.5):
+def sample_product_pairs(n: int, seed: int, model: HeatKernelModel, d: int = 1):
     """Random (x, y) pairs on R^d x Y for the growth audit."""
     out = []
     for rng in _child_rngs(seed, n):
-        x1, y1 = rng.normal(0.0, spread, d), rng.normal(0.0, spread, d)
+        x1, y1 = rng.normal(0.0, _SAMPLE_SD, d), rng.normal(0.0, _SAMPLE_SD, d)
         if model.torus:
             x2, y2 = rng.uniform(0.0, 1.0, 1), rng.uniform(0.0, 1.0, 1)
         else:
-            x2 = rng.normal(0.0, spread, model.dim)
-            y2 = rng.normal(0.0, spread, model.dim)
+            x2 = rng.normal(0.0, _SAMPLE_SD, model.dim)
+            y2 = rng.normal(0.0, _SAMPLE_SD, model.dim)
         out.append((ProductPoint(x1, x2), ProductPoint(y1, y2)))
     return out
 
 
-def sample_product_triples(n: int, seed: int, model: HeatKernelModel, d: int = 1,
-                           spread: float = 1.5):
+def sample_product_triples(n: int, seed: int, model: HeatKernelModel, d: int = 1):
     """Random (x, y, y') triples with y' a small perturbation of y."""
     out = []
     eta = EtaMetric(model)
     for rng in _child_rngs(seed, n):
-        x1, y1 = rng.normal(0.0, spread, d), rng.normal(0.0, spread, d)
+        x1, y1 = rng.normal(0.0, _SAMPLE_SD, d), rng.normal(0.0, _SAMPLE_SD, d)
         if model.torus:
             x2, y2 = rng.uniform(0.0, 1.0, 1), rng.uniform(0.0, 1.0, 1)
         else:
-            x2 = rng.normal(0.0, spread, model.dim)
-            y2 = rng.normal(0.0, spread, model.dim)
+            x2 = rng.normal(0.0, _SAMPLE_SD, model.dim)
+            y2 = rng.normal(0.0, _SAMPLE_SD, model.dim)
         x = ProductPoint(x1, x2)
         y = ProductPoint(y1, y2)
         scale = 0.25 * eta(x, y) * rng.uniform(0.2, 1.0)
@@ -753,13 +746,13 @@ def sample_product_triples(n: int, seed: int, model: HeatKernelModel, d: int = 1
     return out
 
 
-def sample_local_pairs(n: int, seed: int, d: int = 2, spread: float = 1.0):
+def sample_local_pairs(n: int, seed: int, d: int = 2):
     """Random (x1, y1) in N_2 with x1 != y1 (and x1 != 0), for D_I checks."""
     out = []
     for rng in _child_rngs(seed, n):
-        x1 = rng.normal(0.0, spread, d)
+        x1 = rng.normal(0.0, 1.0, d)
         while float(x1 @ x1) == 0.0:
-            x1 = rng.normal(0.0, spread, d)
+            x1 = rng.normal(0.0, 1.0, d)
         u = rng.normal(0.0, 1.0, d)
         u /= np.linalg.norm(u)
         frac = rng.uniform(0.05, 0.98)

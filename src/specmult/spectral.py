@@ -121,9 +121,6 @@ class GridFunction:
             return float(scale)
         return float(scale * (self.weights @ (a / scale) ** p) ** (1.0 / p))
 
-    def inner(self, other: "GridFunction") -> complex:
-        return complex(np.sum(self.weights * self.values * np.conj(other.values)))
-
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.points, self.weights, values)
 
@@ -183,7 +180,6 @@ class MultiplierSpec:
     evaluate: Callable[[np.ndarray], np.ndarray]
     partials: Mapping[MultiIndex, Callable[[np.ndarray], np.ndarray]] | None = None
     sector_evaluate: Callable[[np.ndarray], np.ndarray] | None = None
-    sup_norm_hint: float | None = None
     name: str = ""
 
     def __call__(self, lam: np.ndarray) -> np.ndarray:
@@ -206,7 +202,7 @@ class SpectralSystem:
 
     Parameters
     ----------
-    basis_index_set : (n, index_length) ints, or n multi-indices
+    basis_index_set : (n, L) ints, or n multi-indices
         All of one common length, not necessarily d; entries >= 0.
     eigenvalues : (n, d) array
         Row i is the joint eigenvalue (lambda_1, ..., lambda_d) >= 0 of
@@ -214,9 +210,9 @@ class SpectralSystem:
     basis : (n, n_points) array
         Values of the basis elements on the quadrature grid.
     points, weights : quadrature rule for the underlying measure
-    atl : bool, optional
-        "Away from the low end": no index carries an all-zero eigenvalue
-        vector.  Computed from the spectrum when omitted.
+
+    ``atl`` ("away from the low end") is true when no index carries an
+    all-zero eigenvalue vector; it is read off the spectrum.
     """
 
     def __init__(
@@ -226,7 +222,6 @@ class SpectralSystem:
         basis: np.ndarray,
         points: np.ndarray,
         weights: np.ndarray,
-        atl: bool | None = None,
         name: str = "",
     ):
         try:
@@ -238,7 +233,6 @@ class SpectralSystem:
         if np.any(index < 0):
             raise ValueError("multi-index entries must be >= 0")
         self.basis_index_set = tuple(map(tuple, index.tolist()))
-        self.index_length = index.shape[1]
         n = len(index)
 
         lam = np.asarray(eigenvalues, dtype=float)
@@ -248,7 +242,7 @@ class SpectralSystem:
             raise ValueError("eigenvalues must be finite and >= 0")
         self._lam = lam
         self.dimension = lam.shape[1]
-        self.atl = bool(np.all(lam.max(axis=1) > 0)) if atl is None else bool(atl)
+        self.atl = bool(np.all(lam.max(axis=1) > 0))
 
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.points.shape[0] == 1 and np.asarray(weights).size > 1:
@@ -256,7 +250,6 @@ class SpectralSystem:
         self.weights = np.asarray(weights, dtype=float)
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be positive")
-        self.space_dim = self.points.shape[1]
         self._basis = np.asarray(basis, dtype=float)
         if self._basis.shape != (n, len(self.weights)):
             raise ValueError("basis matrix has wrong shape")

@@ -27,7 +27,6 @@ from specmult.multipliers import (
     worst_case_order,
 )
 from specmult.ouhermite import (
-    MehlerParams,
     apply_semigroup_kernel,
     heat_kernel_w,
     lebesgue_weights,
@@ -176,7 +175,7 @@ def test_05_ou_semigroup_suite():
 
     leb = lebesgue_weights(dense.points, dense.weights)
     mass_err = max(
-        abs(mehler_kernel(MehlerParams(r, 1), np.full((len(leb), 1), x1), dense.points) @ leb - 1.0)
+        abs(mehler_kernel(r, np.full((len(leb), 1), x1), dense.points) @ leb - 1.0)
         for r in (0.1, 0.5, 0.9)
         for x1 in (0.0, 0.7, -1.3)
     )
@@ -202,10 +201,10 @@ def test_05_ou_semigroup_suite():
     fd_err = 0.0
     for r, x1, y1 in [(0.5, 0.3, -0.7), (0.2, 1.1, 0.9), (0.8, -0.4, 0.1)]:
         fd = (
-            mehler_kernel(MehlerParams(r + h, 1), x1, y1)
-            - mehler_kernel(MehlerParams(r - h, 1), x1, y1)
+            mehler_kernel(r + h, x1, y1)
+            - mehler_kernel(r - h, x1, y1)
         ) / (2 * h)
-        fd_err = max(fd_err, abs(mehler_dr(MehlerParams(r, 1), x1, y1) - fd) / abs(fd))
+        fd_err = max(fd_err, abs(mehler_dr(r, x1, y1) - fd) / abs(fd))
     for r, z in [(0.5, 0.4), (0.25, -1.0), (0.75, 0.05)]:
         fd = (heat_kernel_w(r + h, z) - heat_kernel_w(r - h, z)) / (2 * h)
         fd_err = max(fd_err, abs(w_dr(r, z, 0.0) - fd) / abs(fd))

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,16 @@ from specmult.spectral import EvaluationError
 # frozen regression values (seeded samplers, default systems)
 RIESZ_P4_T10_S5 = 0.1719173296178174       # estimate_pnorm("riesz", 4, 10, seed=5)
 RIESZ1_SUP_OU16 = 16.0 / 17.0              # max of l/(1+l) over eigenvalues 0..16
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs about 0.3 s to import and only di_integral uses
+    # it, so the CLI must not load it at import time
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, specmult.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- config files and validation ----------------------------------------------

@@ -1,6 +1,8 @@
+import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -282,6 +284,14 @@ def test_mellin_frequency_length_mismatch():
         mellin(lam_exp(), (1.0, 2.0))
 
 
+def test_log_bump_mellin_closed_form():
+    # exp(-(log lam)^2 / 2) is a Gaussian in s = log lam: its Mellin
+    # transform is sqrt(2 pi) e^{-u^2/2}
+    u = np.linspace(0.0, 10.0, 101)
+    got = mellin_on_grid(builtin_multiplier("log_bump"), u)
+    assert np.max(np.abs(got - math.sqrt(2.0 * math.pi) * np.exp(-0.5 * u**2))) <= 1e-12
+
+
 def test_mellin_on_grid_matches_pointwise():
     m = lam_exp()
     u = np.array([0.0, 1.0, 2.0])
@@ -345,12 +355,6 @@ def test_make_mNt_zero_multiplier():
     m = make_mNt(builtin_multiplier("zero"), 1, 1.0)
     lam = np.array([[0.5], [1.0], [7.0]])
     assert np.all(m(lam) == 0)
-
-
-def test_make_mNt_envelope_hint():
-    # sup of (t lam)^N e^{-t lam} over lam is N^N e^{-N}
-    m = make_mNt(builtin_multiplier("one"), 1, 1.0)
-    assert m.sup_norm_hint == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
 def test_make_mNt_validation():
@@ -475,6 +479,15 @@ def ou1():
 def test_square_constant_values():
     assert square_constant((1,)) == 0.25
     assert square_constant((1, 2)) == pytest.approx(0.25 * 6.0 / 16.0, rel=1e-15)
+
+
+def test_square_constant_exact_on_schema_orders():
+    # every order the square-function schema accepts: one or two entries in 1..4
+    orders = [(n,) for n in range(1, 5)] + list(itertools.product(range(1, 5), repeat=2))
+    assert len(orders) == 20
+    for N in orders:
+        exact = math.prod(Fraction(math.factorial(2 * n - 1), 4**n) for n in N)
+        assert square_constant(N) == float(exact)
 
 
 def test_square_function_zero_coefficients(ou1):

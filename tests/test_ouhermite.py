@@ -1,10 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from specmult.ouhermite import (
-    MehlerParams,
     apply_semigroup_kernel,
     heat_kernel_w,
     hermite_basis,
@@ -45,7 +45,7 @@ def test_hermite_h1_is_sqrt2_x():
 
 
 def test_gamma_weights_are_probability():
-    basis = hermite_basis(1, 8)
+    basis = hermite_basis(8)
     assert abs(basis.gh_weights.sum() - 1.0) < 1e-14
 
 
@@ -73,14 +73,14 @@ def test_apply_eigenvalue_to_h21():
 
 
 def test_mehler_closed_form_at_origin():
-    value = mehler_kernel(MehlerParams(0.5, 1), 0.0, 0.0)
+    value = mehler_kernel(0.5, 0.0, 0.0)
     assert abs(value - (0.75 * math.pi) ** -0.5) < 1e-15
 
 
 def test_mehler_r_validation():
     for r in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError, match="strictly"):
-            mehler_kernel(MehlerParams(r, 1), 0.0, 0.0)
+            mehler_kernel(r, 0.0, 0.0)
         with pytest.raises(ValueError):
             heat_kernel_w(r, 0.0)
 
@@ -90,7 +90,7 @@ def test_mehler_unit_lebesgue_mass(ou_dense):
     leb = lebesgue_weights(ou_dense.points, ou_dense.weights)
     for r in (0.1, 0.5, 0.9):
         for x1 in (0.0, 0.7, -1.3):
-            K = mehler_kernel(MehlerParams(r, 1), np.full((len(leb), 1), x1), ou_dense.points)
+            K = mehler_kernel(r, np.full((len(leb), 1), x1), ou_dense.points)
             assert abs(K @ leb - 1.0) < 1e-8
 
 
@@ -108,10 +108,10 @@ def test_mehler_eigenrelation_via_kernel(ou1):
 def test_mehler_dr_matches_finite_difference():
     h = 1e-5
     for r, x1, y1 in [(0.5, 0.3, -0.7), (0.2, 1.1, 0.9), (0.8, -0.4, 0.1)]:
-        exact = mehler_dr(MehlerParams(r, 1), x1, y1)
+        exact = mehler_dr(r, x1, y1)
         fd = (
-            mehler_kernel(MehlerParams(r + h, 1), x1, y1)
-            - mehler_kernel(MehlerParams(r - h, 1), x1, y1)
+            mehler_kernel(r + h, x1, y1)
+            - mehler_kernel(r - h, x1, y1)
         ) / (2 * h)
         assert abs(exact - fd) / abs(fd) < 1e-6
 
@@ -119,7 +119,7 @@ def test_mehler_dr_matches_finite_difference():
 def test_mehler_dr_at_origin_closed_form():
     for r in (0.2, 0.5, 0.9):
         expected = math.pi**-0.5 * r * (1 - r * r) ** -1.5
-        assert abs(mehler_dr(MehlerParams(r, 1), 0.0, 0.0) - expected) < 1e-13
+        assert abs(mehler_dr(r, 0.0, 0.0) - expected) < 1e-13
 
 
 def test_mehler_dr_growth_constant_finite():
@@ -130,14 +130,51 @@ def test_mehler_dr_growth_constant_finite():
     xs = np.linspace(-3, 3, 13)
     worst = 0.0
     for r in rs:
-        vals = np.abs(mehler_dr(MehlerParams(r, 1), xs[:, None, None], xs[None, :, None]))
+        vals = np.abs(mehler_dr(r, xs[:, None, None], xs[None, :, None]))
         worst = max(worst, float(np.max(vals / (1.0 + np.abs(xs[:, None])))))
     assert math.isfinite(worst) and worst > 0
 
 
+def test_mehler_dimension_comes_from_points():
+    # d is the length of the points' trailing axis: a 2-d pair gets the 2-d
+    # normalization pi^{-1} (1-r^2)^{-1}, not the 1-d one
+    one_d = (0.75 * math.pi) ** -0.5 * math.exp(-((0.05 - 0.2) ** 2) / 0.75)
+    two_d = (0.75 * math.pi) ** -1.0 * math.exp(-((0.05 - 0.2) ** 2) / 0.75)
+    assert mehler_kernel(0.5, 0.1, 0.2) == pytest.approx(one_d, rel=1e-15)
+    assert mehler_kernel(0.5, [0.1, 0.0], [0.2, 0.0]) == pytest.approx(two_d, rel=1e-15)
+
+
+_ORACLE_PAIRS = [
+    ([0.0], [0.0]),
+    ([0.3], [-0.7]),
+    ([1.5], [1.2]),
+    ([0.2, -0.4], [0.5, 0.1]),
+    ([-1.0, 0.6], [-0.8, 0.9]),
+]
+
+
+def _gaussian_mp(r, z):
+    """pi^{-d/2} (1-r^2)^{-d/2} exp(-|z|^2/(1-r^2)) in mpmath precision."""
+    s = 1 - r * r
+    d = mpmath.mpf(len(z))
+    return mpmath.pi ** (-d / 2) * s ** (-d / 2) * mpmath.exp(-sum(v * v for v in z) / s)
+
+
+@pytest.mark.parametrize("r", [0.05, 0.3, 0.5, 0.8, 0.95, 0.99])
+def test_mehler_dr_and_w_dr_match_mpmath(r):
+    # independent oracle: mpmath.diff of the closed forms at 30 digits
+    with mpmath.workdps(30):
+        for x1, y1 in _ORACLE_PAIRS:
+            x, y = [mpmath.mpf(v) for v in x1], [mpmath.mpf(v) for v in y1]
+            dm = float(mpmath.diff(lambda t: _gaussian_mp(t, [t * a - b for a, b in zip(x, y)]), r))
+            dw = float(mpmath.diff(lambda t: _gaussian_mp(t, [a - b for a, b in zip(x, y)]), r))
+            assert mehler_dr(r, x1, y1) == pytest.approx(dm, rel=1e-12)
+            assert w_dr(r, x1, y1) == pytest.approx(dw, rel=1e-12)
+
+
 def test_w_kernel_matches_mehler_at_origin():
     for r in (0.3, 0.6):
-        assert heat_kernel_w(r, 0.0) == mehler_kernel(MehlerParams(r, 1), 0.0, 0.0)
+        assert heat_kernel_w(r, 0.0) == mehler_kernel(r, 0.0, 0.0)
 
 
 def test_w_dr_matches_finite_difference():

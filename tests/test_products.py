@@ -195,9 +195,18 @@ def test_ball_volume_doubling(euclid1, torus):
         assert torus.ball_volume(x, 2 * R) <= 2.0 * torus.ball_volume(x, R)
 
 
-def test_kernel_rejects_joint_batching(euclid1):
-    with pytest.raises(ValueError, match="batch either"):
-        euclid1.kernel(np.array([0.1, 0.2]), np.zeros((3, 1)), np.ones((3, 1)))
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernel_joint_batching_matches_per_pair(euclid1, torus, d):
+    # t and the points broadcast together: row i of the joint call is the
+    # per-pair call of pair i, bit for bit
+    t = -np.log(np.linspace(0.1, 0.9, 512))
+    for model in (euclid1, euclidean_heat_model(2), torus):
+        pairs = sample_product_pairs(32, 5, model, d=d)
+        x2 = np.array([x.x2 for x, _ in pairs])
+        y2 = np.array([y.x2 for _, y in pairs])
+        joint = model.kernel(t, x2[:, None, :], y2[:, None, :])
+        assert joint.shape == (32, 512)
+        assert np.array_equal(joint, np.array([model.kernel(t, p, q) for p, q in zip(x2, y2)]))
 
 
 def test_euclidean_model_dimension():
@@ -305,11 +314,11 @@ def _kernels_pointwise(x, y, kappa, model):
     """The three kernels of one pair, each r-quadrature written out."""
     r, w = _r_rule(kappa)
     pk = model.kernel(-np.log(r), x.x2, y.x2)
-    md = _mehler_dr_raw(r, x.x1, y.x1, len(x.x1))
+    md = _mehler_dr_raw(r, x.x1, y.x1)
     return (
         complex(np.sum(w * kappa(r) * md * pk)),
         float(kappa.sup_norm * np.sum(w * np.abs(md) * pk)),
-        complex(np.sum(w * kappa(r) * _w_dr_raw(r, x.x1 - y.x1, len(x.x1)) * pk)),
+        complex(np.sum(w * kappa(r) * _w_dr_raw(r, x.x1 - y.x1) * pk)),
     )
 
 
