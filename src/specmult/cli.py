@@ -46,6 +46,7 @@ from .multipliers import (
 )
 from .ouhermite import ou_system
 from .products import (
+    _child_rngs,
     apply_T_split,
     cz_growth_check,
     cz_smooth_check,
@@ -331,8 +332,7 @@ def _pnorm_ratios(operator: str, p: float, trials: int, seed: int) -> list[float
     sys_ = build()
     m = builtin_multiplier(mult_name)
     ratios = []
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
+    for rng in _child_rngs(seed, trials):
         for _ in range(8):
             c = sys_.random_coefficients(rng, atl_safe=atl_safe)
             f = reconstruct(c, sys_)
@@ -462,8 +462,7 @@ def _run_square_function(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
     const = square_constant(N)
     rows = []
     worst = 0.0
-    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.param("trials"))):
-        rng = np.random.default_rng(child)
+    for i, rng in enumerate(_child_rngs(cfg.seed, cfg.param("trials"))):
         c = sys_.random_coefficients(rng, atl_safe=True)
         f = reconstruct(c, sys_)
         g = square_function(sys_, c, params)

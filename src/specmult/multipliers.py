@@ -205,10 +205,15 @@ class LogGrid:
         return s, _trapezoid(self.n, s[1] - s[0])
 
 
+def _edge_mass(x: np.ndarray, w: np.ndarray, a: np.ndarray, edge: float) -> float:
+    """sum of w * a over the nodes x with |x| >= edge."""
+    zone = np.abs(x) >= edge
+    return float(np.sum(w[zone] * a[zone]))
+
+
 def _check_tails(g: np.ndarray, s: np.ndarray, w: np.ndarray, grid: LogGrid, what: str):
     edge = 0.95 * grid.s_max
-    zone = np.abs(s) >= edge
-    mass = float(np.sum(w[zone] * np.abs(g[zone])))
+    mass = _edge_mass(s, w, np.abs(g), edge)
     if mass > grid.tail_tol:
         raise MellinTailError(
             f"{what}: tail mass {mass:.3e} beyond |log lam| = {edge:.1f} exceeds {grid.tail_tol}"
@@ -258,16 +263,22 @@ def mellin_on_grid(m: MultiplierSpec, u_values: np.ndarray, grid: LogGrid = LogG
     return _fourier_rows(np.asarray(u_values, dtype=float), s, w * g)
 
 
-# frequencies per block of _fourier_rows: the complex (block, len(s)) phase
-# matrix is 64 MB on the default 2^14-node log grid
+# frequencies per phase block: the complex (block, len(s)) matrix e^{-ius}
+# is 64 MB on the default 2^14-node log grid
 _U_BLOCK = 256
+
+
+def _phase_blocks(u: np.ndarray, s: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, e^{-i u[rows] s}) for consecutive blocks of at most _U_BLOCK frequencies."""
+    for i in range(0, len(u), _U_BLOCK):
+        rows = slice(i, i + _U_BLOCK)
+        yield rows, np.exp(-1j * np.outer(u[rows], s))
 
 
 def _fourier_rows(u: np.ndarray, s: np.ndarray, wg: np.ndarray) -> np.ndarray:
     out = np.empty(len(u), dtype=complex)
-    for i in range(0, len(u), _U_BLOCK):
-        block = u[i : i + _U_BLOCK]
-        out[i : i + _U_BLOCK] = np.exp(-1j * np.outer(block, s)) @ wg
+    for rows, E in _phase_blocks(u, s):
+        out[rows] = E @ wg
     return out
 
 
@@ -280,9 +291,7 @@ def mellin_inverse(u_nodes: np.ndarray, m_values: np.ndarray, lam, tail_tol: flo
     w[0] = du[0] / 2
     w[-1] = du[-1] / 2
     w[1:-1] = (du[:-1] + du[1:]) / 2
-    edge = 0.95 * max(abs(u[0]), abs(u[-1]))
-    zone = np.abs(u) >= edge
-    mass = float(np.sum(w[zone] * np.abs(M[zone])))
+    mass = _edge_mass(u, w, np.abs(M), 0.95 * max(abs(u[0]), abs(u[-1])))
     if mass > tail_tol:
         raise MellinTailError(
             f"inversion window too small: transform mass {mass:.3e} at the edge exceeds {tail_tol}"
@@ -308,7 +317,7 @@ def plancherel_residual(
     u = np.linspace(-u_max, u_max, n_u)
     M = _fourier_rows(u, s, w * g)
     wu = _trapezoid(n_u, u[1] - u[0])
-    edge_mass = float(np.sum(wu[np.abs(u) >= 0.95 * u_max] * np.abs(M[np.abs(u) >= 0.95 * u_max]) ** 2))
+    edge_mass = _edge_mass(u, wu, np.abs(M) ** 2, 0.95 * u_max)
     if edge_mass > grid.tail_tol:
         raise MellinTailError(f"plancherel u-window too small: edge mass {edge_mass:.3e}")
     rhs = float(np.sum(wu * np.abs(M) ** 2)) / (2.0 * np.pi)
@@ -330,7 +339,6 @@ def make_mNt(m: MultiplierSpec, N, t) -> MultiplierSpec:
         raise ValueError("N must be >= 1 componentwise")
 
     def evaluate(lam):
-        lam = np.atleast_2d(lam)
         tl = t[None, :] * lam
         return np.prod(tl ** N[None, :], axis=1) * np.exp(-tl.sum(axis=1)) * m(lam)
 
@@ -365,7 +373,9 @@ def decay_check(
     """Envelope decay of sup_t |Mellin(m_{N,t})(u)| against (1+|u|)^{-rho}.
 
     Implemented for d = 1.  The sup over t is sampled on a log grid (the
-    true sup runs over all t > 0; smooth multipliers vary slowly in t).
+    true sup runs over all t > 0; smooth multipliers vary slowly in t).  The
+    t loop runs inside each block of at most _U_BLOCK frequencies, so the
+    phase matrix never holds more than one block.
     """
     if m.arity != 1:
         raise NotImplementedError("decay_check handles d = 1")
@@ -381,11 +391,11 @@ def decay_check(
     lam = np.exp(s)
     base = m(lam[:, None])
     S = np.zeros(len(u_grid))
-    E = np.exp(-1j * np.outer(u_grid, s))
-    for t in t_samples:
-        tl = t * lam
-        g = tl ** N[0] * np.exp(-tl) * base
-        S = np.maximum(S, np.abs(E @ (w * g)))
+    for rows, E in _phase_blocks(u_grid, s):
+        for t in t_samples:
+            tl = t * lam
+            g = tl ** N[0] * np.exp(-tl) * base
+            S[rows] = np.maximum(S[rows], np.abs(E @ (w * g)))
     u_max = float(u_grid.max())
     decade = u_grid >= u_max / 10.0
     x = np.log1p(u_grid[decade])
@@ -421,16 +431,12 @@ def rotate_multiplier(m: MultiplierSpec, phi, eps) -> MultiplierSpec:
     rot = np.ones(m.arity, dtype=complex)
     rot[: len(phi)] = np.exp(1j * eps * phi)
 
-    def evaluate(lam):
-        z = np.atleast_2d(np.asarray(lam, dtype=complex)) * rot[None, :]
-        return m.sector_evaluate(z)
-
     def sector(z):
         return m.sector_evaluate(np.atleast_2d(np.asarray(z, dtype=complex)) * rot[None, :])
 
     return MultiplierSpec(
         arity=m.arity,
-        evaluate=evaluate,
+        evaluate=sector,
         sector_evaluate=sector,
         name=f"{m.name or 'm'}[rotated]",
     )
@@ -565,16 +571,38 @@ def square_function(sys: SpectralSystem, c: CoefficientVector, params: SquareFun
 
 
 # -- built-in multiplier family ---------------------------------------------
+#
+# MultiplierSpec.__call__ hands every evaluator an (n, arity) array, and
+# _partial_values hands the partials the same rows.
 
 
 def _one(lam):
-    lam = np.atleast_2d(lam)
     return np.ones(lam.shape[0], dtype=complex)
 
 
 def _zeros(lam):
-    lam = np.atleast_2d(lam)
     return np.zeros(lam.shape[0], dtype=complex)
+
+
+def _riesz1(z):
+    return z[:, 0] / (1.0 + z[:, 0])
+
+
+def _riesz1_partial(k: int):
+    """d^k/dlam^k lam/(1+lam) = (-1)^(k+1) k! / (1+lam)^(k+1)."""
+    c = float((-1) ** (k + 1) * math.factorial(k))
+    return lambda lam: c / (1.0 + lam[:, 0]) ** (k + 1)
+
+
+def _imag_partial(u: float, k: int):
+    """d^k/dlam^k lam^{iu} = prod_{j<k} (iu - j) lam^{iu-k}."""
+    c = math.prod((1j * u - j for j in range(1, k)), start=1j * u)
+    return lambda lam: c * lam[:, 0] ** complex(-k, u)
+
+
+# orders of the closed-form partials of riesz1 and imag: every order the
+# Marcinkiewicz schema accepts
+_PARTIAL_ORDERS = range(1, 5)
 
 
 def builtin_multiplier(name: str, u: float = 1.0) -> MultiplierSpec:
@@ -585,55 +613,37 @@ def builtin_multiplier(name: str, u: float = 1.0) -> MultiplierSpec:
     (lam1/(lam1+lam2)).
     """
     if name == "one":
-        return MultiplierSpec(1, _one, sector_evaluate=lambda z: np.ones(np.atleast_2d(z).shape[0], dtype=complex), name="one")
+        return MultiplierSpec(1, _one, sector_evaluate=_one, name="one")
     if name == "zero":
         return MultiplierSpec(1, _zeros, name="zero")
     if name == "riesz1":
-        f = lambda lam: (np.atleast_2d(lam)[:, 0] / (1.0 + np.atleast_2d(lam)[:, 0])).astype(complex)
-        partials = {
-            (1,): lambda lam: (1.0 / (1.0 + np.atleast_2d(lam)[:, 0]) ** 2).astype(complex),
-            (2,): lambda lam: (-2.0 / (1.0 + np.atleast_2d(lam)[:, 0]) ** 3).astype(complex),
-        }
-        return MultiplierSpec(
-            1, f, partials=partials,
-            sector_evaluate=lambda z: np.atleast_2d(z)[:, 0] / (1.0 + np.atleast_2d(z)[:, 0]),
-            name="riesz1",
-        )
+        partials = {(k,): _riesz1_partial(k) for k in _PARTIAL_ORDERS}
+        return MultiplierSpec(1, _riesz1, partials=partials, sector_evaluate=_riesz1, name="riesz1")
     if name == "imag":
-        f = lambda lam: np.atleast_2d(lam)[:, 0] ** complex(0, u)
-        partials = {
-            (1,): lambda lam: 1j * u * np.atleast_2d(lam)[:, 0] ** complex(-1, u),
-            (2,): lambda lam: 1j * u * (1j * u - 1.0) * np.atleast_2d(lam)[:, 0] ** complex(-2, u),
-        }
-        return MultiplierSpec(
-            1, f, partials=partials,
-            sector_evaluate=lambda z: np.atleast_2d(z)[:, 0] ** complex(0, u),
-            name=f"imag(u={u})",
-        )
+        f = lambda z: z[:, 0] ** complex(0, u)
+        partials = {(k,): _imag_partial(u, k) for k in _PARTIAL_ORDERS}
+        return MultiplierSpec(1, f, partials=partials, sector_evaluate=f, name=f"imag(u={u})")
     if name == "imag_decay":
         def f(lam):
-            x = np.atleast_2d(lam)[:, 0]
+            x = lam[:, 0]
             return x ** complex(0, u) * np.exp(-x)
         return MultiplierSpec(1, f, name=f"imag_decay(u={u})")
     if name == "log_bump":
         def f(lam):
-            x = np.atleast_2d(lam)[:, 0]
-            return np.exp(-0.5 * np.log(x) ** 2).astype(complex)
+            return np.exp(-0.5 * np.log(lam[:, 0]) ** 2)
         def f1(lam):
-            x = np.atleast_2d(lam)[:, 0]
-            return (np.exp(-0.5 * np.log(x) ** 2) * (-np.log(x) / x)).astype(complex)
+            x = lam[:, 0]
+            return np.exp(-0.5 * np.log(x) ** 2) * (-np.log(x) / x)
         def f2(lam):
-            x = np.atleast_2d(lam)[:, 0]
+            x = lam[:, 0]
             lg = np.log(x)
-            return (np.exp(-0.5 * lg**2) * (lg**2 + lg - 1.0) / x**2).astype(complex)
+            return np.exp(-0.5 * lg**2) * (lg**2 + lg - 1.0) / x**2
         return MultiplierSpec(1, f, partials={(1,): f1, (2,): f2}, name="log_bump")
     if name == "riesz2":
         def f(lam):
-            lam = np.atleast_2d(lam)
             tot = lam[:, 0] + lam[:, 1]
             return np.divide(lam[:, 0], tot, out=np.zeros(len(tot)), where=tot > 0)
         def sector(z):
-            z = np.atleast_2d(z)
             return z[:, 0] / (z[:, 0] + z[:, 1])
         return MultiplierSpec(2, f, sector_evaluate=sector, name="riesz2")
     raise KeyError(f"unknown multiplier {name!r}")

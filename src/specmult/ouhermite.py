@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .spectral import GridFunction, SpectralSystem
+from .spectral import GridFunction, SpectralSystem, _pair_rows, _point_rows
 
 __all__ = [
     "HermiteBasis",
@@ -92,13 +92,9 @@ def default_node_count(k_max: int) -> int:
 
 
 def _product_grid(nodes: np.ndarray, weights: np.ndarray, d: int):
-    if d == 1:
-        return nodes[:, None], weights.copy()
-    axes = np.meshgrid(*([nodes] * d), indexing="ij")
-    pts = np.stack([a.ravel() for a in axes], axis=1)
-    w = weights
+    pts, w = nodes[:, None], weights
     for _ in range(d - 1):
-        w = np.kron(w, weights)
+        pts, w = _pair_rows(pts, nodes[:, None]), np.kron(w, weights)
     return pts, w
 
 
@@ -136,9 +132,7 @@ def ou_system(d: int, k_max: int, n_nodes: int | None = None) -> SpectralSystem:
 
 def lebesgue_weights(points: np.ndarray, gamma_weights: np.ndarray) -> np.ndarray:
     """Convert gamma-measure weights to Lebesgue weights on the same grid."""
-    pts = np.atleast_2d(points)
-    if pts.shape[0] == 1 and gamma_weights.size > 1:
-        pts = pts.T
+    pts = _point_rows(points, gamma_weights.size)
     d = pts.shape[1]
     return gamma_weights * np.pi ** (d / 2.0) * np.exp(np.sum(pts**2, axis=1))
 
@@ -148,24 +142,17 @@ def _check_r(r: float) -> None:
         raise ValueError(f"r must lie strictly in (0,1), got {r}")
 
 
-def _as_vectors(x1, y1) -> tuple[np.ndarray, np.ndarray]:
-    x1 = np.asarray(x1, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    if x1.ndim == 0:
-        x1 = x1[None]
-    if y1.ndim == 0:
-        y1 = y1[None]
-    return x1, y1
+def _at_r(raw, r: float, *points):
+    """raw(r, *points) at one r in (0, 1): scalar points are read as 1-d, a 0-d result is a float."""
+    _check_r(r)
+    out = raw(np.asarray(r), *(np.atleast_1d(np.asarray(p, dtype=float)) for p in points))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _mehler_kernel_raw(r, x1, y1):
-    """M_r with broadcasting; the trailing axis of x1, y1 is the space axis, of length d."""
+    """M_r(x1, y1) = W_r(r x1 - y1) with broadcasting; the trailing axis is the space axis."""
     r = np.asarray(r, dtype=float)
-    u = r[..., None] * x1 - y1 if r.ndim else r * x1 - y1
-    d = u.shape[-1]
-    q = np.sum(u * u, axis=-1)
-    s = 1.0 - r * r
-    return np.pi ** (-d / 2.0) * s ** (-d / 2.0) * np.exp(-q / s)
+    return _w_raw(r, r[..., None] * x1 - y1 if r.ndim else r * x1 - y1)
 
 
 def _mehler_dr_raw(r, x1, y1):
@@ -188,18 +175,12 @@ def mehler_kernel(r: float, x1, y1):
     and has unit Lebesgue mass in y1 for every x1.  The trailing axis of the
     points is the space axis; d is its length after broadcasting.
     """
-    _check_r(r)
-    x1, y1 = _as_vectors(x1, y1)
-    out = _mehler_kernel_raw(np.asarray(r), x1, y1)
-    return float(out) if np.ndim(out) == 0 else out
+    return _at_r(_mehler_kernel_raw, r, x1, y1)
 
 
 def mehler_dr(r: float, x1, y1):
     """Exact r-derivative of the Mehler kernel."""
-    _check_r(r)
-    x1, y1 = _as_vectors(x1, y1)
-    out = _mehler_dr_raw(np.asarray(r), x1, y1)
-    return float(out) if np.ndim(out) == 0 else out
+    return _at_r(_mehler_dr_raw, r, x1, y1)
 
 
 def _w_raw(r, z):
@@ -222,18 +203,12 @@ def _w_dr_raw(r, z):
 
 def heat_kernel_w(r: float, z) -> float:
     """Comparison kernel W_r(z) = pi^{-d/2} (1-r^2)^{-d/2} exp(-|z|^2/(1-r^2))."""
-    _check_r(r)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = _w_raw(np.asarray(r), z)
-    return float(out) if np.ndim(out) == 0 else out
+    return _at_r(_w_raw, r, z)
 
 
 def w_dr(r: float, x1, y1):
     """r-derivative of W_r evaluated at z = x1 - y1."""
-    _check_r(r)
-    x1, y1 = _as_vectors(x1, y1)
-    out = _w_dr_raw(np.asarray(r), x1 - y1)
-    return float(out) if np.ndim(out) == 0 else out
+    return _at_r(_w_dr_raw, r, np.subtract(x1, y1, dtype=float))
 
 
 def apply_semigroup_kernel(r: float, f: GridFunction) -> GridFunction:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .ouhermite import _mehler_dr_raw, _product_grid, _w_dr_raw, hermite_basis, lebesgue_weights
-from .spectral import GridFunction, MultiplierSpec, SpectralSystem, _trapezoid, gauss_legendre
+from .spectral import GridFunction, MultiplierSpec, SpectralSystem, _pair_rows, _trapezoid, gauss_legendre
 
 __all__ = [
     "KappaSpec",
@@ -159,6 +159,12 @@ def kappa_zero() -> KappaSpec:
 _LAPLACE_N = 8192
 
 
+def _legendre_on(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule mapped onto [lo, hi]: (nodes, weights)."""
+    xi, w = gauss_legendre(n)
+    return 0.5 * (hi - lo) * xi + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+
+
 def _check_spectral_points(lam, a) -> None:
     """Reject negative spectral points and the indeterminate origin (arrays or scalars)."""
     if np.any((lam < 0) | (a < 0)):
@@ -173,6 +179,9 @@ def m_kappa(lam: float, a: float, kappa: KappaSpec, force_numeric: bool = False)
     lam = a = 0 is indeterminate and rejected; lam = 0 with a > 0 gives 0.
     The numeric path integrates in log t for full-support profiles (both
     endpoints are then tame) and by Gauss-Legendre in t on compact supports.
+    Its log-t window ends at t = 46 / (lam + a), so for small lam + a the
+    nodes reach r = e^{-t} = 0; a profile that is not finite there (such as
+    kappa_imag) raises a ValueError instead of returning NaN.
     """
     _check_spectral_points(lam, a)
     if lam == 0.0:
@@ -180,16 +189,18 @@ def m_kappa(lam: float, a: float, kappa: KappaSpec, force_numeric: bool = False)
     if kappa.closed_form is not None and not force_numeric:
         return complex(kappa.closed_form(lam, a))
     c = lam + a
-    if not kappa.compact:
-        v = np.linspace(-46.0, math.log(46.0 / c), _LAPLACE_N)
-        w = _trapezoid(_LAPLACE_N, v[1] - v[0])
-        t = np.exp(v)
-        return complex(lam * np.sum(w * np.exp(-c * t) * kappa(np.exp(-t)) * t))
-    t_lo, t_hi = -math.log(kappa.support[1]), -math.log(kappa.support[0])
-    xi, w = gauss_legendre(512)
-    t = 0.5 * (t_hi - t_lo) * xi + 0.5 * (t_hi + t_lo)
-    w = 0.5 * (t_hi - t_lo) * w
-    return complex(lam * np.sum(w * np.exp(-c * t) * kappa(np.exp(-t))))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite sum is rejected below
+        if kappa.compact:
+            t, w = _legendre_on(-math.log(kappa.support[1]), -math.log(kappa.support[0]), 512)
+            total = lam * np.sum(w * np.exp(-c * t) * kappa(np.exp(-t)))
+        else:
+            v = np.linspace(-46.0, math.log(46.0 / c), _LAPLACE_N)
+            w = _trapezoid(_LAPLACE_N, v[1] - v[0])
+            t = np.exp(v)
+            total = lam * np.sum(w * np.exp(-c * t) * kappa(np.exp(-t)) * t)
+    if not np.isfinite(total):
+        raise ValueError(f"numeric m_kappa({kappa.name}) is not finite at lam + a = {c:g}")
+    return complex(total)
 
 
 def multiplier_from_kappa(kappa: KappaSpec, force_numeric: bool = False) -> MultiplierSpec:
@@ -257,12 +268,8 @@ def euclidean_heat_model(m: int = 1) -> HeatKernelModel:
         return omega * np.asarray(R, dtype=float) ** m
 
     def grid(n):
-        axis = (np.arange(n) + 0.5) / n * (2.0 * _EUCLID_WINDOW) - _EUCLID_WINDOW
-        if m == 1:
-            pts = axis[:, None]
-        else:
-            A, B = np.meshgrid(axis, axis, indexing="ij")
-            pts = np.stack([A.ravel(), B.ravel()], axis=1)
+        axis = ((np.arange(n) + 0.5) / n * (2.0 * _EUCLID_WINDOW) - _EUCLID_WINDOW)[:, None]
+        pts = axis if m == 1 else _pair_rows(axis, axis)
         w = np.full(pts.shape[0], (2.0 * _EUCLID_WINDOW / n) ** m)
         return pts, w
 
@@ -287,6 +294,11 @@ def _wrap(z):
     return z - np.round(z)
 
 
+def _torus_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n equispaced points of the unit torus as an (n, 1) array, weights 1/n."""
+    return (np.arange(n) / n)[:, None], np.full(n, 1.0 / n)
+
+
 def torus_heat_model() -> HeatKernelModel:
     """Unit-circumference torus; kernel = wrapped Gaussian, mu(Y) = 1."""
 
@@ -309,10 +321,6 @@ def torus_heat_model() -> HeatKernelModel:
     def ball_volume(x2, R):
         return np.minimum(2.0 * np.asarray(R, dtype=float), 1.0)
 
-    def grid(n):
-        pts = (np.arange(n) / n)[:, None]
-        return pts, np.full(n, 1.0 / n)
-
     return HeatKernelModel(
         name="torus",
         dim=1,
@@ -320,7 +328,7 @@ def torus_heat_model() -> HeatKernelModel:
         zeta=zeta,
         ball_volume=ball_volume,
         gauss_constants=_TORUS_GAUSS,
-        grid=grid,
+        grid=_torus_grid,
         torus=True,
     )
 
@@ -338,8 +346,7 @@ def torus_system(n_max: int, n_grid: int | None = None) -> SpectralSystem:
         n_grid = max(8 * n_max, 32)
     if n_grid < 2 * n_max + 2:
         raise ValueError("grid too coarse for the requested band")
-    pts = (np.arange(n_grid) / n_grid)[:, None]
-    w = np.full(n_grid, 1.0 / n_grid)
+    pts, w = _torus_grid(n_grid)
     n = np.arange(1, n_max + 1)
     arg = 2.0 * math.pi * n[:, None] * pts[:, 0]
     rows = np.stack([np.cos(arg), np.sin(arg)], axis=1)  # (n, s, x): s = 0 cos, s = 1 sin
@@ -367,19 +374,12 @@ class ProductPoint:
         object.__setattr__(self, "x2", np.atleast_1d(np.asarray(self.x2, dtype=float)))
 
 
-def _split_point(p) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(p, ProductPoint):
-        return p.x1, p.x2
-    x1, x2 = p
-    return np.atleast_1d(np.asarray(x1, dtype=float)), np.atleast_1d(np.asarray(x2, dtype=float))
-
-
 def _stack_points(points) -> tuple[np.ndarray, np.ndarray]:
-    """(x1, x2) arrays with one row per product point."""
+    """(x1, x2) arrays with one row per product point (a ProductPoint or an (x1, x2) pair)."""
     if not len(points):
         return np.empty((0, 1)), np.empty((0, 1))
-    x1, x2 = zip(*(_split_point(p) for p in points))
-    return np.array(x1), np.array(x2)
+    pts = [p if isinstance(p, ProductPoint) else ProductPoint(*p) for p in points]
+    return np.array([p.x1 for p in pts]), np.array([p.x2 for p in pts])
 
 
 def _eta_rows(model: HeatKernelModel, x, y) -> np.ndarray:
@@ -438,10 +438,7 @@ class ProductGrid:
         return (len(self.x1_points), len(self.y_points))
 
     def points(self) -> np.ndarray:
-        n1, n2 = self.shape
-        return np.hstack(
-            [np.repeat(self.x1_points, n2, axis=0), np.tile(self.y_points, (n1, 1))]
-        )
+        return _pair_rows(self.x1_points, self.y_points)
 
     def weights(self) -> np.ndarray:
         return np.kron(self.x1_gamma_weights, self.y_weights)
@@ -464,9 +461,7 @@ def product_grid(model: HeatKernelModel, d: int = 1, k_max: int = 12, n_y: int =
 def _r_quadrature(kappa: KappaSpec, n_r: int) -> tuple[np.ndarray, np.ndarray]:
     if not kappa.compact:
         raise ValueError("kernel quadrature needs kappa with compact support inside (0, 1)")
-    lo, hi = kappa.support
-    xi, w = gauss_legendre(n_r)
-    return 0.5 * (hi - lo) * xi + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+    return _legendre_on(*kappa.support, n_r)
 
 
 # point pairs per block of the batched kernel quadrature: the (pairs, n_r)
@@ -657,7 +652,10 @@ def _select(x, keep: np.ndarray):
     return x[0][keep], x[1][keep]
 
 
-def _report(vals: np.ndarray, n_filtered: int, kind: str) -> CZEstimateReport:
+def _report(vals: np.ndarray, n_filtered: int, kind: str, kappa: KappaSpec) -> CZEstimateReport:
+    """The audit report of the kernel values vals, taken relative to sup|kappa| when it is > 0."""
+    if kappa.sup_norm > 0:
+        vals = vals / kappa.sup_norm
     return CZEstimateReport(
         sup=float(vals.max()) if len(vals) else 0.0,
         values=vals,
@@ -678,11 +676,10 @@ def cz_growth_check(pairs, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 
     e = _eta_rows(model, x, y)
     keep = e != 0.0
     x, y, e = _select(x, keep), _select(y, keep), e[keep]
-    denom = kappa.sup_norm if kappa.sup_norm > 0 else 1.0
     K = _kernel_rows("Ktilde", x, y, kappa, model, n_r)
     # hypot rounds like Python's abs(complex); NumPy's complex abs can differ in the last bit
-    vals = np.hypot(K.real, K.imag) * _ball_volume_rows(model, x, e) / denom
-    return _report(vals, len(keep) - len(vals), "growth")
+    vals = np.hypot(K.real, K.imag) * _ball_volume_rows(model, x, e)
+    return _report(vals, len(keep) - len(vals), "growth", kappa)
 
 
 def cz_smooth_check(triples, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 512) -> CZEstimateReport:
@@ -693,10 +690,9 @@ def cz_smooth_check(triples, kappa: KappaSpec, model: HeatKernelModel, n_r: int 
     keep = (e_yy != 0.0) & ~(2.0 * e_yy > e_xy)
     x, y, yp = _select(x, keep), _select(y, keep), _select(yp, keep)
     e_xy, e_yy = e_xy[keep], e_yy[keep]
-    denom = kappa.sup_norm if kappa.sup_norm > 0 else 1.0
     diff = _kernel_rows("Ktilde", x, y, kappa, model, n_r) - _kernel_rows("Ktilde", x, yp, kappa, model, n_r)
-    vals = np.hypot(diff.real, diff.imag) * (e_xy / e_yy) * _ball_volume_rows(model, x, e_xy) / denom
-    return _report(vals, len(keep) - len(vals), "smooth")
+    vals = np.hypot(diff.real, diff.imag) * (e_xy / e_yy) * _ball_volume_rows(model, x, e_xy)
+    return _report(vals, len(keep) - len(vals), "smooth", kappa)
 
 
 # -- seeded samplers (prefix-stable: first n of a 2n draw equal the n draw) --
@@ -710,18 +706,20 @@ def _child_rngs(seed: int, n: int):
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
 
 
+def _draw_pair(rng: np.random.Generator, model: HeatKernelModel, d: int) -> tuple[ProductPoint, ProductPoint]:
+    """One (x, y) draw on R^d x Y: x1 and y1 first, then x2 and y2."""
+    x1, y1 = rng.normal(0.0, _SAMPLE_SD, d), rng.normal(0.0, _SAMPLE_SD, d)
+    if model.torus:
+        x2, y2 = rng.uniform(0.0, 1.0, 1), rng.uniform(0.0, 1.0, 1)
+    else:
+        x2 = rng.normal(0.0, _SAMPLE_SD, model.dim)
+        y2 = rng.normal(0.0, _SAMPLE_SD, model.dim)
+    return ProductPoint(x1, x2), ProductPoint(y1, y2)
+
+
 def sample_product_pairs(n: int, seed: int, model: HeatKernelModel, d: int = 1):
     """Random (x, y) pairs on R^d x Y for the growth audit."""
-    out = []
-    for rng in _child_rngs(seed, n):
-        x1, y1 = rng.normal(0.0, _SAMPLE_SD, d), rng.normal(0.0, _SAMPLE_SD, d)
-        if model.torus:
-            x2, y2 = rng.uniform(0.0, 1.0, 1), rng.uniform(0.0, 1.0, 1)
-        else:
-            x2 = rng.normal(0.0, _SAMPLE_SD, model.dim)
-            y2 = rng.normal(0.0, _SAMPLE_SD, model.dim)
-        out.append((ProductPoint(x1, x2), ProductPoint(y1, y2)))
-    return out
+    return [_draw_pair(rng, model, d) for rng in _child_rngs(seed, n)]
 
 
 def sample_product_triples(n: int, seed: int, model: HeatKernelModel, d: int = 1):
@@ -729,19 +727,12 @@ def sample_product_triples(n: int, seed: int, model: HeatKernelModel, d: int = 1
     out = []
     eta = EtaMetric(model)
     for rng in _child_rngs(seed, n):
-        x1, y1 = rng.normal(0.0, _SAMPLE_SD, d), rng.normal(0.0, _SAMPLE_SD, d)
-        if model.torus:
-            x2, y2 = rng.uniform(0.0, 1.0, 1), rng.uniform(0.0, 1.0, 1)
-        else:
-            x2 = rng.normal(0.0, _SAMPLE_SD, model.dim)
-            y2 = rng.normal(0.0, _SAMPLE_SD, model.dim)
-        x = ProductPoint(x1, x2)
-        y = ProductPoint(y1, y2)
+        x, y = _draw_pair(rng, model, d)
         scale = 0.25 * eta(x, y) * rng.uniform(0.2, 1.0)
         u1 = rng.normal(0.0, 1.0, d)
         u2 = rng.normal(0.0, 1.0, model.dim)
         nrm = math.sqrt(float(u1 @ u1 + u2 @ u2))
-        yp = ProductPoint(y1 + scale * u1 / nrm, y2 + scale * u2 / nrm)
+        yp = ProductPoint(y.x1 + scale * u1 / nrm, y.x2 + scale * u2 / nrm)
         out.append((x, y, yp))
     return out
 

@@ -63,6 +63,17 @@ def _trapezoid(n: int, h: float) -> np.ndarray:
     return w
 
 
+def _pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product rule on rows: row (i, j) is row i of a next to row j of b."""
+    return np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])
+
+
+def _point_rows(points, n: int) -> np.ndarray:
+    """Grid points as an (n, dim) float array; one row of n != 1 values is n scalar points."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return pts.T if pts.shape[0] == 1 and n != 1 else pts
+
+
 class EvaluationError(ValueError):
     """A multiplier evaluated non-finite on a spectrum point."""
 
@@ -90,10 +101,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[0] == 1 and np.asarray(self.weights).size != 1:
-            pts = pts.T
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _point_rows(self.points, np.asarray(self.weights).size))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values))
         if self.weights.ndim != 1 or len(self.weights) != len(self.points):
@@ -244,9 +252,7 @@ class SpectralSystem:
         self.dimension = lam.shape[1]
         self.atl = bool(np.all(lam.max(axis=1) > 0))
 
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.points.shape[0] == 1 and np.asarray(weights).size > 1:
-            self.points = self.points.T
+        self.points = _point_rows(points, np.asarray(weights).size)
         self.weights = np.asarray(weights, dtype=float)
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be positive")
@@ -374,16 +380,11 @@ def tensor(sys_a: SpectralSystem, sys_b: SpectralSystem, max_basis: int = 100_00
     na, nb = len(sys_a), len(sys_b)
     if na * nb > max_basis:
         raise CapacityError(f"tensor basis would have {na * nb} > {max_basis} elements")
-
-    def pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row (i, j) of the product is row i of a next to row j of b."""
-        return np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])
-
     return SpectralSystem(
-        pair(np.array(sys_a.basis_index_set), np.array(sys_b.basis_index_set)),
-        pair(sys_a.eigenvalue_matrix(), sys_b.eigenvalue_matrix()),
+        _pair_rows(np.array(sys_a.basis_index_set), np.array(sys_b.basis_index_set)),
+        _pair_rows(sys_a.eigenvalue_matrix(), sys_b.eigenvalue_matrix()),
         np.kron(sys_a.basis_matrix(), sys_b.basis_matrix()),
-        pair(sys_a.points, sys_b.points),
+        _pair_rows(sys_a.points, sys_b.points),
         np.kron(sys_a.weights, sys_b.weights),
         name=f"{sys_a.name}(x){sys_b.name}",
     )

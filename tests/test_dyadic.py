@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmult.dyadic import (
     Atom,
@@ -297,6 +299,22 @@ def test_weak_quasinorm_edge_cases(sys256):
         weak_quasinorm(np.ones(4))
     with pytest.raises(ValueError, match="one per value"):
         weak_quasinorm(np.ones(4), np.ones(3))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.sampled_from(["ties", "distinct"]),
+)
+def test_weak_quasinorm_matches_brute_force(seed, n, values):
+    rng = np.random.default_rng(seed)
+    # integer levels give ties and zeros; normal draws give distinct values
+    f = rng.integers(-3, 4, n).astype(float) if values == "ties" else rng.standard_normal(n)
+    w = rng.uniform(0.1, 2.0, n)
+    a = np.abs(f)
+    brute = max([0.0] + [v * w[a >= v].sum() for v in np.unique(a[a > 0])])
+    assert weak_quasinorm(f, w) == pytest.approx(brute, rel=1e-12, abs=0.0)
 
 
 # -- atoms --------------------------------------------------------------------------

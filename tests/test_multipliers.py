@@ -4,6 +4,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -71,10 +72,24 @@ def test_seminorm_constant_order_one_vanishes():
 
 
 def test_seminorm_imaginary_power():
-    # |lam m'(lam)| = |u| for lam^{iu}, so every box integrates to u^2 log 2
+    # |lam^k d^k lam^{iu}|^2 = prod_{j<k} (u^2 + j^2), so every box integrates to that times log 2
     for u in (1.0, 2.0):
         m = builtin_multiplier("imag", u=u)
-        assert marcinkiewicz_seminorm(m, (1,)) == pytest.approx(u * u * math.log(2.0), rel=1e-13)
+        for k in range(5):
+            exact = math.prod(u * u + j * j for j in range(k)) * math.log(2.0)
+            assert marcinkiewicz_seminorm(m, (k,)) == pytest.approx(exact, rel=1e-13), (u, k)
+
+
+def test_seminorm_riesz1_matches_mpmath_boxes():
+    # independent oracle: mpmath quadrature of each box over the same radii;
+    # lam^k d^k lam/(1+lam) = (-1)^(k+1) k! lam^k / (1+lam)^(k+1)
+    dyadic = DyadicRange()
+    m = builtin_multiplier("riesz1")
+    for k in range(1, 5):
+        with mpmath.workdps(20):
+            box = lambda lam: (math.factorial(k) * lam**k / (1 + lam) ** (k + 1)) ** 2 / lam
+            exact = float(max(mpmath.quad(box, [mpmath.mpf(r), 2 * mpmath.mpf(r)]) for r in dyadic.radii()))
+        assert marcinkiewicz_seminorm(m, (k,), dyadic) == pytest.approx(exact, rel=1e-12), k
 
 
 def test_seminorm_two_homogeneous_exactly():
@@ -381,6 +396,28 @@ def test_decay_check_builtin_family():
         rep = decay_check(builtin_multiplier(name), 2, 1)
         assert rep.slope_ok(), name
         assert np.isfinite(rep.constant), name
+
+
+def test_decay_check_blocks_match_small_calls():
+    # 600 frequencies span three phase blocks; each 25-point call fits in one
+    m = builtin_multiplier("imag_decay")
+    grid = LogGrid(n=1 << 11)
+    u = np.geomspace(2.0, 40.0, 600)
+    whole = decay_check(m, 2, 1, u_grid=u, grid=grid).sup_abs
+    parts = np.concatenate([decay_check(m, 2, 1, u_grid=u[i : i + 25], grid=grid).sup_abs for i in range(0, 600, 25)])
+    np.testing.assert_allclose(whole, parts, rtol=1e-14, atol=0.0)
+
+
+def test_decay_check_memory_below_full_phase_matrix():
+    u = np.geomspace(2.0, 40.0, 2000)
+    grid = LogGrid(n=1 << 9)
+    tracemalloc.start()
+    try:
+        decay_check(builtin_multiplier("imag_decay"), 2, 1, u_grid=u, grid=grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(u) * grid.n * 16  # one complex (u, s) phase matrix
 
 
 def test_decay_check_zero_multiplier():

@@ -1,9 +1,14 @@
-"""The benchmark tracer still finds every library call it times.
+"""The benchmark still measures what it claims to.
 
 ``perfbench/tracer.py`` wraps the public functions of each layer and a few
 named methods from outside.  A rename, a method turned into an attribute or
 a name dropped from ``__all__`` would leave a per-layer metric of
-``BENCHMARK.json`` reading 0; this test fails instead.
+``BENCHMARK.json`` reading 0; the tracer tests fail instead.
+
+The benchmark also gates every pass against the gzipped reference reports in
+``perfbench/references/``.  The replay test runs the cheap experiments of
+those references at seed 0, so a change that moves a gated report fails here
+as well as in a benchmark run.
 """
 import importlib
 import importlib.util
@@ -17,12 +22,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(scope="module")
-def tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+def _load(name: str):
+    """perfbench/<name>.py, loaded by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    return _load("tracer")
 
 
 def _traced_names(layers) -> list[str]:
@@ -100,3 +110,21 @@ def test_tracer_counters_bind_and_count(tracer_module):
     # the seminorm evaluates the 4 stencil nodes once per radius, then the riesz1 call
     assert names["spectral.MultiplierSpec.__call__"]["calls"] == 4 * 3 + 1
     assert names["spectral.MultiplierSpec.__call__"]["amount"] == (4 * 144 + 5,)
+
+
+# every small-runs experiment, and multiplier-grids' riesz1 rho=2 seminorms
+# (its other experiments take seconds)
+_REPLAYED = [("small-runs", i) for i in range(8)] + [("multiplier-grids", 2)]
+
+
+@pytest.mark.parametrize("workload, position", _REPLAYED, ids=[f"{w}-{i}" for w, i in _REPLAYED])
+def test_reports_match_benchmark_references(workload, position, tmp_path):
+    check, workloads = _load("check"), _load("workloads")
+    from specmult import cli
+
+    kind, overrides = workloads.WORKLOADS[workload][position]
+    eid = workloads.experiment_id(position, kind)
+    summary = cli.run(cli.build_config(kind, overrides=overrides, seed=0, out=str(tmp_path / eid)))
+    assert all(summary["invariants"].values())
+    want = check.load_references(workload)["seeds"]["0"][eid]
+    assert check.compare(kind, check.collect(tmp_path / eid), want) == []

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
@@ -94,6 +95,37 @@ def test_m_kappa_indicator():
     expect = 2.0 * (0.9**c - 0.1**c) / c
     assert m_kappa(2.0, 1.0, k) == pytest.approx(expect, rel=1e-15)
     assert abs(m_kappa(2.0, 1.0, k, force_numeric=True) - expect) < 1e-12
+
+
+# m_kappa = lam int_0^inf e^{-ct} kappa(t) dt with c = lam + a, in closed form
+# at mpmath precision: the Gamma(1+iu) of kappa_imag cancels against its
+# Laplace transform, and chi[lo, hi] in r is t in [-log hi, -log lo]
+_LAPLACE_MP = [
+    (kappa_one(), lambda lam, c: lam / c, 1e-12),
+    (kappa_imag(0.5), lambda lam, c: lam * mpmath.power(c, -1 - 0.5j), 1e-12),
+    (kappa_imag(2.0), lambda lam, c: lam * mpmath.power(c, -1 - 2j), 1e-12),
+    (kappa_indicator(0.1, 0.9), lambda lam, c: lam * (mpmath.mpf(0.9) ** c - mpmath.mpf(0.1) ** c) / c, 1e-10),
+]
+
+
+@pytest.mark.parametrize("kappa, exact, rel", _LAPLACE_MP, ids=[k.name for k, _, _ in _LAPLACE_MP])
+def test_m_kappa_numeric_matches_mpmath(kappa, exact, rel):
+    # both numeric paths: the log-t trapezoid (full support), Gauss-Legendre (compact)
+    for lam in (0.07, 0.5, 1.0, 3.0, 40.0, 400.0):
+        for a in (0.0, 0.3, 2.0, 39.48):
+            with mpmath.workdps(30):
+                want = complex(exact(mpmath.mpf(lam), mpmath.mpf(lam) + mpmath.mpf(a)))
+            assert abs(m_kappa(lam, a, kappa, force_numeric=True) - want) <= rel * abs(want), (lam, a)
+
+
+def test_m_kappa_numeric_rejects_window_past_r_zero():
+    # the log-t window ends at t = 46/(lam + a); past t ~ 745 the node r = e^{-t}
+    # is 0, where kappa_imag is not finite (a RuntimeWarning fails under the
+    # suite's warning filter)
+    with pytest.raises(ValueError, match=r"lam \+ a = 0\.06"):
+        m_kappa(0.06, 0.0, kappa_imag(1.0), force_numeric=True)
+    # kappa_one is finite at r = 0, so the same window stays usable
+    assert abs(m_kappa(0.01, 0.0, kappa_one(), force_numeric=True) - 1.0) < 1e-12
 
 
 def test_m_kappa_zero_eigenvalue_convention():

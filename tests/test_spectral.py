@@ -341,3 +341,13 @@ def test_tensor_parseval(seed, density):
     c = _coefficients(t, np.random.default_rng(seed), density)
     f = reconstruct(c, t)
     assert abs(f.norm_lp(2) ** 2 - c.norm() ** 2) <= 1e-12 * max(c.norm() ** 2, 1.0)
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 30), st.lists(st.floats(0.25, 40.0), min_size=2, max_size=5))
+def test_norm_lp_nondecreasing_in_p_for_probability_weights(seed, n, ps):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, n)
+    f = GridFunction(np.arange(float(n))[:, None], w / w.sum(), rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3))
+    norms = [f.norm_lp(p) for p in sorted(ps) + [math.inf]]
+    assert all(lo <= hi * (1.0 + 1e-12) for lo, hi in zip(norms, norms[1:]))
