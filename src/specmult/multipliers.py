@@ -17,6 +17,7 @@ samples per decade.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .spectral import (
     GridFunction,
     MultiplierSpec,
     SpectralSystem,
+    _pair_rows,
     _trapezoid,
     gauss_legendre,
 )
@@ -123,28 +125,42 @@ class DyadicRange:
 
 
 _STEP_REL = 1e-4  # relative step for central differences
+_TILE_POINTS = 1 << 13  # grid points per seminorm tile: each temporary fits in 128 KiB, so malloc reuses it
 
 
-def _partial_values(m: MultiplierSpec, gamma, lam: np.ndarray) -> np.ndarray:
-    """lam^0-free partial derivative values d^gamma m at rows of lam.
+def _axis_outer(factors) -> np.ndarray:
+    """The product of per-axis 1-d factors on their tensor grid, last axis fastest."""
+    return functools.reduce(np.multiply.outer, factors).ravel()
+
+
+def _axis_rows(axes) -> np.ndarray:
+    """The tensor grid of the 1-d axes as (n, d) rows, last axis fastest."""
+    return functools.reduce(_pair_rows, [a[:, None] for a in axes])
+
+
+def _partial_values(m: MultiplierSpec, gamma, axes) -> np.ndarray:
+    """lam^0-free partial derivative values d^gamma m on the tensor grid of axes.
 
     Analytic partials win; otherwise the tensor central-difference stencil
     with per-axis relative steps h_j = _STEP_REL * lam_j, nodes
     lam_j + (g_j/2 - i) h_j and weights (-1)^i C(g_j, i), last axis fastest.
+    Steps, shifted nodes and the divisor prod_j h_j^g_j are formed on the
+    axes; only the multiplier sees (n, d) rows.
     """
     gamma = tuple(int(g) for g in gamma)
     if m.partials is not None and gamma in m.partials:
+        lam = _axis_rows(axes)
         return np.asarray(m.partials[gamma](lam), dtype=complex).reshape(lam.shape[0])
     if not any(gamma):
-        return m(lam)
-    h = _STEP_REL * lam  # (n, d)
-    axes = [[(g / 2.0 - i, (-1.0) ** i * math.comb(g, i)) for i in range(g + 1)] for g in gamma]
-    vals = np.zeros(lam.shape[0], dtype=complex)
-    for node in itertools.product(*axes):
+        return m(_axis_rows(axes))
+    h = [_STEP_REL * a for a in axes]
+    stencil = [[(g / 2.0 - i, (-1.0) ** i * math.comb(g, i)) for i in range(g + 1)] for g in gamma]
+    vals = np.zeros(math.prod(len(a) for a in axes), dtype=complex)
+    for node in itertools.product(*stencil):
         offset, coeff = zip(*node)
-        vals += math.prod(coeff) * m(lam + np.array(offset) * h)
+        vals += math.prod(coeff) * m(_axis_rows([a + o * hj for a, o, hj in zip(axes, offset, h)]))
     # scalar exponents: NumPy squares for g = 2, where an exponent array would call pow
-    return vals / math.prod(h[:, j] ** g for j, g in enumerate(gamma))
+    return vals / _axis_outer([hj**g for hj, g in zip(h, gamma)])
 
 
 def marcinkiewicz_seminorm(
@@ -156,9 +172,13 @@ def marcinkiewicz_seminorm(
     """sup over R-boxes of int_{R < lam < 2R} |lam^gamma d^gamma m|^2 dlam/lam.
 
     Per-axis Gauss-Legendre in log lam on the d-fold tensor grid, evaluated
-    one radius of the first axis at a time: each block contracts its node
-    axes but the first, and the stacked (n_R, n_gl, ...) blocks contract the
-    first node axis in one product.  Exact 2-homogeneity in m.
+    one radius of the first axis at a time.  Each radius block is filled in
+    tiles of a few first-axis nodes against the full axes of the others, so
+    every temporary stays near _TILE_POINTS points; the weight
+    prod_j lam_j^gamma_j and the stencil are formed on the axes.  Each block
+    contracts its node axes but the first, and the stacked (n_R, n_gl, ...)
+    blocks contract the first node axis in one product.  Exact
+    2-homogeneity in m.
     """
     gamma = tuple(int(g) for g in gamma)
     d = m.arity
@@ -170,11 +190,15 @@ def marcinkiewicz_seminorm(
     xi, wq = gauss_legendre(n_gl)
     # per-axis abscissae: log lam = log R_i + xi_j log 2, xi_j on [0, 1]
     lam_axis = np.exp((np.log(R)[:, None] + (xi[None, :] + 1.0) / 2.0 * math.log(2.0)).ravel())
+    rows = max(1, _TILE_POINTS // len(lam_axis) ** (d - 1))
     blocks = []
     for first in lam_axis.reshape(len(R), n_gl):
-        lam = np.stack(np.meshgrid(first, *[lam_axis] * (d - 1), indexing="ij", copy=False), axis=-1).reshape(-1, d)
-        weight = math.prod(lam[:, j] ** g for j, g in enumerate(gamma))
-        box = (np.abs(weight * _partial_values(m, gamma, lam)) ** 2).reshape((n_gl,) + (len(R), n_gl) * (d - 1))
+        box = np.empty((n_gl,) + (len(R), n_gl) * (d - 1))
+        for i in range(0, n_gl, rows):
+            axes = [first[i : i + rows]] + [lam_axis] * (d - 1)
+            weight = _axis_outer([a**g for a, g in zip(axes, gamma)])
+            tile = box[i : i + rows]
+            tile[...] = (np.abs(weight * _partial_values(m, gamma, axes)) ** 2).reshape(tile.shape)
         for axis in range(2 * d - 2, 0, -2):  # contract the other node axes, last first
             box = np.moveaxis(box, axis, -1) @ (wq / 2.0)
         blocks.append(box)

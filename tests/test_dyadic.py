@@ -243,6 +243,27 @@ def test_cz_lemma_properties_fibered(seed):
     assert np.array_equal(res.selection_mask(), maximal > s)
 
 
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([64, 128, 256]), st.integers(1, 4), st.floats(1.0, 4.0))
+def test_cz_lemma_properties_random(seed, n, nf, ratio):
+    system = dyadic_system(n)
+    f = random_fibered(system, nf, np.random.default_rng(seed))
+    s = f.mean(axis=-1).max() * ratio
+    res = cz_decompose(f, s, system)
+    w = system.weights
+    good = np.asarray(res.good)
+
+    assert np.allclose(good + res.bad_sum(), f, rtol=0, atol=1e-12 * f.max())
+    assert np.max(np.abs(good)) <= system.doubling_constant * s + 1e-12
+    per_fiber = np.zeros(nf)
+    for bad in res.bads:
+        per_fiber[bad.fibers] += bad.cube.measure
+        means = bad.values @ w[bad.cube.slice] / bad.cube.measure
+        assert np.max(np.abs(means)) < 1e-12 * f.max()
+    assert np.all(per_fiber <= (f @ w) / s + 1e-12)
+    assert np.array_equal(res.selection_mask(), dyadic_maximal(f, system) > s)
+
+
 def test_cz_supports_disjoint():
     system = dyadic_system(128)
     rng = np.random.default_rng(7)

@@ -146,7 +146,7 @@ def _full_grid_seminorm(m, gamma, dyadic, n_gl=32):
     lam_axis = np.exp((np.log(R)[:, None] + (xi[None, :] + 1.0) / 2.0 * math.log(2.0)).ravel())
     lam = np.stack(np.meshgrid(*[lam_axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
     weight = math.prod(lam[:, j] ** g for j, g in enumerate(gamma))
-    box = (np.abs(weight * _partial_values(m, gamma, lam)) ** 2).reshape((len(R), n_gl) * d)
+    box = (np.abs(weight * _partial_values(m, gamma, [lam_axis] * d)) ** 2).reshape((len(R), n_gl) * d)
     for axis in range(2 * d - 1, 0, -2):
         box = np.moveaxis(box, axis, -1) @ (wq / 2.0)
     return float(box.max() * math.log(2.0) ** d)
@@ -174,6 +174,19 @@ def test_seminorm_memory_below_one_full_grid_array():
     assert peak < full_grid_complex
 
 
+def test_seminorm_memory_below_two_megabytes():
+    # tiles of a few first-axis nodes: no temporary the size of a radius block
+    m, dyadic = builtin_multiplier("riesz2"), DyadicRange(K=8)
+    marcinkiewicz_seminorm(m, (1, 1), dyadic)  # warm-up: Gauss-Legendre cache, lazy imports
+    tracemalloc.start()
+    try:
+        marcinkiewicz_seminorm(m, (1, 1), dyadic)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_marc_order_gammas_last_entry_fastest():
     assert list(MarcOrder((2, 1)).gammas()) == list(np.ndindex(3, 2))
     assert list(MarcOrder((0,)).gammas()) == [(0,)]
@@ -199,14 +212,15 @@ def test_partial_values_written_out_d1():
         4: (at(2.0) - 4.0 * at(1.0) + 6.0 * at(0.0) - 4.0 * at(-1.0) + at(-2.0)) / h[:, 0] ** 4,
     }
     for g, expected in written.items():
-        np.testing.assert_array_equal(_partial_values(m, (g,), lam), expected)
+        np.testing.assert_array_equal(_partial_values(m, (g,), [lam[:, 0]]), expected)
     riesz1 = builtin_multiplier("riesz1")  # analytic partials win over the stencil
-    np.testing.assert_array_equal(_partial_values(riesz1, (1,), lam), riesz1.partials[(1,)](lam))
+    np.testing.assert_array_equal(_partial_values(riesz1, (1,), [lam[:, 0]]), riesz1.partials[(1,)](lam))
 
 
 def test_partial_values_written_out_d2():
     m = builtin_multiplier("riesz2")  # no analytic partials
-    lam = _log_uniform_points(2000, 2, 1)
+    axes = _log_uniform_points(50, 2, 1).T
+    lam = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     h = _STEP_REL * lam
     h1, h2 = h[:, 0], h[:, 1]
 
@@ -224,7 +238,7 @@ def test_partial_values_written_out_d2():
         ) / (h1**2 * h2**2),
     }
     for g, expected in written.items():
-        np.testing.assert_array_equal(_partial_values(m, g, lam), expected)
+        np.testing.assert_array_equal(_partial_values(m, g, list(axes)), expected)
 
 
 def test_mar_norm_product_bounded_by_factor_norms():
