@@ -403,10 +403,14 @@ class EtaMetric:
         return float(_eta_rows(self.model, _stack_points([x]), _stack_points([y]))[0])
 
 
-def in_local_region(x1, y1, s: float) -> bool:
-    """|x1 - y1| <= s / (1 + |x1| + |y1|), boundary included."""
+def _check_cutoff(s: float) -> None:
     if s <= 0:
         raise ValueError("s must be positive")
+
+
+def in_local_region(x1, y1, s: float) -> bool:
+    """|x1 - y1| <= s / (1 + |x1| + |y1|), boundary included."""
+    _check_cutoff(s)
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     y1 = np.atleast_1d(np.asarray(y1, dtype=float))
     return bool(
@@ -515,10 +519,43 @@ def kernel_Ktilde(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 512
 
 def local_mask(grid: ProductGrid, s: float = 2.0) -> np.ndarray:
     """Pairwise chi_{N_s}(x1_i, x1_j) over the grid's first factor."""
+    _check_cutoff(s)
     x1 = grid.x1_points
     norms = np.linalg.norm(x1, axis=1)
     dist = np.linalg.norm(x1[:, None, :] - x1[None, :, :], axis=-1)
     return dist <= s / (1.0 + norms[:, None] + norms[None, :])
+
+
+# The T split sums its r-quadrature in tiles of whole x1 rows by r-nodes: a
+# tile holds about _SPLIT_TILE Mehler entries per r-node and _SPLIT_R_BLOCK
+# r-nodes, so its work arrays stay at a few MB whatever the grid.  The heat
+# kernel is called once per r-block too.
+_SPLIT_TILE = 4096
+_SPLIT_R_BLOCK = 32
+
+
+def _heat_spectrum(model: HeatKernelModel, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """DFT along y of c_t[b] = p_t(y_b - y_0), the first column of the circulant
+    heat factor, at the frequencies 0..n_y // 2: a real (n_y // 2 + 1, n_t) array.
+
+    The column is even, c_t[b] = c_t[n_y - b], so its DFT is real and even;
+    the real part is the DFT of the computed column's even part.
+    """
+    column = np.concatenate(
+        [model.kernel(t[lo:lo + _SPLIT_R_BLOCK], y[:, None, :], y[0]) for lo in range(0, len(t), _SPLIT_R_BLOCK)],
+        axis=1,
+    )
+    return np.fft.rfft(column, axis=0).real
+
+
+def _frequency_product(B: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """B_xi applied to one function's columns at xi and -xi: an (x, xi, 2) complex array.
+
+    B is (2, n_f, m, n1), the real and imaginary part of B_xi; g is
+    (n_f, n1, 4), the real and imaginary part of G^ at xi, then at -xi.
+    """
+    p = (B @ g).view(complex)
+    return (p[0] + 1j * p[1]).transpose(1, 0, 2)
 
 
 def apply_T_split(
@@ -537,33 +574,81 @@ def apply_T_split(
     complement.  ``base_mask`` restricts the kernel itself to a pair set (used
     to verify idempotence of the cutoff).
 
-    ``f`` may also be a sequence of functions on the grid: each r-node's
-    Mehler and heat matrices are then built once for the whole stack, and a
-    list of (T_loc f, T_glob f) pairs comes back.
+    Only the torus model on its own uniform y-grid (the one ``product_grid``
+    builds for it) is accepted; any other model or ``grid.y_points`` raises a
+    ValueError.  There the heat factor p_{-log r}(y_a - y_b) depends only on
+    (b - a) mod n_y: it is circulant, and the DFT along y diagonalizes it with
+    one column's spectrum c_r[xi], which is real and even.  The r-quadrature
+    is summed first, before any product with f, into one x1-kernel per
+    frequency,
+
+        B_xi = sum_r kappa(r) w_r c_r[xi] dM_r/dr  (= B_{-xi}),
+
+    in tiles of x1 rows, so the full (n_y, n_x, n_x) kernel is never held.
+    ``base_mask``, the Lebesgue weights and the local cutoff multiply B once.
+    Then T_full^ = B_xi G^ and T_loc^ = (B_xi chi_{N_s}) G^, with G^ the DFT
+    along y of f times the y-weights, and one inverse DFT gives both parts.
+
+    ``f`` may also be a sequence of functions on the grid: B is built once
+    for the whole stack, and a list of (T_loc f, T_glob f) pairs comes back.
     """
     single = isinstance(f, GridFunction)
     fs = [f] if single else list(f)
+    if not fs:
+        raise ValueError("f: need at least one function on the grid")
     n1, n2 = grid.shape
     if any(g.values.shape[0] != n1 * n2 for g in fs):
         raise ValueError("function does not live on the given product grid")
-    F = np.stack([g.values.reshape(n1, n2) for g in fs])  # (k, n1, n2)
-    x1 = grid.x1_points
+    if not model.torus:
+        raise ValueError(f"model: the T split needs the torus heat model, got {model.name}")
+    y_pts, y_w = model.grid(n2)
+    if not (np.array_equal(grid.y_points, y_pts) and np.array_equal(grid.y_weights, y_w)):
+        raise ValueError("grid.y_points: the T split needs the torus model's own uniform grid")
+    weights = np.broadcast_to(grid.x1_lebesgue_weights, (n1, n1))
+    if base_mask is not None:
+        base = np.asarray(base_mask, dtype=bool)
+        if base.shape != (n1, n1):
+            raise ValueError(f"base_mask: expected shape {(n1, n1)}, got {base.shape}")
+        weights = weights * base
     mask = local_mask(grid, s)
-    base = np.ones((n1, n1), dtype=bool) if base_mask is None else np.asarray(base_mask, dtype=bool)
     r, w = _r_quadrature(kappa, n_r)
-    kr = kappa(r) * w
-    y2 = grid.y_points
-    wy = grid.y_weights
-    wx = grid.x1_lebesgue_weights
-    T_full = np.zeros(F.shape, dtype=complex)
-    T_loc = np.zeros(F.shape, dtype=complex)
-    for ri, ki in zip(r, kr):
-        md = _mehler_dr_raw(float(ri), x1[:, None, :], x1[None, :, :])
-        pk = model.kernel(-math.log(ri), y2[:, None, :], y2[None, :, :])
-        right = F @ (pk * wy[None, :]).T
-        A = md * base * wx[None, :]
-        T_full += ki * (A @ right)
-        T_loc += ki * ((A * mask) @ right)
+    # B_xi = B_{-xi}: the frequencies 0..n2 // 2 carry every kernel
+    n_f = n2 // 2 + 1
+    neg = -np.arange(n_f) % n2
+    coef = _heat_spectrum(model, grid.y_points, -np.log(r)) * (kappa(r) * w)
+    coef = np.concatenate([coef.real, coef.imag])  # the complex r-sum as one real product
+    F = np.stack([g.values.reshape(n1, n2) for g in fs])
+    G = np.fft.fft(F * grid.y_weights, axis=-1)
+    # each function's columns at xi and -xi as real pairs, (n_f, n1, 4); a function
+    # is applied on its own, so its split does not depend on the rest of the stack
+    G = np.stack([G[..., :n_f], G[..., neg]], axis=-1).view(float).transpose(0, 2, 1, 3).copy()
+    T_full = np.empty(F.shape, dtype=complex)
+    T_loc = np.empty(F.shape, dtype=complex)
+    x1 = grid.x1_points
+    rows = max(1, _SPLIT_TILE // n1)
+    # one pair of work buffers for every tile; the last tile may use a prefix
+    acc_buf = np.empty(2 * n_f * rows * n1)
+    md_buf = np.empty(_SPLIT_R_BLOCK * rows * n1)
+    for lo in range(0, n1, rows):
+        blk = slice(lo, min(lo + rows, n1))
+        m = blk.stop - lo
+        acc = acc_buf[:2 * n_f * m * n1].reshape(2 * n_f, m * n1)
+        acc[...] = 0.0
+        md = md_buf[:_SPLIT_R_BLOCK * m * n1].reshape(_SPLIT_R_BLOCK, m, n1)
+        for r_lo in range(0, n_r, _SPLIT_R_BLOCK):
+            nodes = r[r_lo:r_lo + _SPLIT_R_BLOCK]
+            for i, ri in enumerate(nodes):
+                md[i] = _mehler_dr_raw(float(ri), x1[blk, None, :], x1[None, :, :])
+            acc += coef[:, r_lo:r_lo + len(nodes)] @ md[:len(nodes)].reshape(len(nodes), m * n1)
+        B = acc.reshape(2, n_f, m, n1)  # real and imaginary part of B_xi on the tile's rows
+        for scale, T in ((weights[blk], T_full), (mask[blk], T_loc)):
+            B *= scale
+            for out, g in zip(T, G):
+                prod = _frequency_product(B, g)
+                out[blk, neg] = prod[..., 1]
+                out[blk, :n_f] = prod[..., 0]
+    T_full = np.fft.ifft(T_full, axis=-1)
+    T_loc = np.fft.ifft(T_loc, axis=-1)
     pts, wts = grid.points(), grid.weights()  # shared by every returned function
     splits = [
         (GridFunction(pts, wts, loc.reshape(-1)), GridFunction(pts, wts, (full - loc).reshape(-1)))

@@ -404,3 +404,15 @@ def test_main_unknown_subcommand():
     with pytest.raises(SystemExit) as excinfo:
         main(["heat-death"])
     assert excinfo.value.code == 2
+
+
+def test_riesz_cross_check_at_the_schema_maximum(tmp_path):
+    # every grid field of riesz-cross-check at its largest accepted value:
+    # exit 0 means the kernel and spectral paths agree to 1e-5 there too
+    out = tmp_path / "max"
+    argv = ["riesz-cross-check", "--seed", "0", "--out", str(out)]
+    for item in ("n_x=256", "n_y=128", "n_max=8", "k_max=24", "trials=5"):
+        argv += ["--override", item]
+    assert main(argv) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["results"]["max_relative_error"] <= 1e-5

@@ -112,9 +112,14 @@ def test_tracer_counters_bind_and_count(tracer_module):
     assert names["spectral.MultiplierSpec.__call__"]["amount"] == (4 * 144 + 5,)
 
 
-# every small-runs experiment, and multiplier-grids' seminorms: riesz2
-# rho=1,1, imag_decay rho=4 and riesz1 rho=2 (its other experiments take seconds)
-_REPLAYED = [("small-runs", i) for i in range(8)] + [("multiplier-grids", i) for i in range(3)]
+# every small-runs and kernel-audit experiment, and multiplier-grids'
+# seminorms: riesz2 rho=1,1, imag_decay rho=4 and riesz1 rho=2 (its other
+# experiments take seconds)
+_REPLAYED = (
+    [("small-runs", i) for i in range(8)]
+    + [("multiplier-grids", i) for i in range(3)]
+    + [("kernel-audit", i) for i in range(2)]
+)
 
 
 @pytest.mark.parametrize("workload, position", _REPLAYED, ids=[f"{w}-{i}" for w, i in _REPLAYED])

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -9,6 +11,7 @@ from scipy.special import roots_legendre
 from specmult import spectral
 from specmult.ouhermite import _mehler_dr_raw, _w_dr_raw, ou_system
 from specmult.products import (
+    _r_quadrature,
     EtaMetric,
     KappaSpec,
     ProductPoint,
@@ -494,6 +497,106 @@ def test_t_split_grid_mismatch(torus, kid):
     small = product_grid(torus, d=1, k_max=6, n_y=8)
     with pytest.raises(ValueError, match="product grid"):
         apply_T_split(bad, kid, torus, small)
+
+
+def _split_by_r_nodes(f, kappa, model, grid, s=2.0, base_mask=None, n_r=512):
+    """Reference T split: the r-quadrature summed node by node over dense
+    Mehler-derivative and heat-kernel matrices, with no use of the circulant
+    structure or the FFT."""
+    n1, n2 = grid.shape
+    F = f.values.reshape(n1, n2)
+    x1, y2 = grid.x1_points, grid.y_points
+    mask = local_mask(grid, s)
+    base = np.ones((n1, n1), dtype=bool) if base_mask is None else base_mask
+    r, w = _r_quadrature(kappa, n_r)
+    T_full = np.zeros(F.shape, dtype=complex)
+    T_loc = np.zeros(F.shape, dtype=complex)
+    for ri, ki in zip(r, kappa(r) * w):
+        md = _mehler_dr_raw(float(ri), x1[:, None, :], x1[None, :, :])
+        pk = model.kernel(-math.log(ri), y2[:, None, :], y2[None, :, :])
+        right = F @ (pk * grid.y_weights[None, :]).T
+        A = md * base * grid.x1_lebesgue_weights[None, :]
+        T_full += ki * (A @ right)
+        T_loc += ki * ((A * mask) @ right)
+    return T_loc.reshape(-1), (T_full - T_loc).reshape(-1), np.max(np.abs(T_full))
+
+
+# (k_max, n_y, n_x): the default-size grid, the cross-check grid, and a grid
+# of three x1-row tiles (the last one short) with an odd number of y-points
+_ORACLE_GRIDS = [(6, 16, None), (8, 32, 64), (8, 15, 96)]
+
+
+# a compact profile with a genuinely complex value, so the imaginary part of
+# the r-sum is exercised too
+_KAPPA_TWIST = KappaSpec(
+    evaluate=lambda r: np.exp(2j * np.pi * r) * ((r >= 0.1) & (r <= 0.9)),
+    support=(0.1, 0.9),
+    sup_norm=1.0,
+    name="twist",
+)
+
+
+@pytest.mark.parametrize("with_base", [False, True])
+@pytest.mark.parametrize("s", [2.0, 1e9])
+@pytest.mark.parametrize("k_max, n_y, n_x", _ORACLE_GRIDS)
+@pytest.mark.parametrize("kappa", [kappa_indicator(0.1, 0.9), _KAPPA_TWIST], ids=["chi", "twist"])
+def test_t_split_matches_r_node_loop(torus, kappa, k_max, n_y, n_x, s, with_base):
+    grid = product_grid(torus, d=1, k_max=k_max, n_y=n_y, n_x=n_x)
+    rng = np.random.default_rng(n_y)
+    n = grid.shape[0] * grid.shape[1]
+    f = grid.function(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    base = local_mask(grid, 0.5) if with_base else None
+    # 100 nodes: three full r-blocks and a short one
+    loc, glob = apply_T_split(f, kappa, torus, grid, s=s, base_mask=base, n_r=100)
+    want_loc, want_glob, scale = _split_by_r_nodes(f, kappa, torus, grid, s=s, base_mask=base, n_r=100)
+    assert scale > 0.0
+    assert np.max(np.abs(loc.values - want_loc)) <= 1e-12 * scale
+    assert np.max(np.abs(glob.values - want_glob)) <= 1e-12 * scale
+
+
+def test_t_split_rejects_non_torus_input(torus, euclid1, kid):
+    grid = product_grid(torus, d=1, k_max=6, n_y=16)
+    f = grid.function(np.ones(grid.shape[0] * grid.shape[1]))
+    with pytest.raises(ValueError, match=r"model: .*euclidean\(m=1\)"):
+        apply_T_split(f, kid, euclid1, grid)
+    # the torus model on y-points other than its own uniform grid
+    for y in (grid.y_points + 0.5 / 16, product_grid(euclid1, d=1, k_max=6, n_y=16).y_points):
+        shifted = dataclasses.replace(grid, y_points=y)
+        with pytest.raises(ValueError, match="grid.y_points"):
+            apply_T_split(shifted.function(f.values), kid, torus, shifted)
+
+
+def test_t_split_rejects_bad_arguments(torus, kid):
+    grid = product_grid(torus, d=1, k_max=6, n_y=16)
+    n1 = grid.shape[0]
+    f = grid.function(np.ones(n1 * grid.shape[1]))
+    for s in (0.0, -1.0):
+        with pytest.raises(ValueError, match="s must be positive"):
+            local_mask(grid, s)
+        with pytest.raises(ValueError, match="s must be positive"):
+            apply_T_split(f, kid, torus, grid, s=s)
+    with pytest.raises(ValueError, match=r"base_mask: expected shape \(48, 48\), got \(48, 47\)"):
+        apply_T_split(f, kid, torus, grid, base_mask=np.ones((n1, n1 - 1), dtype=bool))
+    with pytest.raises(ValueError, match="f: need at least one function"):
+        apply_T_split([], kid, torus, grid)
+
+
+def test_t_split_memory_below_one_full_kernel(torus, kid):
+    # the default riesz-cross-check grid: the tiled r-sum never holds the
+    # whole (n_y, n_x, n_x) complex kernel, 8.4 MB here
+    n_x, n_y = 128, 32
+    grid = product_grid(torus, d=1, k_max=12, n_y=n_y, n_x=n_x)
+    rng = np.random.default_rng(5)
+    n = n_x * n_y
+    fs = [grid.function(rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(5)]
+    apply_T_split(fs, kid, torus, grid)  # warm-up: the cached Legendre rule
+    tracemalloc.start()
+    try:
+        apply_T_split(fs, kid, torus, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_y * n_x * n_x * 16
 
 
 def test_kernel_path_matches_spectral_path(torus, kid):
