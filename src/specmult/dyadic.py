@@ -222,9 +222,14 @@ class CZResult:
         return mask
 
     def bad_sum(self) -> np.ndarray:
+        """Sum of the bad parts as one (fibers, grid) array.
+
+        Each part is added into its own (fibers, cube) slice, so no
+        full-size array is built per part; off the supports the sum is 0.
+        """
         total = np.zeros((self.n_fibers, self.system.n))
         for bad in self.bads:
-            total += bad.expand(self.n_fibers, self.system.n)
+            total[bad.fibers, bad.cube.slice] += bad.values
         return total
 
 

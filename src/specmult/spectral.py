@@ -294,6 +294,11 @@ class SpectralSystem:
         """(n_basis, n_points) matrix of basis values on the grid."""
         return self._basis
 
+    @cached_property
+    def _complex_basis(self) -> np.ndarray:
+        # the cast NumPy makes for ``complex @ real``, made once and held
+        return self._basis.astype(complex)
+
     def orthonormality_defect(self) -> float:
         """max |Gram - I| under the quadrature inner product."""
         B = self.basis_matrix()
@@ -330,10 +335,16 @@ def decompose(f: GridFunction, sys: SpectralSystem) -> CoefficientVector:
 
 
 def reconstruct(c: CoefficientVector, sys: SpectralSystem) -> GridFunction:
-    """Sum of c_k * basis_k on the system grid."""
+    """Sum of c_k * basis_k on the system grid.
+
+    The coefficients are complex, so the product runs against a complex
+    copy of the basis that the system makes on its first reconstruct and
+    keeps (twice the bytes of the float basis).  It is the product NumPy
+    runs for ``vec @ basis_matrix()``, without casting the basis per call.
+    """
     vec = np.zeros(len(sys), dtype=complex)
     vec[sys.positions(c.indices)] = c.values
-    values = vec @ sys.basis_matrix()
+    values = vec @ sys._complex_basis
     if np.max(np.abs(values.imag), initial=0.0) == 0.0:
         values = values.real
     return sys.grid_function(values)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -416,3 +417,23 @@ def test_riesz_cross_check_at_the_schema_maximum(tmp_path):
     assert main(argv) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["max_relative_error"] <= 1e-5
+
+
+def test_riesz_cross_check_frees_its_system_before_the_split(tmp_path, monkeypatch):
+    # the tensor system and its held complex basis (5.1 MB at the defaults)
+    # are out of scope by the time the T split runs
+    split, peaks = cli.apply_T_split, []
+
+    def traced_split(*args, **kwargs):
+        tracemalloc.reset_peak()
+        out = split(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return out
+
+    monkeypatch.setattr(cli, "apply_T_split", traced_split)
+    tracemalloc.start()
+    try:
+        run(build_config("riesz-cross-check", seed=0, out=str(tmp_path / "r")))
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] < 9e6

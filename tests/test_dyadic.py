@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,39 @@ def test_cz_step_fixture(sys256):
     expect_b = np.where(np.arange(n // 2) < n // 4, 2.0, -2.0)
     assert np.array_equal(bad.values[0], expect_b)
     assert np.array_equal(good + res.bad_sum()[0], step_quarter(n))
+
+
+def _cz_random_64x2048():
+    # cz-decompose's random fixture at grid=2048, fibers=64, seed 0
+    system = dyadic_system(2048)
+    raw = np.random.default_rng(0).random((64, 1 << system.l_max)) ** 2 * 6.0
+    f = np.repeat(raw, system.n >> system.l_max, axis=1)
+    return cz_decompose(f, 1.5 * float((f @ system.weights).max()), system)
+
+
+def _cz_step(system):
+    return cz_decompose(step_quarter(system.n)[None, :], 1.0, system)
+
+
+def test_bad_sum_equals_sum_of_expanded_parts(sys256):
+    for res in (_cz_random_64x2048(), _cz_step(sys256)):
+        assert len(res.bads) > 0
+        want = np.zeros((res.n_fibers, res.system.n))
+        for bad in res.bads:
+            want += bad.expand(res.n_fibers, res.system.n)
+        assert res.bad_sum().tobytes() == want.tobytes()
+
+
+def test_bad_sum_builds_no_full_array_per_part():
+    res = _cz_random_64x2048()
+    full_bytes = res.n_fibers * res.system.n * 8
+    tracemalloc.start()
+    try:
+        res.bad_sum()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * full_bytes
 
 
 def test_cz_validation(sys256):

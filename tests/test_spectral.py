@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specmult.cli import _ou16, _ou_torus, _square_system
 from specmult.ouhermite import hermite_eval, ou_system
 from specmult.products import torus_system
 from specmult.spectral import (
@@ -98,6 +100,50 @@ def test_reconstruct_round_trip(ou1):
 def test_reconstruct_unknown_index(ou1):
     with pytest.raises(KeyError):
         reconstruct(unit((99,)), ou1)
+
+
+_RECONSTRUCT_SYSTEMS = {
+    "ou16": _ou16,
+    "ou_torus": _ou_torus,
+    "ou40": lambda: _square_system(1, 40),
+    # riesz-cross-check's default tensor
+    "riesz_cross_check": lambda: tensor(ou_system(1, 12, 128), torus_system(3, 32)),
+}
+
+
+@pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("name", list(_RECONSTRUCT_SYSTEMS))
+def test_reconstruct_is_the_complex_product_bit_for_bit(name, complex_coeffs):
+    # the reference is the product NumPy runs for complex @ real, written out;
+    # two real products or a stacked one round differently
+    sys_ = _RECONSTRUCT_SYSTEMS[name]()
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        values = rng.standard_normal(len(sys_))
+        if complex_coeffs:
+            values = values + 1j * rng.standard_normal(len(sys_))
+        c = CoefficientVector(indices=sys_.basis_index_set, values=values)
+        want = c.values @ sys_.basis_matrix().astype(complex)
+        if not complex_coeffs:
+            assert np.all(want.imag == 0.0)
+            want = want.real
+        got = reconstruct(c, sys_).values
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_reconstruct_does_not_cast_the_basis_per_call():
+    sys_ = _ou_torus()
+    c = sys_.random_coefficients(np.random.default_rng(0))
+    reconstruct(c, sys_)
+    complex_basis_bytes = sys_.basis_matrix().size * 16
+    tracemalloc.start()
+    try:
+        reconstruct(c, sys_)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < complex_basis_bytes
 
 
 def test_apply_identity_multiplier(ou1):
