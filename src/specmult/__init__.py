@@ -9,18 +9,13 @@ and a fibered Calderon-Zygmund decomposition.
 """
 
 from .dyadic import (
-    Atom,
-    AtomValidationError,
     CZResult,
     DyadicCube,
     DyadicSystem,
     cz_decompose,
-    dq_maximal,
     dyadic_average,
     dyadic_maximal,
     dyadic_system,
-    l1_h1_norm,
-    validate_atom,
     weak_quasinorm,
 )
 from .multipliers import (
@@ -35,14 +30,11 @@ from .multipliers import (
     builtin_multiplier,
     decay_check,
     default_t_grid,
-    make_mNt,
     mar_norm,
     marcinkiewicz_seminorm,
     mellin,
-    mellin_inverse,
     mellin_on_grid,
     phi_star,
-    plancherel_residual,
     required_order,
     rotate_multiplier,
     square_constant,
@@ -52,13 +44,10 @@ from .multipliers import (
 )
 from .ouhermite import (
     apply_semigroup_kernel,
-    heat_kernel_w,
     hermite_basis,
     lebesgue_weights,
-    mehler_dr,
     mehler_kernel,
     ou_system,
-    w_dr,
 )
 from .products import (
     EtaMetric,
@@ -77,8 +66,6 @@ from .products import (
     kappa_indicator,
     kappa_one,
     kappa_zero,
-    kernel_K,
-    kernel_K_bound,
     kernel_Ktilde,
     local_mask,
     m_kappa,
@@ -97,7 +84,6 @@ from .spectral import (
     apply_multiplier,
     decompose,
     reconstruct,
-    spectral_measure,
     tensor,
 )
 

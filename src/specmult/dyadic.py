@@ -1,8 +1,8 @@
 """Dyadic analysis on one-dimensional model windows.
 
 Generation averages, the dyadic maximal function, a fibered
-Calderon-Zygmund decomposition by stopping-time cube selection, weak-L1
-quasinorms, and atomic H1 bookkeeping.
+Calderon-Zygmund decomposition by stopping-time cube selection, and
+weak-L1 quasinorms.
 
 The base space is a half-open interval carrying a uniform grid whose
 size is a power of two, so every dyadic cube is an exact slice of grid
@@ -15,32 +15,22 @@ meant and the result is returned in kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .spectral import GridFunction
 
 __all__ = [
-    "Atom",
-    "AtomValidationError",
     "CZBad",
     "CZResult",
     "DyadicCube",
     "DyadicSystem",
     "cz_decompose",
-    "dq_maximal",
     "dyadic_average",
     "dyadic_maximal",
     "dyadic_system",
-    "l1_h1_norm",
-    "validate_atom",
     "weak_quasinorm",
 ]
-
-
-class AtomValidationError(ValueError):
-    """An atom violates one of its defining clauses."""
 
 
 @dataclass(frozen=True)
@@ -172,15 +162,6 @@ def dyadic_maximal(f, system: DyadicSystem):
     out = np.zeros_like(a, dtype=float)
     for l in system.levels:
         np.maximum(out, dyadic_average(a, l, system), out=out)
-    return _repack(out, f, was_grid)
-
-
-def dq_maximal(f, q: float, system: DyadicSystem):
-    """The q-th power variant (D|f|^q)^(1/q); q = 1 is the maximal function."""
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    arr, was_grid = _unpack(f)
-    out = dyadic_maximal(np.abs(arr) ** q, system) ** (1.0 / q)
     return _repack(out, f, was_grid)
 
 
@@ -317,74 +298,3 @@ def weak_quasinorm(f, weights=None) -> float:
     if not positive.any():
         return 0.0
     return float(np.max(a[positive] * cum[positive]))
-
-
-@dataclass(frozen=True)
-class Atom:
-    """Candidate H1 atom: values on a grid, tied to a ball.
-
-    The defining clauses (checked by ``validate_atom``): support inside
-    the ball, sup bound 1/mu(B), and zero mean against the grid weights.
-    """
-
-    center: float
-    radius: float
-    values: GridFunction
-
-    def ball_mask(self) -> np.ndarray:
-        pts = self.values.points
-        dist = np.linalg.norm(pts - np.atleast_1d(self.center), axis=-1)
-        return dist <= self.radius
-
-    def ball_measure(self) -> float:
-        return float(self.values.weights[self.ball_mask()].sum())
-
-
-def validate_atom(atom: Atom, tol: float = 1e-10) -> None:
-    """Raise AtomValidationError naming every violated clause."""
-    v = np.asarray(atom.values.values, dtype=float)
-    w = atom.values.weights
-    mask = atom.ball_mask()
-    mu_b = atom.ball_measure()
-    if mu_b <= 0:
-        raise AtomValidationError("support: the ball contains no grid mass")
-    sup = float(np.max(np.abs(v), initial=0.0))
-    failures = []
-    if np.any(np.abs(v[~mask]) > tol * max(sup, 1.0)):
-        failures.append("support")
-    if sup > (1.0 + tol) / mu_b:
-        failures.append("size")
-    if abs(float(w @ v)) > tol * max(sup * mu_b, 1e-30):
-        failures.append("cancellation")
-    if failures:
-        raise AtomValidationError("atom violates: " + ", ".join(failures))
-
-
-def l1_h1_norm(
-    terms: Sequence[tuple[object, Atom]],
-    x_weights: np.ndarray | None = None,
-    validate: bool = True,
-) -> float:
-    """Atomic upper bound for the L1(gamma)-of-H1 norm.
-
-    Each term is (coefficient, atom); a scalar coefficient means
-    constant in the fiber variable.  With no fiber weights the fiber
-    measure is taken to be a probability measure, so the bound is just
-    the sum of |coefficient|.
-    """
-    if x_weights is not None:
-        wx = np.asarray(x_weights, dtype=float)
-        if np.any(wx < 0):
-            raise ValueError("fiber weights must be non-negative")
-    total = 0.0
-    for coef, atom in terms:
-        if validate:
-            validate_atom(atom)
-        c = np.abs(np.asarray(coef, dtype=complex))
-        if x_weights is None:
-            if c.ndim != 0:
-                raise ValueError("fiber-dependent coefficients need x_weights")
-            total += float(c)
-        else:
-            total += float(wx @ np.broadcast_to(c, wx.shape))
-    return total

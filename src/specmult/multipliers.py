@@ -48,9 +48,6 @@ __all__ = [
     "mar_norm",
     "mellin",
     "mellin_on_grid",
-    "mellin_inverse",
-    "plancherel_residual",
-    "make_mNt",
     "decay_check",
     "rotate_multiplier",
     "phi_star",
@@ -229,15 +226,10 @@ class LogGrid:
         return s, _trapezoid(self.n, s[1] - s[0])
 
 
-def _edge_mass(x: np.ndarray, w: np.ndarray, a: np.ndarray, edge: float) -> float:
-    """sum of w * a over the nodes x with |x| >= edge."""
-    zone = np.abs(x) >= edge
-    return float(np.sum(w[zone] * a[zone]))
-
-
 def _check_tails(g: np.ndarray, s: np.ndarray, w: np.ndarray, grid: LogGrid, what: str):
     edge = 0.95 * grid.s_max
-    mass = _edge_mass(s, w, np.abs(g), edge)
+    zone = np.abs(s) >= edge
+    mass = float(np.sum(w[zone] * np.abs(g)[zone]))
     if mass > grid.tail_tol:
         raise MellinTailError(
             f"{what}: tail mass {mass:.3e} beyond |log lam| = {edge:.1f} exceeds {grid.tail_tol}"
@@ -306,71 +298,7 @@ def _fourier_rows(u: np.ndarray, s: np.ndarray, wg: np.ndarray) -> np.ndarray:
     return out
 
 
-def mellin_inverse(u_nodes: np.ndarray, m_values: np.ndarray, lam, tail_tol: float = 1e-9):
-    """(2 pi)^{-1} int M(u) lam^{iu} du on the given u-window (d = 1)."""
-    u = np.asarray(u_nodes, dtype=float)
-    M = np.asarray(m_values, dtype=complex)
-    du = np.diff(u)
-    w = np.empty_like(u)
-    w[0] = du[0] / 2
-    w[-1] = du[-1] / 2
-    w[1:-1] = (du[:-1] + du[1:]) / 2
-    mass = _edge_mass(u, w, np.abs(M), 0.95 * max(abs(u[0]), abs(u[-1])))
-    if mass > tail_tol:
-        raise MellinTailError(
-            f"inversion window too small: transform mass {mass:.3e} at the edge exceeds {tail_tol}"
-        )
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    out = np.exp(1j * np.outer(np.log(lam_arr), u)) @ (w * M) / (2.0 * np.pi)
-    return complex(out[0]) if np.isscalar(lam) or np.ndim(lam) == 0 else out
-
-
-def plancherel_residual(
-    m: MultiplierSpec,
-    grid: LogGrid = LogGrid(),
-    u_max: float = 40.0,
-    n_u: int = 4096,
-) -> float:
-    """| ||m||^2_{L^2(dlam/lam)} - (2 pi)^{-d} ||Mellin m||^2_{L^2(du)} | for d = 1."""
-    s, w = grid.nodes()
-    g = m(np.exp(s)[:, None])
-    lhs = float(np.sum(w * np.abs(g) ** 2))
-    if lhs == 0.0:
-        return 0.0
-    _check_tails(g, s, w, grid, "plancherel integrand")
-    u = np.linspace(-u_max, u_max, n_u)
-    M = _fourier_rows(u, s, w * g)
-    wu = _trapezoid(n_u, u[1] - u[0])
-    edge_mass = _edge_mass(u, wu, np.abs(M) ** 2, 0.95 * u_max)
-    if edge_mass > grid.tail_tol:
-        raise MellinTailError(f"plancherel u-window too small: edge mass {edge_mass:.3e}")
-    rhs = float(np.sum(wu * np.abs(M) ** 2)) / (2.0 * np.pi)
-    return abs(lhs - rhs)
-
-
 # -- scaled envelopes m_{N,t} and the decay pipeline ------------------------
-
-
-def make_mNt(m: MultiplierSpec, N, t) -> MultiplierSpec:
-    """The damped multiplier prod_j (t_j lam_j)^{N_j} e^{-<t, lam>} m(lam)."""
-    N = np.atleast_1d(np.asarray(N, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if len(N) != m.arity or len(t) != m.arity:
-        raise ValueError("N and t must have one entry per multiplier argument")
-    if np.any(t <= 0):
-        raise ValueError("t must be positive")
-    if np.any(N < 1):
-        raise ValueError("N must be >= 1 componentwise")
-
-    def evaluate(lam):
-        tl = t[None, :] * lam
-        return np.prod(tl ** N[None, :], axis=1) * np.exp(-tl.sum(axis=1)) * m(lam)
-
-    return MultiplierSpec(
-        arity=m.arity,
-        evaluate=evaluate,
-        name=f"{m.name or 'm'}[N={tuple(N.astype(int))},t={tuple(t)}]",
-    )
 
 
 @dataclass

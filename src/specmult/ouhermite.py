@@ -28,9 +28,6 @@ __all__ = [
     "ou_system",
     "lebesgue_weights",
     "mehler_kernel",
-    "mehler_dr",
-    "heat_kernel_w",
-    "w_dr",
     "apply_semigroup_kernel",
 ]
 
@@ -142,13 +139,6 @@ def _check_r(r: float) -> None:
         raise ValueError(f"r must lie strictly in (0,1), got {r}")
 
 
-def _at_r(raw, r: float, *points):
-    """raw(r, *points) at one r in (0, 1): scalar points are read as 1-d, a 0-d result is a float."""
-    _check_r(r)
-    out = raw(np.asarray(r), *(np.atleast_1d(np.asarray(p, dtype=float)) for p in points))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def _mehler_kernel_raw(r, x1, y1):
     """M_r(x1, y1) = W_r(r x1 - y1) with broadcasting; the trailing axis is the space axis."""
     r = np.asarray(r, dtype=float)
@@ -156,6 +146,7 @@ def _mehler_kernel_raw(r, x1, y1):
 
 
 def _mehler_dr_raw(r, x1, y1):
+    """Exact r-derivative dM_r/dr(x1, y1); an array of r-nodes broadcasts in front of the space axis."""
     r = np.asarray(r, dtype=float)
     u = r[..., None] * x1 - y1 if r.ndim else r * x1 - y1
     d = u.shape[-1]
@@ -173,17 +164,20 @@ def mehler_kernel(r: float, x1, y1):
 
     This is the kernel of r^L against Lebesgue measure in y1; it is positive
     and has unit Lebesgue mass in y1 for every x1.  The trailing axis of the
-    points is the space axis; d is its length after broadcasting.
+    points is the space axis; d is its length after broadcasting.  Scalar
+    points are read as 1-d, and a 0-d result is returned as a float.
     """
-    return _at_r(_mehler_kernel_raw, r, x1, y1)
-
-
-def mehler_dr(r: float, x1, y1):
-    """Exact r-derivative of the Mehler kernel."""
-    return _at_r(_mehler_dr_raw, r, x1, y1)
+    _check_r(r)
+    x1, y1 = (np.atleast_1d(np.asarray(p, dtype=float)) for p in (x1, y1))
+    out = _mehler_kernel_raw(np.asarray(r), x1, y1)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _w_raw(r, z):
+    """Comparison kernel W_r(z) = pi^{-d/2} (1-r^2)^{-d/2} exp(-|z|^2/(1-r^2)).
+
+    The trailing axis of z is the space axis.
+    """
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
     d = z.shape[-1]
@@ -193,22 +187,13 @@ def _w_raw(r, z):
 
 
 def _w_dr_raw(r, z):
+    """Exact r-derivative dW_r/dr(z), broadcast like _w_raw."""
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
     d = z.shape[-1]
     q = np.sum(z**2, axis=-1)
     s = 1.0 - r * r
     return np.pi ** (-d / 2.0) * r * s ** (-d / 2.0 - 1.0) * np.exp(-q / s) * (d - 2.0 * q / s)
-
-
-def heat_kernel_w(r: float, z) -> float:
-    """Comparison kernel W_r(z) = pi^{-d/2} (1-r^2)^{-d/2} exp(-|z|^2/(1-r^2))."""
-    return _at_r(_w_raw, r, z)
-
-
-def w_dr(r: float, x1, y1):
-    """r-derivative of W_r evaluated at z = x1 - y1."""
-    return _at_r(_w_dr_raw, r, np.subtract(x1, y1, dtype=float))
 
 
 def apply_semigroup_kernel(r: float, f: GridFunction) -> GridFunction:

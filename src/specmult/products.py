@@ -44,9 +44,6 @@ __all__ = [
     "product_grid",
     "in_local_region",
     "local_mask",
-    "ball_volume_product",
-    "kernel_K",
-    "kernel_K_bound",
     "kernel_Ktilde",
     "apply_T_split",
     "di_integral",
@@ -418,11 +415,6 @@ def in_local_region(x1, y1, s: float) -> bool:
     )
 
 
-def ball_volume_product(model: HeatKernelModel, x, R: float) -> float:
-    """(Lambda x mu)(B_eta(x, R)) = |B_Rd(x1,R)| * mu(B_Y(x2,R))."""
-    return float(_ball_volume_rows(model, _stack_points([x]), np.array([R], dtype=float))[0])
-
-
 @dataclass(frozen=True)
 class ProductGrid:
     """Tensor quadrature grid on R^d x Y (x1-major ordering)."""
@@ -473,48 +465,30 @@ def _r_quadrature(kappa: KappaSpec, n_r: int) -> tuple[np.ndarray, np.ndarray]:
 _PAIR_BLOCK = 32
 
 
-def _kernel_rows(kind: str, x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int) -> np.ndarray:
-    """One of the three kernels at stacked point pairs x = (x1, x2), y = (y1, y2).
+def _ktilde_rows(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int) -> np.ndarray:
+    """The comparison kernel Ktilde at stacked point pairs x = (x1, x2), y = (y1, y2).
 
-    The kernels differ in one factor of the r-integrand: ``"K"`` takes
-    dM_r/dr(x1, y1), ``"bound"`` takes |dM_r/dr| with sup|kappa| in place of
-    kappa, ``"Ktilde"`` takes dW_r/dr(x1 - y1).  model.kernel is batched over
-    the r-nodes and the pairs of a block at once.  Each element goes through
-    the float operations of the one-pair quadrature, so batched and one-pair
-    values agree bit for bit.
+    The r-integrand is kappa(r) dW_r/dr(x1 - y1) p_{-log r}(x2, y2).
+    model.kernel is batched over the r-nodes and the pairs of a block at
+    once.  Each element goes through the float operations of the one-pair
+    quadrature, so batched and one-pair values agree bit for bit.
     """
     (x1, x2), (y1, y2) = x, y
     r, w = _r_quadrature(kappa, n_r)
     t = -np.log(r)
-    weight = w if kind == "bound" else w * kappa(r)
-    out = np.empty(len(x1), dtype=float if kind == "bound" else complex)
+    weight = w * kappa(r)
+    out = np.empty(len(x1), dtype=complex)
     for lo in range(0, len(x1), _PAIR_BLOCK):
         blk = slice(lo, lo + _PAIR_BLOCK)
-        a, b = x1[blk, None, :], y1[blk, None, :]
-        if kind == "Ktilde":
-            factor = _w_dr_raw(r, a - b)
-        else:
-            factor = _mehler_dr_raw(r, a, b)
-            if kind == "bound":
-                factor = np.abs(factor)
+        factor = _w_dr_raw(r, x1[blk, None, :] - y1[blk, None, :])
         pk = model.kernel(t, x2[blk, None, :], y2[blk, None, :])
         out[blk] = np.sum(weight * factor * pk, axis=-1)
-    return kappa.sup_norm * out if kind == "bound" else out
-
-
-def kernel_K(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 512) -> complex:
-    """K(x, y) = int kappa(r) dM_r/dr(x1, y1) p_{-log r}(x2, y2) dr."""
-    return complex(_kernel_rows("K", _stack_points([x]), _stack_points([y]), kappa, model, n_r)[0])
-
-
-def kernel_K_bound(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 512) -> float:
-    """sup|kappa| * int |dM_r/dr| p_{-log r} dr >= |K| (p is positive)."""
-    return float(_kernel_rows("bound", _stack_points([x]), _stack_points([y]), kappa, model, n_r)[0])
+    return out
 
 
 def kernel_Ktilde(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 512) -> complex:
-    """Comparison kernel: dW_r/dr(x1 - y1) in place of the Mehler derivative."""
-    return complex(_kernel_rows("Ktilde", _stack_points([x]), _stack_points([y]), kappa, model, n_r)[0])
+    """Ktilde(x, y) = int kappa(r) dW_r/dr(x1 - y1) p_{-log r}(x2, y2) dr, the comparison kernel."""
+    return complex(_ktilde_rows(_stack_points([x]), _stack_points([y]), kappa, model, n_r)[0])
 
 
 def local_mask(grid: ProductGrid, s: float = 2.0) -> np.ndarray:
@@ -761,7 +735,7 @@ def cz_growth_check(pairs, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 
     e = _eta_rows(model, x, y)
     keep = e != 0.0
     x, y, e = _select(x, keep), _select(y, keep), e[keep]
-    K = _kernel_rows("Ktilde", x, y, kappa, model, n_r)
+    K = _ktilde_rows(x, y, kappa, model, n_r)
     # hypot rounds like Python's abs(complex); NumPy's complex abs can differ in the last bit
     vals = np.hypot(K.real, K.imag) * _ball_volume_rows(model, x, e)
     return _report(vals, len(keep) - len(vals), "growth", kappa)
@@ -775,7 +749,7 @@ def cz_smooth_check(triples, kappa: KappaSpec, model: HeatKernelModel, n_r: int 
     keep = (e_yy != 0.0) & ~(2.0 * e_yy > e_xy)
     x, y, yp = _select(x, keep), _select(y, keep), _select(yp, keep)
     e_xy, e_yy = e_xy[keep], e_yy[keep]
-    diff = _kernel_rows("Ktilde", x, y, kappa, model, n_r) - _kernel_rows("Ktilde", x, yp, kappa, model, n_r)
+    diff = _ktilde_rows(x, y, kappa, model, n_r) - _ktilde_rows(x, yp, kappa, model, n_r)
     vals = np.hypot(diff.real, diff.imag) * (e_xy / e_yy) * _ball_volume_rows(model, x, e_xy)
     return _report(vals, len(keep) - len(vals), "smooth", kappa)
 

@@ -31,7 +31,6 @@ __all__ = [
     "decompose",
     "reconstruct",
     "apply_multiplier",
-    "spectral_measure",
     "tensor",
     "gauss_legendre",
 ]
@@ -372,14 +371,6 @@ def apply_multiplier(m: MultiplierSpec, sys: SpectralSystem, c: CoefficientVecto
             f"multiplier {m.name or 'm'} is not finite at lambda = {point}{hint}"
         )
     return CoefficientVector(indices=c.indices, values=c.values * vals)
-
-
-def spectral_measure(c: CoefficientVector, sys: SpectralSystem) -> list[tuple[tuple, float]]:
-    """The discrete measure sum |c_k|^2 delta_{lambda(k)}, aggregated by atom."""
-    lam = sys._lam[sys.positions(c.indices)]
-    atoms, inverse = np.unique(lam, axis=0, return_inverse=True)
-    masses = np.bincount(inverse.ravel(), weights=np.abs(c.values) ** 2, minlength=len(atoms))
-    return list(zip(map(tuple, atoms.tolist()), masses.tolist()))
 
 
 def tensor(sys_a: SpectralSystem, sys_b: SpectralSystem, max_basis: int = 100_000) -> SpectralSystem:

@@ -6,16 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmult.dyadic import (
-    Atom,
-    AtomValidationError,
     DyadicSystem,
     cz_decompose,
-    dq_maximal,
     dyadic_average,
     dyadic_maximal,
     dyadic_system,
-    l1_h1_norm,
-    validate_atom,
     weak_quasinorm,
 )
 from specmult.spectral import GridFunction
@@ -134,31 +129,6 @@ def test_maximal_dominates_finest_average(sys256):
     f = rng.standard_normal(sys256.n)
     fine = dyadic_average(np.abs(f), sys256.l_max, sys256)
     assert np.all(dyadic_maximal(f, sys256) >= fine - 1e-15)
-
-
-def test_dq_is_maximal_at_q_one(sys256):
-    rng = np.random.default_rng(2)
-    f = rng.standard_normal(sys256.n)
-    assert np.allclose(dq_maximal(f, 1.0, sys256), dyadic_maximal(f, sys256), rtol=1e-14)
-
-
-def test_dq_step_pattern(sys256):
-    n = sys256.n
-    out = dq_maximal(step_quarter(n), 2.0, sys256)
-    assert np.allclose(out[: n // 4], 4.0, rtol=1e-14)
-    assert np.allclose(out[n // 4 : n // 2], 2.0 * np.sqrt(2.0), rtol=1e-14)
-    assert np.allclose(out[n // 2 :], 2.0, rtol=1e-14)
-
-
-def test_dq_jensen_monotone(sys256):
-    rng = np.random.default_rng(3)
-    f = rng.random(sys256.n)
-    assert np.all(dq_maximal(f, 2.0, sys256) >= dyadic_maximal(f, sys256) - 1e-14)
-    with pytest.raises(ValueError, match="at least 1"):
-        dq_maximal(f, 0.5, sys256)
-
-
-# -- Calderon-Zygmund decomposition -----------------------------------------------
 
 
 def test_cz_constant_below_threshold(sys256):
@@ -371,74 +341,3 @@ def test_weak_quasinorm_matches_brute_force(seed, n, values):
     a = np.abs(f)
     brute = max([0.0] + [v * w[a >= v].sum() for v in np.unique(a[a > 0])])
     assert weak_quasinorm(f, w) == pytest.approx(brute, rel=1e-12, abs=0.0)
-
-
-# -- atoms --------------------------------------------------------------------------
-
-
-def make_atom(sys_, center=0.5, radius=0.25, scale=1.0, balanced=True):
-    pts = sys_.points
-    mask = np.abs(pts - center) <= radius
-    mu_b = float(sys_.weights[mask].sum())
-    v = np.zeros(sys_.n)
-    idx = np.nonzero(mask)[0]
-    half = len(idx) // 2
-    v[idx[:half]] = scale / mu_b
-    v[idx[half:]] = (-scale / mu_b) if balanced else (scale / mu_b)
-    return Atom(center=center, radius=radius, values=sys_.grid_function(v))
-
-
-def test_valid_atom_passes(sys256):
-    validate_atom(make_atom(sys256))
-
-
-def test_atom_support_violation(sys256):
-    atom = make_atom(sys256)
-    bad = atom.values.with_values(np.where(atom.ball_mask(), atom.values.values, 5.0))
-    with pytest.raises(AtomValidationError, match="support"):
-        validate_atom(Atom(atom.center, atom.radius, bad))
-
-
-def test_atom_size_violation(sys256):
-    with pytest.raises(AtomValidationError, match=r"violates: size$"):
-        validate_atom(make_atom(sys256, scale=1.01))
-
-
-def test_atom_cancellation_violation(sys256):
-    # at half the sup bound only the mean-zero clause can fail
-    with pytest.raises(AtomValidationError, match=r"violates: cancellation$"):
-        validate_atom(make_atom(sys256, scale=0.5, balanced=False))
-
-
-def test_atom_empty_ball(sys256):
-    a = make_atom(sys256)
-    with pytest.raises(AtomValidationError, match="no grid mass"):
-        validate_atom(Atom(center=-50.0, radius=1e-6, values=a.values))
-
-
-def test_l1_h1_single_atom(sys256):
-    assert l1_h1_norm([(1.0, make_atom(sys256))]) == 1.0
-
-
-def test_l1_h1_two_disjoint_atoms(sys256):
-    a = make_atom(sys256, center=0.25, radius=0.125)
-    b = make_atom(sys256, center=0.75, radius=0.125)
-    assert l1_h1_norm([(2.0, a), (3.0, b)]) == 5.0
-
-
-def test_l1_h1_fibered_coefficients(sys256):
-    atom = make_atom(sys256)
-    wx = np.array([0.25, 0.25, 0.5])
-    coef = np.array([1.0, 2.0, -4.0])
-    assert l1_h1_norm([(coef, atom)], x_weights=wx) == pytest.approx(0.25 + 0.5 + 2.0)
-    with pytest.raises(ValueError, match="need x_weights"):
-        l1_h1_norm([(coef, atom)])
-    with pytest.raises(ValueError, match="non-negative"):
-        l1_h1_norm([(coef, atom)], x_weights=-wx)
-
-
-def test_l1_h1_validates_atoms(sys256):
-    bad = make_atom(sys256, scale=0.5, balanced=False)
-    with pytest.raises(AtomValidationError):
-        l1_h1_norm([(1.0, bad)])
-    assert l1_h1_norm([(1.0, bad)], validate=False) == 1.0

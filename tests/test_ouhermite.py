@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from specmult.ouhermite import (
+    _mehler_dr_raw,
+    _w_dr_raw,
+    _w_raw,
     apply_semigroup_kernel,
-    heat_kernel_w,
     hermite_basis,
     hermite_eval,
     lebesgue_weights,
-    mehler_dr,
     mehler_kernel,
     ou_system,
-    w_dr,
 )
 from specmult.spectral import CoefficientVector, MultiplierSpec, apply_multiplier, reconstruct
 
@@ -81,8 +81,6 @@ def test_mehler_r_validation():
     for r in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError, match="strictly"):
             mehler_kernel(r, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            heat_kernel_w(r, 0.0)
 
 
 def test_mehler_unit_lebesgue_mass(ou_dense):
@@ -105,10 +103,15 @@ def test_mehler_eigenrelation_via_kernel(ou1):
             assert l2_gamma(ou1, g.values - r**k * f.values) < 1e-8
 
 
+def _pair(x1, y1):
+    """One 1-d pair as (1, 1, 1) arrays: the T split's (n, 1, d) and (1, n, d) points at n = d = 1."""
+    return np.array([[[x1]]]), np.array([[[y1]]])
+
+
 def test_mehler_dr_matches_finite_difference():
     h = 1e-5
     for r, x1, y1 in [(0.5, 0.3, -0.7), (0.2, 1.1, 0.9), (0.8, -0.4, 0.1)]:
-        exact = mehler_dr(r, x1, y1)
+        exact = float(_mehler_dr_raw(r, *_pair(x1, y1))[0, 0])
         fd = (
             mehler_kernel(r + h, x1, y1)
             - mehler_kernel(r - h, x1, y1)
@@ -119,7 +122,7 @@ def test_mehler_dr_matches_finite_difference():
 def test_mehler_dr_at_origin_closed_form():
     for r in (0.2, 0.5, 0.9):
         expected = math.pi**-0.5 * r * (1 - r * r) ** -1.5
-        assert abs(mehler_dr(r, 0.0, 0.0) - expected) < 1e-13
+        assert abs(float(_mehler_dr_raw(r, *_pair(0.0, 0.0))[0, 0]) - expected) < 1e-13
 
 
 def test_mehler_dr_growth_constant_finite():
@@ -130,7 +133,7 @@ def test_mehler_dr_growth_constant_finite():
     xs = np.linspace(-3, 3, 13)
     worst = 0.0
     for r in rs:
-        vals = np.abs(mehler_dr(r, xs[:, None, None], xs[None, :, None]))
+        vals = np.abs(_mehler_dr_raw(r, xs[:, None, None], xs[None, :, None]))
         worst = max(worst, float(np.max(vals / (1.0 + np.abs(xs[:, None])))))
     assert math.isfinite(worst) and worst > 0
 
@@ -160,28 +163,64 @@ def _gaussian_mp(r, z):
     return mpmath.pi ** (-d / 2) * s ** (-d / 2) * mpmath.exp(-sum(v * v for v in z) / s)
 
 
-@pytest.mark.parametrize("r", [0.05, 0.3, 0.5, 0.8, 0.95, 0.99])
-def test_mehler_dr_and_w_dr_match_mpmath(r):
-    # independent oracle: mpmath.diff of the closed forms at 30 digits
+_ORACLE_R = [0.05, 0.3, 0.5, 0.8, 0.95, 0.99]
+
+
+def _oracle_derivatives(r, x1, y1):
+    """(dM_r/dr(x1, y1), dW_r/dr(x1 - y1)) by mpmath.diff of the closed forms at 30 digits."""
     with mpmath.workdps(30):
-        for x1, y1 in _ORACLE_PAIRS:
-            x, y = [mpmath.mpf(v) for v in x1], [mpmath.mpf(v) for v in y1]
-            dm = float(mpmath.diff(lambda t: _gaussian_mp(t, [t * a - b for a, b in zip(x, y)]), r))
-            dw = float(mpmath.diff(lambda t: _gaussian_mp(t, [a - b for a, b in zip(x, y)]), r))
-            assert mehler_dr(r, x1, y1) == pytest.approx(dm, rel=1e-12)
-            assert w_dr(r, x1, y1) == pytest.approx(dw, rel=1e-12)
+        x, y = [mpmath.mpf(v) for v in x1], [mpmath.mpf(v) for v in y1]
+        dm = float(mpmath.diff(lambda t: _gaussian_mp(t, [t * a - b for a, b in zip(x, y)]), r))
+        dw = float(mpmath.diff(lambda t: _gaussian_mp(t, [a - b for a, b in zip(x, y)]), r))
+    return dm, dw
+
+
+@pytest.mark.parametrize("r", _ORACLE_R)
+def test_mehler_dr_and_w_dr_match_mpmath(r):
+    # a scalar r against (n, 1, d) and (1, n, d) points, as in the T split:
+    # entry (i, j) belongs to the pair (x_i, x_j)
+    for x1, y1 in _ORACLE_PAIRS:
+        x = np.array([x1, y1], dtype=float)
+        md = _mehler_dr_raw(r, x[:, None, :], x[None, :, :])
+        wd = _w_dr_raw(r, x[:, None, :] - x[None, :, :])
+        assert md.shape == wd.shape == (2, 2)
+        dm, dw = _oracle_derivatives(r, x1, y1)
+        assert md[0, 1] == pytest.approx(dm, rel=1e-12)
+        assert wd[0, 1] == pytest.approx(dw, rel=1e-12)
+        dm, dw = _oracle_derivatives(r, y1, x1)
+        assert md[1, 0] == pytest.approx(dm, rel=1e-12)
+        assert wd[1, 0] == pytest.approx(dw, rel=1e-12)
+
+
+def test_kernel_derivatives_on_r_nodes_match_mpmath():
+    # an array of r-nodes against (pairs, 1, d) points, as in the comparison
+    # kernel's quadrature: entry (p, k) belongs to pair p at r-node k
+    r = np.array(_ORACLE_R)
+    for d in (1, 2):
+        pairs = [(x1, y1) for x1, y1 in _ORACLE_PAIRS if len(x1) == d]
+        x = np.array([x1 for x1, _ in pairs], dtype=float)[:, None, :]
+        y = np.array([y1 for _, y1 in pairs], dtype=float)[:, None, :]
+        md = _mehler_dr_raw(r, x, y)
+        wd = _w_dr_raw(r, x - y)
+        assert md.shape == wd.shape == (len(pairs), len(r))
+        for p, (x1, y1) in enumerate(pairs):
+            for k, rk in enumerate(_ORACLE_R):
+                dm, dw = _oracle_derivatives(rk, x1, y1)
+                assert md[p, k] == pytest.approx(dm, rel=1e-12)
+                assert wd[p, k] == pytest.approx(dw, rel=1e-12)
 
 
 def test_w_kernel_matches_mehler_at_origin():
     for r in (0.3, 0.6):
-        assert heat_kernel_w(r, 0.0) == mehler_kernel(r, 0.0, 0.0)
+        assert float(_w_raw(r, np.zeros(1))) == mehler_kernel(r, 0.0, 0.0)
 
 
 def test_w_dr_matches_finite_difference():
     h = 1e-5
     for r, z in [(0.5, 0.4), (0.25, -1.0), (0.75, 0.05)]:
-        exact = w_dr(r, z, 0.0)
-        fd = (heat_kernel_w(r + h, z) - heat_kernel_w(r - h, z)) / (2 * h)
+        z = np.array([z])
+        exact = float(_w_dr_raw(r, z))
+        fd = (float(_w_raw(r + h, z)) - float(_w_raw(r - h, z))) / (2 * h)
         assert abs(exact - fd) / abs(fd) < 1e-6
 
 
@@ -191,7 +230,7 @@ def test_w_dr_integral_bounded_by_inverse_power():
     # int_0^1 |dW_r/dr| dr <~ |z|^{-d}; the ratio must stay bounded
     ratios = []
     for z in np.geomspace(0.05, 2.0, 12):
-        total, _ = quad(lambda r: abs(w_dr(r, z, 0.0)), 0.0, 1.0, limit=200)
+        total, _ = quad(lambda r: abs(float(_w_dr_raw(r, np.array([z])))), 0.0, 1.0, limit=200)
         ratios.append(total * z)
     assert max(ratios) < 10.0
 

@@ -11,12 +11,12 @@ from scipy.special import roots_legendre
 from specmult import spectral
 from specmult.ouhermite import _mehler_dr_raw, _w_dr_raw, ou_system
 from specmult.products import (
+    _ball_volume_rows,
     _r_quadrature,
     EtaMetric,
     KappaSpec,
     ProductPoint,
     apply_T_split,
-    ball_volume_product,
     cz_growth_check,
     cz_smooth_check,
     di_bound_ratio,
@@ -27,8 +27,6 @@ from specmult.products import (
     kappa_indicator,
     kappa_one,
     kappa_zero,
-    kernel_K,
-    kernel_K_bound,
     kernel_Ktilde,
     local_mask,
     m_kappa,
@@ -284,7 +282,8 @@ def test_eta_metric(euclid1):
 
 def test_ball_volume_product(euclid1):
     # |B_R(x1)| * mu(B_R(x2)) = 2R * 2R in R^1 x R^1
-    assert ball_volume_product(euclid1, ProductPoint([0.0], [0.0]), 1.0) == 4.0
+    x = (np.array([[0.0]]), np.array([[0.0]]))
+    assert _ball_volume_rows(euclid1, x, np.array([1.0])).tolist() == [4.0]
 
 
 # -- kernels -------------------------------------------------------------------
@@ -292,14 +291,13 @@ def test_ball_volume_product(euclid1):
 
 def test_kernel_zero_kappa(euclid1):
     x, y = ProductPoint([0.0], [0.0]), ProductPoint([1.0], [1.0])
-    assert kernel_K(x, y, kappa_zero(), euclid1) == 0.0
     assert kernel_Ktilde(x, y, kappa_zero(), euclid1) == 0.0
 
 
 def test_kernel_requires_compact_support(euclid1):
     x, y = ProductPoint([0.0], [0.0]), ProductPoint([1.0], [1.0])
     with pytest.raises(ValueError, match="compact support"):
-        kernel_K(x, y, kappa_one(), euclid1)
+        kernel_Ktilde(x, y, kappa_one(), euclid1)
 
 
 def test_kernel_linear_in_kappa(euclid1, kid):
@@ -315,18 +313,10 @@ def test_kernel_linear_in_kappa(euclid1, kid):
         sup_norm=2.0,
     )
     doubled = KappaSpec(evaluate=lambda r: 2.0 * kid(r), support=(0.1, 0.9), sup_norm=2.0)
-    a = kernel_K(x, y, kid, euclid1)
-    b = kernel_K(x, y, bump, euclid1)
-    assert kernel_K(x, y, doubled, euclid1) == 2.0 * a
-    assert abs(kernel_K(x, y, plus, euclid1) - (a + b)) < 1e-13 * max(abs(a + b), 1.0)
-
-
-def test_kernel_bound_dominates(euclid1, kid):
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        x = ProductPoint(rng.normal(0, 1, 1), rng.normal(0, 1, 1))
-        y = ProductPoint(rng.normal(0, 1, 1), rng.normal(0, 1, 1))
-        assert abs(kernel_K(x, y, kid, euclid1)) <= kernel_K_bound(x, y, kid, euclid1) * (1.0 + 1e-12)
+    a = kernel_Ktilde(x, y, kid, euclid1)
+    b = kernel_Ktilde(x, y, bump, euclid1)
+    assert kernel_Ktilde(x, y, doubled, euclid1) == 2.0 * a
+    assert abs(kernel_Ktilde(x, y, plus, euclid1) - (a + b)) < 1e-13 * max(abs(a + b), 1.0)
 
 
 def test_ktilde_translation_invariance(euclid1, kid):
@@ -345,16 +335,11 @@ def _r_rule(kappa):
     return 0.5 * (hi - lo) * xi + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-def _kernels_pointwise(x, y, kappa, model):
-    """The three kernels of one pair, each r-quadrature written out."""
+def _ktilde_pointwise(x, y, kappa, model):
+    """The comparison kernel of one pair, its r-quadrature written out."""
     r, w = _r_rule(kappa)
     pk = model.kernel(-np.log(r), x.x2, y.x2)
-    md = _mehler_dr_raw(r, x.x1, y.x1)
-    return (
-        complex(np.sum(w * kappa(r) * md * pk)),
-        float(kappa.sup_norm * np.sum(w * np.abs(md) * pk)),
-        complex(np.sum(w * kappa(r) * _w_dr_raw(r, x.x1 - y.x1) * pk)),
-    )
+    return complex(np.sum(w * kappa(r) * _w_dr_raw(r, x.x1 - y.x1) * pk))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -362,12 +347,7 @@ def test_kernels_match_pointwise_formulas(euclid1, torus, kid, d):
     # the batched evaluator reproduces the per-pair quadrature bit for bit
     for model in (euclid1, euclidean_heat_model(2), torus):
         for x, y in sample_product_pairs(6, 17, model, d=d):
-            got = (
-                kernel_K(x, y, kid, model),
-                kernel_K_bound(x, y, kid, model),
-                kernel_Ktilde(x, y, kid, model),
-            )
-            assert got == _kernels_pointwise(x, y, kid, model)
+            assert kernel_Ktilde(x, y, kid, model) == _ktilde_pointwise(x, y, kid, model)
 
 
 def _eta_pointwise(model, x, y):
@@ -375,7 +355,9 @@ def _eta_pointwise(model, x, y):
 
 
 def _volume_pointwise(model, x, R):
-    return float(2.0 * R**1 * model.ball_volume(x.x2, R))
+    """|B(x1, R)| * mu(B(x2, R)) written out: 2R in R^1, pi R^2 in R^2."""
+    omega_rd = 2.0 * R if len(x.x1) == 1 else math.pi * R**2
+    return float(omega_rd * model.ball_volume(x.x2, R))
 
 
 def test_cz_values_match_pointwise_formulas(euclid1, kid):
@@ -385,7 +367,7 @@ def test_cz_values_match_pointwise_formulas(euclid1, kid):
     want = []
     for x, y in sample_product_pairs(200, 7, euclid1):
         e = _eta_pointwise(euclid1, x, y)
-        want.append(abs(_kernels_pointwise(x, y, kid, euclid1)[2]) * _volume_pointwise(euclid1, x, e))
+        want.append(abs(_ktilde_pointwise(x, y, kid, euclid1)) * _volume_pointwise(euclid1, x, e))
     assert np.array_equal(growth.values, np.array(want) / kid.sup_norm)
 
     smooth = cz_smooth_check(sample_product_triples(200, 8, euclid1), kid, euclid1)
@@ -395,7 +377,7 @@ def test_cz_values_match_pointwise_formulas(euclid1, kid):
         if e_yy == 0.0 or 2.0 * e_yy > e_xy:
             skipped += 1
             continue
-        diff = abs(_kernels_pointwise(x, y, kid, euclid1)[2] - _kernels_pointwise(x, yp, kid, euclid1)[2])
+        diff = abs(_ktilde_pointwise(x, y, kid, euclid1) - _ktilde_pointwise(x, yp, kid, euclid1))
         want.append(diff * (e_xy / e_yy) ** 1.0 * _volume_pointwise(euclid1, x, e_xy) / kid.sup_norm)
     assert np.array_equal(smooth.values, want)
     assert smooth.n_filtered == skipped
@@ -403,13 +385,13 @@ def test_cz_values_match_pointwise_formulas(euclid1, kid):
 
 def test_cz_batched_matches_scalar_helpers():
     # with x1 in R^2 and a complex kappa the audits still agree exactly with
-    # EtaMetric, ball_volume_product and abs(kernel_Ktilde) pair by pair
+    # EtaMetric, the written-out ball volume and abs(kernel_Ktilde) pair by pair
     model = euclidean_heat_model(2)
     eta = EtaMetric(model)
     chirp = KappaSpec(evaluate=lambda r: np.exp(7j * np.asarray(r)), support=(0.1, 0.9), sup_norm=1.0)
     pairs = sample_product_pairs(200, 3, model, d=2)
     want = [
-        abs(kernel_Ktilde(x, y, chirp, model)) * ball_volume_product(model, x, eta(x, y)) for x, y in pairs
+        abs(kernel_Ktilde(x, y, chirp, model)) * _volume_pointwise(model, x, eta(x, y)) for x, y in pairs
     ]
     assert np.array_equal(cz_growth_check(pairs, chirp, model).values, want)
     assert cz_growth_check([], chirp, model).n_used == 0
@@ -455,7 +437,7 @@ def test_no_rule_rebuilt_per_call(monkeypatch, euclid1, torus, kid):
 def test_ktilde_growth_frozen(euclid1, kid):
     x, y = ProductPoint([0.0], [0.0]), ProductPoint([1.0], [1.0])
     e = EtaMetric(euclid1)(x, y)
-    got = abs(kernel_Ktilde(x, y, kid, euclid1)) * ball_volume_product(euclid1, x, e) / kid.sup_norm
+    got = abs(kernel_Ktilde(x, y, kid, euclid1)) * _volume_pointwise(euclid1, x, e) / kid.sup_norm
     assert got == pytest.approx(KTILDE_GROWTH_R1, rel=1e-12)
 
 

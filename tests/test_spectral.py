@@ -19,7 +19,6 @@ from specmult.spectral import (
     apply_multiplier,
     decompose,
     reconstruct,
-    spectral_measure,
     tensor,
 )
 
@@ -185,28 +184,6 @@ def test_apply_arity_mismatch(ou1):
     m = MultiplierSpec(2, lambda lam: np.ones(len(np.atleast_2d(lam)), dtype=complex))
     with pytest.raises(ValueError, match="arity"):
         apply_multiplier(m, ou1, unit((1,)))
-
-
-def test_spectral_measure_single_atom(ou1):
-    assert spectral_measure(unit((2,)), ou1) == [((2.0,), 1.0)]
-
-
-def test_spectral_measure_aggregates_equal_eigenvalues():
-    sys2 = ou_system(2, 4)
-    amp = 1.0 / np.sqrt(2.0)
-    c = CoefficientVector({(1, 0): amp, (0, 1): amp})
-    atoms = spectral_measure(c, sys2)
-    assert len(atoms) == 1
-    lam, mass = atoms[0]
-    assert lam == (1.0,) and abs(mass - 1.0) < 1e-15
-
-
-def test_spectral_measure_four_atoms(ou1):
-    c = CoefficientVector({(k,): 0.5 for k in range(4)})
-    atoms = spectral_measure(c, ou1)
-    assert [lam for lam, _ in atoms] == [(0.0,), (1.0,), (2.0,), (3.0,)]
-    assert all(abs(mass - 0.25) < 1e-15 for _, mass in atoms)
-    assert abs(sum(mass for _, mass in atoms) - c.norm() ** 2) < 1e-15
 
 
 def test_basis_arrays_match_pointwise_formulas():
