@@ -152,10 +152,14 @@ def _partial_values(m: MultiplierSpec, gamma, axes) -> np.ndarray:
         return m(_axis_rows(axes))
     h = [_STEP_REL * a for a in axes]
     stencil = [[(g / 2.0 - i, (-1.0) ** i * math.comb(g, i)) for i in range(g + 1)] for g in gamma]
-    vals = np.zeros(math.prod(len(a) for a in axes), dtype=complex)
+    vals = None  # the first term sets the dtype: a real multiplier stays real
     for node in itertools.product(*stencil):
         offset, coeff = zip(*node)
-        vals += math.prod(coeff) * m(_axis_rows([a + o * hj for a, o, hj in zip(axes, offset, h)]))
+        term = math.prod(coeff) * m(_axis_rows([a + o * hj for a, o, hj in zip(axes, offset, h)]))
+        if vals is None:
+            vals = term
+        else:
+            vals += term
     # scalar exponents: NumPy squares for g = 2, where an exponent array would call pow
     return vals / _axis_outer([hj**g for hj, g in zip(h, gamma)])
 

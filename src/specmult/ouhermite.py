@@ -156,7 +156,10 @@ def _mehler_dr_raw(r, x1, y1):
     # d/dr of M_r; the inner-product term carries a factor 2 (chain rule on
     # |r x1 - y1|^2), unlike the cruder bound-stage constant.
     bracket = d * r - 2.0 * r * q / s - 2.0 * ux
-    return np.pi ** (-d / 2.0) * bracket * s ** (-d / 2.0 - 1.0) * np.exp(-q / s)
+    # np.power even for a scalar r, whose s ** would take the C library's pow:
+    # it can differ from NumPy's vectorized pow in the last bit, and a value
+    # must not depend on whether its r-node came alone or in a block
+    return np.pi ** (-d / 2.0) * bracket * np.power(s, -d / 2.0 - 1.0) * np.exp(-q / s)
 
 
 def mehler_kernel(r: float, x1, y1):

@@ -500,12 +500,18 @@ def local_mask(grid: ProductGrid, s: float = 2.0) -> np.ndarray:
     return dist <= s / (1.0 + norms[:, None] + norms[None, :])
 
 
-# The T split sums its r-quadrature in tiles of whole x1 rows by r-nodes: a
-# tile holds about _SPLIT_TILE Mehler entries per r-node and _SPLIT_R_BLOCK
-# r-nodes, so its work arrays stay at a few MB whatever the grid.  The heat
-# kernel is called once per r-block too.
-_SPLIT_TILE = 4096
+# The T split sums its r-quadrature in tiles of whole x1 rows: one Mehler call
+# per tile and block of _SPLIT_R_BLOCK r-nodes returns an (r-nodes, rows, n1)
+# array, and the rows of a tile are chosen so that each (r-nodes, rows, n1, d)
+# temporary of that call holds about _SPLIT_TILE_BYTES, whatever the grid.  The
+# heat kernel is called once per r-block too.
+_SPLIT_TILE_BYTES = 1 << 18
 _SPLIT_R_BLOCK = 32
+
+
+def _split_rows(n1: int, d: int) -> int:
+    """x1 rows per tile of the T split's r-sum."""
+    return max(1, _SPLIT_TILE_BYTES // (8 * _SPLIT_R_BLOCK * n1 * d))
 
 
 def _heat_spectrum(model: HeatKernelModel, y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -550,15 +556,18 @@ def apply_T_split(
 
     Only the torus model on its own uniform y-grid (the one ``product_grid``
     builds for it) is accepted; any other model or ``grid.y_points`` raises a
-    ValueError.  There the heat factor p_{-log r}(y_a - y_b) depends only on
-    (b - a) mod n_y: it is circulant, and the DFT along y diagonalizes it with
-    one column's spectrum c_r[xi], which is real and even.  The r-quadrature
-    is summed first, before any product with f, into one x1-kernel per
-    frequency,
+    ValueError, and so do ``grid.x1_points`` that are not mirrored about 0
+    (x1[::-1] == -x1, as on every Gauss-Hermite grid).  There the heat factor
+    p_{-log r}(y_a - y_b) depends only on (b - a) mod n_y: it is circulant,
+    and the DFT along y diagonalizes it with one column's spectrum c_r[xi],
+    which is real and even.  The r-quadrature is summed first, before any
+    product with f, into one x1-kernel per frequency,
 
         B_xi = sum_r kappa(r) w_r c_r[xi] dM_r/dr  (= B_{-xi}),
 
     in tiles of x1 rows, so the full (n_y, n_x, n_x) kernel is never held.
+    Only the first ceil(n1 / 2) rows are summed: dM_r/dr(-x, -y) equals
+    dM_r/dr(x, y) bit for bit, so row n1-1-i of B is row i reversed.
     ``base_mask``, the Lebesgue weights and the local cutoff multiply B once.
     Then T_full^ = B_xi G^ and T_loc^ = (B_xi chi_{N_s}) G^, with G^ the DFT
     along y of f times the y-weights, and one inverse DFT gives both parts.
@@ -578,6 +587,9 @@ def apply_T_split(
     y_pts, y_w = model.grid(n2)
     if not (np.array_equal(grid.y_points, y_pts) and np.array_equal(grid.y_weights, y_w)):
         raise ValueError("grid.y_points: the T split needs the torus model's own uniform grid")
+    x1 = grid.x1_points
+    if not np.array_equal(x1[::-1], -x1):
+        raise ValueError("grid.x1_points: the T split needs nodes mirrored about 0, x1[::-1] == -x1")
     weights = np.broadcast_to(grid.x1_lebesgue_weights, (n1, n1))
     if base_mask is not None:
         base = np.asarray(base_mask, dtype=bool)
@@ -598,29 +610,36 @@ def apply_T_split(
     G = np.stack([G[..., :n_f], G[..., neg]], axis=-1).view(float).transpose(0, 2, 1, 3).copy()
     T_full = np.empty(F.shape, dtype=complex)
     T_loc = np.empty(F.shape, dtype=complex)
-    x1 = grid.x1_points
-    rows = max(1, _SPLIT_TILE // n1)
+    half = (n1 + 1) // 2
+    rows = _split_rows(n1, grid.d)
     # one pair of work buffers for every tile; the last tile may use a prefix
     acc_buf = np.empty(2 * n_f * rows * n1)
-    md_buf = np.empty(_SPLIT_R_BLOCK * rows * n1)
-    for lo in range(0, n1, rows):
-        blk = slice(lo, min(lo + rows, n1))
-        m = blk.stop - lo
+    mirror_buf = np.empty(2 * n_f * rows * n1)
+    for lo in range(0, half, rows):
+        hi = min(lo + rows, half)
+        m = hi - lo
         acc = acc_buf[:2 * n_f * m * n1].reshape(2 * n_f, m * n1)
         acc[...] = 0.0
-        md = md_buf[:_SPLIT_R_BLOCK * m * n1].reshape(_SPLIT_R_BLOCK, m, n1)
         for r_lo in range(0, n_r, _SPLIT_R_BLOCK):
             nodes = r[r_lo:r_lo + _SPLIT_R_BLOCK]
-            for i, ri in enumerate(nodes):
-                md[i] = _mehler_dr_raw(float(ri), x1[blk, None, :], x1[None, :, :])
-            acc += coef[:, r_lo:r_lo + len(nodes)] @ md[:len(nodes)].reshape(len(nodes), m * n1)
+            md = _mehler_dr_raw(nodes[:, None, None], x1[lo:hi, None, :], x1[None, :, :])
+            acc += coef[:, r_lo:r_lo + len(nodes)] @ md.reshape(len(nodes), m * n1)
         B = acc.reshape(2, n_f, m, n1)  # real and imaginary part of B_xi on the tile's rows
-        for scale, T in ((weights[blk], T_full), (mask[blk], T_loc)):
-            B *= scale
-            for out, g in zip(T, G):
-                prod = _frequency_product(B, g)
-                out[blk, neg] = prod[..., 1]
-                out[blk, :n_f] = prod[..., 0]
+        tiles = [(slice(lo, hi), B)]
+        # x1[n1-1-i] = -x1[i] and dM_r/dr(-x, -y) = dM_r/dr(x, y), so row n1-1-i of
+        # B is row i reversed; the middle row of an odd grid is its own mirror
+        k = min(hi, n1 - half) - lo
+        if k > 0:
+            mirror = mirror_buf[:2 * n_f * k * n1].reshape(2, n_f, k, n1)
+            np.copyto(mirror, B[:, :, k - 1::-1, ::-1])
+            tiles.append((slice(n1 - lo - k, n1 - lo), mirror))
+        for blk, Bt in tiles:
+            for scale, T in ((weights[blk], T_full), (mask[blk], T_loc)):
+                Bt *= scale
+                for out, g in zip(T, G):
+                    prod = _frequency_product(Bt, g)
+                    out[blk, neg] = prod[..., 1]
+                    out[blk, :n_f] = prod[..., 0]
     T_full = np.fft.ifft(T_full, axis=-1)
     T_loc = np.fft.ifft(T_loc, axis=-1)
     pts, wts = grid.points(), grid.weights()  # shared by every returned function

@@ -177,9 +177,10 @@ class MultiplierSpec:
     """A scalar multiplier function on (0, inf)^arity.
 
     ``evaluate`` is vectorized: it maps an (n, arity) array of spectral points
-    to an (n,) complex array.  ``partials`` optionally maps a differentiation
-    multi-order gamma to the analytic partial derivative (same calling
-    convention); absent orders fall back to central differences.
+    to an (n,) complex or real array; a real one comes back as float64.
+    ``partials`` optionally maps a differentiation multi-order gamma to the
+    analytic partial derivative (same calling convention); absent orders
+    fall back to central differences.
     ``sector_evaluate`` accepts complex arguments for rotated rays.
     """
 
@@ -198,7 +199,9 @@ class MultiplierSpec:
                 lam = lam[None, :]
         if lam.shape[-1] != self.arity:
             raise ValueError(f"multiplier arity {self.arity}, got points of length {lam.shape[-1]}")
-        return np.asarray(self.evaluate(lam), dtype=complex).reshape(lam.shape[:-1])
+        out = np.asarray(self.evaluate(lam))
+        # a real multiplier stays in real arithmetic downstream
+        return out.astype(complex if np.iscomplexobj(out) else float, copy=False).reshape(lam.shape[:-1])
 
 
 class SpectralSystem:

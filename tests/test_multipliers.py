@@ -591,6 +591,6 @@ def test_riesz2_evaluator_is_plain_division():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = builtin_multiplier("riesz2")(lam)
-    assert got.dtype == complex and np.all(got.imag == 0.0)
+    assert got.dtype == np.float64  # a real multiplier stays real
     assert np.all(got[:5] == 0.0)
-    np.testing.assert_array_equal(got[5:].real, lam[5:, 0] / (lam[5:, 0] + lam[5:, 1]))
+    np.testing.assert_array_equal(got[5:], lam[5:, 0] / (lam[5:, 0] + lam[5:, 1]))

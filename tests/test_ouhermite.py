@@ -210,6 +210,29 @@ def test_kernel_derivatives_on_r_nodes_match_mpmath():
                 assert wd[p, k] == pytest.approx(dw, rel=1e-12)
 
 
+def test_gauss_hermite_nodes_are_mirrored_bit_for_bit():
+    # the T split evaluates half of the x1 rows and mirrors the rest
+    for n in range(2, 257):
+        nodes = hermite_basis(1, n).gh_nodes
+        assert np.array_equal(nodes[::-1], -nodes), n
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_mehler_dr_on_an_r_block_is_per_node_and_even(d):
+    # the T split's convention: an r-block against (rows, 1, d) and (1, n, d)
+    # points gives entry (k, i, j) for r-node k and the pair (x_i, x_j)
+    x = ou_system(d, 4, 9).points
+    r = np.linspace(0.05, 0.95, 7)
+    block = _mehler_dr_raw(r[:, None, None], x[:5, None, :], x[None, :, :])
+    assert block.shape == (len(r), 5, len(x))
+    for k, rk in enumerate(r):
+        assert np.array_equal(block[k], _mehler_dr_raw(float(rk), x[:5, None, :], x[None, :, :]))
+    full = _mehler_dr_raw(r[:, None, None], x[:, None, :], x[None, :, :])
+    assert np.array_equal(_mehler_dr_raw(r[:, None, None], -x[:, None, :], -x[None, :, :]), full)
+    # x[::-1] == -x on the product grid, so row n-1-i is row i reversed
+    assert np.array_equal(full[:, ::-1, ::-1], full)
+
+
 def test_w_kernel_matches_mehler_at_origin():
     for r in (0.3, 0.6):
         assert float(_w_raw(r, np.zeros(1))) == mehler_kernel(r, 0.0, 0.0)

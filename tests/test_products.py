@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from specmult import spectral
+from specmult import products, spectral
 from specmult.ouhermite import _mehler_dr_raw, _w_dr_raw, ou_system
 from specmult.products import (
     _ball_volume_rows,
@@ -503,9 +503,10 @@ def _split_by_r_nodes(f, kappa, model, grid, s=2.0, base_mask=None, n_r=512):
     return T_loc.reshape(-1), (T_full - T_loc).reshape(-1), np.max(np.abs(T_full))
 
 
-# (k_max, n_y, n_x): the default-size grid, the cross-check grid, and a grid
-# of three x1-row tiles (the last one short) with an odd number of y-points
-_ORACLE_GRIDS = [(6, 16, None), (8, 32, 64), (8, 15, 96)]
+# (k_max, n_y, n_x): the default-size grid, the cross-check grid, a grid of
+# several x1-row tiles (the last one short) with an odd number of y-points,
+# and an odd n_x, whose middle row is its own mirror in the last, short tile
+_ORACLE_GRIDS = [(6, 16, None), (8, 32, 64), (8, 15, 96), (8, 16, 97)]
 
 
 # a compact profile with a genuinely complex value, so the imaginary part of
@@ -524,16 +525,51 @@ _KAPPA_TWIST = KappaSpec(
 @pytest.mark.parametrize("kappa", [kappa_indicator(0.1, 0.9), _KAPPA_TWIST], ids=["chi", "twist"])
 def test_t_split_matches_r_node_loop(torus, kappa, k_max, n_y, n_x, s, with_base):
     grid = product_grid(torus, d=1, k_max=k_max, n_y=n_y, n_x=n_x)
-    rng = np.random.default_rng(n_y)
+    _check_split_against_r_nodes(torus, kappa, grid, s, with_base, seed=n_y)
+
+
+@pytest.mark.parametrize("with_base", [False, True])
+@pytest.mark.parametrize("s", [2.0, 1e9])
+@pytest.mark.parametrize("kappa", [kappa_indicator(0.1, 0.9), _KAPPA_TWIST], ids=["chi", "twist"])
+def test_t_split_matches_r_node_loop_on_a_2d_grid(torus, kappa, s, with_base):
+    # x1 in R^2: the lexicographic product grid reverses its flattened index
+    # under x1 -> -x1, so the mirrored rows are those of the d = 1 grid
+    grid = product_grid(torus, d=2, k_max=3, n_y=8, n_x=8)
+    _check_split_against_r_nodes(torus, kappa, grid, s, with_base, seed=2)
+
+
+def _check_split_against_r_nodes(model, kappa, grid, s, with_base, seed):
+    rng = np.random.default_rng(seed)
     n = grid.shape[0] * grid.shape[1]
     f = grid.function(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     base = local_mask(grid, 0.5) if with_base else None
     # 100 nodes: three full r-blocks and a short one
-    loc, glob = apply_T_split(f, kappa, torus, grid, s=s, base_mask=base, n_r=100)
-    want_loc, want_glob, scale = _split_by_r_nodes(f, kappa, torus, grid, s=s, base_mask=base, n_r=100)
+    loc, glob = apply_T_split(f, kappa, model, grid, s=s, base_mask=base, n_r=100)
+    want_loc, want_glob, scale = _split_by_r_nodes(f, kappa, model, grid, s=s, base_mask=base, n_r=100)
     assert scale > 0.0
     assert np.max(np.abs(loc.values - want_loc)) <= 1e-12 * scale
     assert np.max(np.abs(glob.values - want_glob)) <= 1e-12 * scale
+
+
+def test_t_split_evaluates_the_mirrored_half_once_per_r_block(torus, kid, monkeypatch):
+    # the default riesz-cross-check grid: dM_r/dr is evaluated on the first
+    # ceil(n1 / 2) x1 rows only, one call per tile and r-block
+    calls, entries = [], []
+
+    def counting(*args):
+        out = _mehler_dr_raw(*args)
+        calls.append(1)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(products, "_mehler_dr_raw", counting)
+    n_x, n_y, n_r = 128, 32, 512
+    grid = product_grid(torus, d=1, k_max=12, n_y=n_y, n_x=n_x)
+    apply_T_split(grid.function(np.ones(n_x * n_y)), kid, torus, grid, n_r=n_r)
+    half = (n_x + 1) // 2
+    assert sum(entries) <= half * n_x * n_r == 4_194_304
+    tiles = -(-half // products._split_rows(n_x, 1))
+    assert len(calls) <= (n_r // products._SPLIT_R_BLOCK) * tiles
 
 
 def test_t_split_rejects_non_torus_input(torus, euclid1, kid):
@@ -546,6 +582,15 @@ def test_t_split_rejects_non_torus_input(torus, euclid1, kid):
         shifted = dataclasses.replace(grid, y_points=y)
         with pytest.raises(ValueError, match="grid.y_points"):
             apply_T_split(shifted.function(f.values), kid, torus, shifted)
+
+
+def test_t_split_rejects_unmirrored_x1_points(torus, kid):
+    # the split computes half of the x1 rows and mirrors the rest
+    grid = product_grid(torus, d=1, k_max=6, n_y=16)
+    shifted = dataclasses.replace(grid, x1_points=grid.x1_points + 0.01)
+    f = shifted.function(np.ones(grid.shape[0] * grid.shape[1]))
+    with pytest.raises(ValueError, match="grid.x1_points"):
+        apply_T_split(f, kid, torus, shifted)
 
 
 def test_t_split_rejects_bad_arguments(torus, kid):
