@@ -30,9 +30,7 @@ from .multipliers import (
     builtin_multiplier,
     decay_check,
     default_t_grid,
-    mar_norm,
     marcinkiewicz_seminorm,
-    mellin,
     mellin_on_grid,
     phi_star,
     required_order,
@@ -65,7 +63,6 @@ from .products import (
     kappa_imag,
     kappa_indicator,
     kappa_one,
-    kappa_zero,
     kernel_Ktilde,
     local_mask,
     m_kappa,

@@ -11,7 +11,7 @@ ordinary Fourier integral in s,
 
     M(m)(u) = int lam^{-iu} m(lam) dlam/lam = int e^{-ius} m(e^s) ds,
 
-truncated to a window [-S, S]^d with an explicit tail-mass guard.  Dyadic
+truncated to a window [-S, S] with an explicit tail-mass guard.  Dyadic
 sups are truncated to R in {2^l : |l| <= K} plus a few seeded non-dyadic
 samples per decade.
 """
@@ -45,8 +45,6 @@ __all__ = [
     "MellinTailError",
     "ATLViolation",
     "marcinkiewicz_seminorm",
-    "mar_norm",
-    "mellin",
     "mellin_on_grid",
     "decay_check",
     "rotate_multiplier",
@@ -207,13 +205,6 @@ def marcinkiewicz_seminorm(
     return float(box.max() * math.log(2.0) ** d)
 
 
-def mar_norm(m: MultiplierSpec, rho: MarcOrder, dyadic: DyadicRange = DyadicRange()) -> float:
-    """sup over gamma <= rho of the Marcinkiewicz seminorms."""
-    if len(rho.rho) != m.arity:
-        raise ValueError("order length must match multiplier arity")
-    return max([0.0] + [marcinkiewicz_seminorm(m, gamma, dyadic) for gamma in rho.gammas()])
-
-
 # -- Mellin transform -------------------------------------------------------
 
 
@@ -238,39 +229,6 @@ def _check_tails(g: np.ndarray, s: np.ndarray, w: np.ndarray, grid: LogGrid, wha
         raise MellinTailError(
             f"{what}: tail mass {mass:.3e} beyond |log lam| = {edge:.1f} exceeds {grid.tail_tol}"
         )
-
-
-def mellin(m: MultiplierSpec, u, grid: LogGrid = LogGrid()) -> complex:
-    """d-dimensional Mellin transform at frequency u (scalar or d-vector)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if len(u) != m.arity:
-        raise ValueError("u must have one entry per multiplier argument")
-    if m.arity == 1:
-        return complex(mellin_on_grid(m, u, grid)[0])
-    s, w = grid.nodes()
-    if m.arity == 2:
-        # row-chunked tensor quadrature; the full grid is never materialized
-        e1 = w * np.exp(-1j * u[0] * s)
-        e2 = w * np.exp(-1j * u[1] * s)
-        lam2 = np.exp(s)
-        total = 0.0 + 0.0j
-        prof1 = np.zeros(len(s))
-        prof2 = np.zeros(len(s))
-        chunk = max(1, (1 << 22) // len(s))
-        for i in range(0, len(s), chunk):
-            s1 = s[i : i + chunk]
-            pts = np.empty((len(s1) * len(s), 2))
-            pts[:, 0] = np.repeat(np.exp(s1), len(s))
-            pts[:, 1] = np.tile(lam2, len(s1))
-            G = m(pts).reshape(len(s1), len(s))
-            A = np.abs(G)
-            prof1[i : i + chunk] = A.max(axis=1)
-            prof2 = np.maximum(prof2, A.max(axis=0))
-            total += e1[i : i + chunk] @ G @ e2
-        _check_tails(prof1, s, w, grid, "mellin integrand")
-        _check_tails(prof2, s, w, grid, "mellin integrand")
-        return complex(total)
-    raise NotImplementedError("mellin implemented for d <= 2")
 
 
 def mellin_on_grid(m: MultiplierSpec, u_values: np.ndarray, grid: LogGrid = LogGrid()) -> np.ndarray:

@@ -196,7 +196,8 @@ def _w_dr_raw(r, z):
     d = z.shape[-1]
     q = np.sum(z**2, axis=-1)
     s = 1.0 - r * r
-    return np.pi ** (-d / 2.0) * r * s ** (-d / 2.0 - 1.0) * np.exp(-q / s) * (d - 2.0 * q / s)
+    # np.power for the same reason as in _mehler_dr_raw
+    return np.pi ** (-d / 2.0) * r * np.power(s, -d / 2.0 - 1.0) * np.exp(-q / s) * (d - 2.0 * q / s)
 
 
 def apply_semigroup_kernel(r: float, f: GridFunction) -> GridFunction:

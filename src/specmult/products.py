@@ -31,7 +31,6 @@ __all__ = [
     "kappa_one",
     "kappa_imag",
     "kappa_indicator",
-    "kappa_zero",
     "m_kappa",
     "multiplier_from_kappa",
     "HeatKernelModel",
@@ -141,16 +140,6 @@ def kappa_indicator(lo: float = 0.1, hi: float = 0.9) -> KappaSpec:
         return ((r >= lo) & (r <= hi)).astype(complex)
 
     return KappaSpec(evaluate=ev, support=(lo, hi), sup_norm=1.0, closed_form=closed, name=f"chi[{lo},{hi}]")
-
-
-def kappa_zero() -> KappaSpec:
-    return KappaSpec(
-        evaluate=lambda r: np.zeros_like(np.asarray(r, dtype=float), dtype=complex),
-        support=(0.25, 0.75),
-        sup_norm=0.0,
-        closed_form=lambda lam, a: 0.0 * lam,
-        name="zero",
-    )
 
 
 _LAPLACE_N = 8192

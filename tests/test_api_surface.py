@@ -36,15 +36,11 @@ _UNREACHED = {
     "hermite_eval": "oracle: test_basis_arrays_match_pointwise_formulas",
     "mehler_kernel": "oracle: test_mehler_dr_matches_finite_difference",
     "apply_semigroup_kernel": "oracle: test_semigroup_spectral_agreement_band_limited",
+    "mellin_on_grid": "oracle: test_decay_check_sup_is_max_of_direct_mellin_sums",
     "kernel_Ktilde": "BENCHMARK.json per-layer metric",
-    # not on ROADMAP item 5's list: decided at the next re-anchor
-    "mellin": "pending re-anchor",
-    "mellin_on_grid": "pending re-anchor",
-    "mar_norm": "pending re-anchor",
-    "kappa_one": "pending re-anchor",
-    "kappa_imag": "pending re-anchor",
-    "kappa_zero": "pending re-anchor",
-    "estimate_pnorm": "pending re-anchor",
+    # the Laplace-transform multipliers of the abstract
+    "kappa_one": "ROADMAP item 11",
+    "kappa_imag": "ROADMAP item 11",
 }
 
 
@@ -111,12 +107,22 @@ def test_listed_names_are_public_and_unreached():
     assert wired == [], f"reached now, drop them from _UNREACHED: {wired}"
 
 
+def _test_bodies() -> dict:
+    """test function name -> the names its body mentions, over the test modules."""
+    bodies = {}
+    for path in Path(__file__).parent.glob("test_*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+                bodies[node.name] = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+    return bodies
+
+
 def test_reasons_name_their_claim():
-    prefixes = ("ROADMAP item 2", "ROADMAP item 3", "oracle: test_", "BENCHMARK.json per-layer metric",
-                "pending re-anchor")
+    prefixes = ("ROADMAP item 2", "ROADMAP item 3", "ROADMAP item 11", "oracle: test_",
+                "BENCHMARK.json per-layer metric")
     assert all(reason.startswith(prefixes) for reason in _UNREACHED.values())
-    tests = Path(__file__).parent
-    for reason in _UNREACHED.values():
+    bodies = _test_bodies()
+    for name, reason in _UNREACHED.items():
         if reason.startswith("oracle: "):
-            name = reason.removeprefix("oracle: ")
-            assert any(f"def {name}(" in p.read_text() for p in tests.glob("test_*.py")), name
+            test = reason.removeprefix("oracle: ")
+            assert name in bodies.get(test, ()), f"{test} does not call the oracle {name}"

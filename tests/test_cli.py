@@ -120,6 +120,8 @@ def test_negative_seed_rejected():
         ("norm-estimate", "operator", "nope", "a registered operator id"),
         ("cz-decompose", "grid", "100", "a power of two"),
         ("cz-decompose", "grid", "abc", "a power of two.*got 'abc'"),
+        ("cz-decompose", "grid", "1073741824", "a power of two in 8..8192"),
+        ("cz-decompose", "threshold", "inf", "a positive finite real"),
         ("marcinkiewicz", "rho", "1,5", "comma-separated orders, each in 0..4"),
         ("marcinkiewicz", "multiplier", "mystery", "a built-in multiplier name"),
         ("mellin-decay", "u_count", "3", "number of u samples in 5..200"),

@@ -20,9 +20,7 @@ from specmult.multipliers import (
     builtin_multiplier,
     decay_check,
     default_t_grid,
-    mar_norm,
     marcinkiewicz_seminorm,
-    mellin,
     mellin_on_grid,
     phi_star,
     required_order,
@@ -38,7 +36,7 @@ from specmult.products import torus_system
 from specmult.spectral import CoefficientVector, MultiplierSpec, gauss_legendre, reconstruct, tensor
 
 MAR_RIESZ1_RHO1 = 0.6931462268866521  # frozen regression value, default dyadic range
-MAR_RIESZ2_RHO11 = 0.48045301391729195  # mar_norm(riesz2, (1, 1)), default dyadic range
+MAR_RIESZ2_RHO11 = 0.48045301391729195  # riesz2, max over gamma <= (1, 1), default dyadic range
 SEMINORM_RIESZ2_11_SMALL = 0.004119911576609029  # gamma (1, 1), K = 2, no off-dyadic, n_gl = 8
 
 
@@ -46,6 +44,11 @@ def lam_exp():
     return MultiplierSpec(
         1, lambda lam: (np.atleast_2d(lam)[:, 0] * np.exp(-np.atleast_2d(lam)[:, 0])).astype(complex)
     )
+
+
+def max_seminorm(m, rho):
+    """The marcinkiewicz report's mar_norm: the largest seminorm over gamma <= rho."""
+    return max([0.0] + [marcinkiewicz_seminorm(m, gamma) for gamma in MarcOrder(rho).gammas()])
 
 
 def log_gaussian():
@@ -116,18 +119,18 @@ def test_seminorm_gamma_length_mismatch():
 
 
 def test_mar_norm_constant():
-    assert mar_norm(builtin_multiplier("one"), MarcOrder((2,))) == pytest.approx(
+    assert max_seminorm(builtin_multiplier("one"), (2,)) == pytest.approx(
         math.log(2.0), rel=1e-13
     )
 
 
 def test_mar_norm_riesz_frozen():
-    got = mar_norm(builtin_multiplier("riesz1"), MarcOrder((1,)))
+    got = max_seminorm(builtin_multiplier("riesz1"), (1,))
     assert got == pytest.approx(MAR_RIESZ1_RHO1, rel=1e-12)
 
 
 def test_mar_norm_riesz2_frozen():
-    got = mar_norm(builtin_multiplier("riesz2"), MarcOrder((1, 1)))
+    got = max_seminorm(builtin_multiplier("riesz2"), (1, 1))
     assert got == pytest.approx(MAR_RIESZ2_RHO11, rel=1e-13)
     # the max above is the gamma = 0 box; this pins the 2-d stencil and contraction
     small = DyadicRange(K=2, n_offdyadic=0)
@@ -246,13 +249,8 @@ def test_mar_norm_product_bounded_by_factor_norms():
         lam = np.atleast_2d(lam)
         return m1.evaluate(lam[:, :1]) * m2.evaluate(lam[:, 1:])
 
-    bound = mar_norm(m1, MarcOrder((1,))) * mar_norm(m2, MarcOrder((1,)))
-    assert mar_norm(MultiplierSpec(2, prod), MarcOrder((1, 1))) <= bound * (1.0 + 1e-6)
-
-
-def test_mar_norm_order_length_mismatch():
-    with pytest.raises(ValueError, match="order length"):
-        mar_norm(builtin_multiplier("riesz2"), MarcOrder((1,)))
+    bound = max_seminorm(m1, (1,)) * max_seminorm(m2, (1,))
+    assert max_seminorm(MultiplierSpec(2, prod), (1, 1)) <= bound * (1.0 + 1e-6)
 
 
 def test_marc_order_rejects_negative():
@@ -276,38 +274,23 @@ def test_dyadic_radii_sorted_and_seeded():
 
 def test_mellin_gamma_identity():
     # lam e^{-lam} transforms to Gamma(1 - iu)
-    m = lam_exp()
-    for u in (0.0, 1.0, -1.0, 3.0, -3.0):
-        assert abs(mellin(m, u) - complex(gamma_fn(1.0 - 1j * u))) < 1e-6
+    u = np.array([0.0, 1.0, -1.0, 3.0, -3.0])
+    got = mellin_on_grid(lam_exp(), u)
+    for v, g in zip(u, got):
+        assert abs(g - complex(gamma_fn(1.0 - 1j * v))) < 1e-6
 
 
 def test_mellin_log_gaussian():
-    m = log_gaussian()
-    for u in (0.0, 1.0, 2.5):
-        expect = math.sqrt(2.0 * math.pi) * math.exp(-u * u / 2.0)
-        assert abs(mellin(m, u) - expect) < 1e-8
-
-
-def test_mellin_product_factorizes():
-    m1, m2 = lam_exp(), log_gaussian()
-
-    def prod(lam):
-        lam = np.atleast_2d(lam)
-        return m1.evaluate(lam[:, :1]) * m2.evaluate(lam[:, 1:])
-
-    grid = LogGrid(n=1 << 12)
-    got = mellin(MultiplierSpec(2, prod), (1.0, 0.5), grid)
-    assert abs(got - mellin(m1, 1.0, grid) * mellin(m2, 0.5, grid)) < 1e-10
+    u = np.array([0.0, 1.0, 2.5])
+    got = mellin_on_grid(log_gaussian(), u)
+    for v, g in zip(u, got):
+        expect = math.sqrt(2.0 * math.pi) * math.exp(-v * v / 2.0)
+        assert abs(g - expect) < 1e-8
 
 
 def test_mellin_rejects_fat_tails():
     with pytest.raises(MellinTailError, match="tail mass"):
-        mellin(builtin_multiplier("one"), 0.0)
-
-
-def test_mellin_frequency_length_mismatch():
-    with pytest.raises(ValueError, match="one entry per"):
-        mellin(lam_exp(), (1.0, 2.0))
+        mellin_on_grid(builtin_multiplier("one"), np.array([0.0]))
 
 
 def test_log_bump_mellin_closed_form():
@@ -316,13 +299,6 @@ def test_log_bump_mellin_closed_form():
     u = np.linspace(0.0, 10.0, 101)
     got = mellin_on_grid(builtin_multiplier("log_bump"), u)
     assert np.max(np.abs(got - math.sqrt(2.0 * math.pi) * np.exp(-0.5 * u**2))) <= 1e-12
-
-
-def test_mellin_on_grid_matches_pointwise():
-    m = lam_exp()
-    u = np.array([0.0, 1.0, 2.0])
-    vec = mellin_on_grid(m, u)
-    assert np.allclose(vec, [mellin(m, v) for v in u], rtol=1e-12, atol=1e-12)
 
 
 # -- damped envelopes and decay ----------------------------------------------
@@ -346,6 +322,23 @@ def test_decay_check_constant_multiplier():
         got = decay_check(builtin_multiplier("one"), N, 1, u_grid=u).sup_abs
         assert rows.sum() >= 120
         np.testing.assert_allclose(got[rows], exact[rows], rtol=1e-8, atol=0.0)
+
+
+def test_decay_check_sup_is_max_of_direct_mellin_sums():
+    # S(u) is the max over the t samples of |Mellin(m_{N,t})(u)|, each a direct
+    # trapezoid sum by mellin_on_grid: the oracle for any faster decay_check
+    grid = LogGrid(n=1 << 11)
+    u = np.geomspace(2.0, 40.0, 25)
+    for name, N in (("one", 2), ("imag_decay", 3)):
+        m = builtin_multiplier(name)
+        rep = decay_check(m, N, N - 1, u_grid=u, grid=grid)
+        direct = np.zeros(len(u))
+        for t in rep.t_samples:
+            m_nt = MultiplierSpec(1, lambda lam, t=t: (t * lam[:, 0]) ** N * np.exp(-t * lam[:, 0]) * m(lam))
+            direct = np.maximum(direct, np.abs(mellin_on_grid(m_nt, u, grid)))
+        rows = rep.sup_abs >= 1e-6 * rep.sup_abs.max()
+        assert rows.sum() >= 10, name
+        np.testing.assert_allclose(rep.sup_abs[rows], direct[rows], rtol=1e-12, atol=0.0, err_msg=name)
 
 
 def test_decay_check_builtin_family():

@@ -231,6 +231,15 @@ def test_mehler_dr_on_an_r_block_is_per_node_and_even(d):
     assert np.array_equal(_mehler_dr_raw(r[:, None, None], -x[:, None, :], -x[None, :, :]), full)
     # x[::-1] == -x on the product grid, so row n-1-i is row i reversed
     assert np.array_equal(full[:, ::-1, ::-1], full)
+    # dW_r/dr as the batched Ktilde quadrature calls it, on differences x_i - x_j
+    z = x[:, None, :] - x[None, :, :]
+    block = _w_dr_raw(r[:, None, None], z[:5])
+    assert block.shape == (len(r), 5, len(x))
+    for k, rk in enumerate(r):
+        assert np.array_equal(block[k], _w_dr_raw(float(rk), z[:5]))
+    full = _w_dr_raw(r[:, None, None], z)
+    assert np.array_equal(_w_dr_raw(r[:, None, None], -z), full)
+    assert np.array_equal(full[:, ::-1, ::-1], full)
 
 
 def test_w_kernel_matches_mehler_at_origin():

@@ -26,7 +26,6 @@ from specmult.products import (
     kappa_imag,
     kappa_indicator,
     kappa_one,
-    kappa_zero,
     kernel_Ktilde,
     local_mask,
     m_kappa,
@@ -50,6 +49,15 @@ DI_LOG_C0 = 1.0866187186463334             # 40 pairs, seed 99, d=1
 DI_RATIO_SUP_D1 = 0.27395070930048215      # same sample, C0=4
 CZ_GROWTH_SUP = 0.5209168935166102         # 200 pairs, seed 7
 CZ_SMOOTH_SUP = 2.6104116782059372         # 200 triples, seed 8
+
+# the zero profile: every kernel and multiplier built from it vanishes
+KAPPA_ZERO = KappaSpec(
+    evaluate=lambda r: np.zeros_like(np.asarray(r, dtype=float), dtype=complex),
+    support=(0.25, 0.75),
+    sup_norm=0.0,
+    closed_form=lambda lam, a: 0.0 * lam,
+    name="zero",
+)
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +153,7 @@ def test_m_kappa_rejects_negative_arguments():
 
 
 def test_m_kappa_zero_profile():
-    assert m_kappa(3.0, 1.0, kappa_zero()) == 0.0
+    assert m_kappa(3.0, 1.0, KAPPA_ZERO) == 0.0
 
 
 def test_multiplier_from_kappa():
@@ -156,7 +164,7 @@ def test_multiplier_from_kappa():
 
 
 @pytest.mark.parametrize(
-    "kappa", [kappa_one(), kappa_imag(1.5), kappa_indicator(0.2, 0.7), kappa_zero()], ids=lambda k: k.name
+    "kappa", [kappa_one(), kappa_imag(1.5), kappa_indicator(0.2, 0.7), KAPPA_ZERO], ids=lambda k: k.name
 )
 def test_multiplier_from_kappa_rows_match_m_kappa(kappa):
     # the closed form on all rows at once against m_kappa point by point;
@@ -291,7 +299,7 @@ def test_ball_volume_product(euclid1):
 
 def test_kernel_zero_kappa(euclid1):
     x, y = ProductPoint([0.0], [0.0]), ProductPoint([1.0], [1.0])
-    assert kernel_Ktilde(x, y, kappa_zero(), euclid1) == 0.0
+    assert kernel_Ktilde(x, y, KAPPA_ZERO, euclid1) == 0.0
 
 
 def test_kernel_requires_compact_support(euclid1):
@@ -681,7 +689,7 @@ def test_di_d1_degenerate_inputs():
 
 
 def test_cz_zero_kappa(euclid1):
-    rep = cz_growth_check(sample_product_pairs(20, 7, euclid1), kappa_zero(), euclid1)
+    rep = cz_growth_check(sample_product_pairs(20, 7, euclid1), KAPPA_ZERO, euclid1)
     assert rep.sup == 0.0
 
 
