@@ -165,7 +165,7 @@ _SCHEMAS: Mapping[str, Mapping[str, _Field]] = {
     "cz-decompose": {
         "fixture": _Field("step", str, lambda v: v in ("step", "random"), "step or random"),
         "threshold": _Field("1.0", float, lambda v: 0 < v < math.inf, "a positive finite real"),
-        # 64 random fibers take about 1.2 s at 8192 on 2 vCPUs, about 4x more per doubling
+        # 64 random fibers take about 0.4 s at 8192 on 2 vCPUs, about 2x more per doubling
         "grid": _Field(
             "256", int, lambda v: 8 <= v <= 8192 and v & (v - 1) == 0, "a power of two in 8..8192"
         ),
@@ -564,7 +564,14 @@ def _run_cz_decompose(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
         pts = system.n >> system.l_max
         raw = rng.random((cfg.param("fibers"), 1 << system.l_max)) ** 2 * 6.0
         f = np.repeat(raw, pts, axis=1)
-        s = s * float((f @ system.weights).max()) * 1.5
+        top_fiber = float((f @ system.weights).max())
+        s = s * top_fiber * 1.5
+        if not math.isfinite(s):
+            raise UsageError(
+                f"threshold: expected at most {sys.float_info.max / (1.5 * top_fiber):.6g}, "
+                f"since the random fixture scales it by 1.5 times the largest fiber average "
+                f"{top_fiber:.6g} (got {cfg.param('threshold')!r})"
+            )
     # a window average above s selects the whole window, and no parent cube
     # caps that average: above doubling_constant * s it breaks the good bound
     top = float(f.mean(axis=1).max())
@@ -582,9 +589,8 @@ def _run_cz_decompose(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
     )
     exact = float(np.max(np.abs(f - res.good - res.bad_sum()), initial=0.0))
     mask_ok = bool(np.array_equal(res.selection_mask(), dyadic_maximal(f, system) > s))
-    mean_ok = all(
-        np.all(np.abs(bad.values.mean(axis=1)) < 1e-12 * max(f.max(), 1.0)) for bad in res.bads
-    )
+    machine = 1e-12 * max(float(f.max()), 1.0)
+    mean_ok = all(np.all(np.abs(bad.values.mean(axis=1)) < machine) for bad in res.bads)
     band_ok = all(
         np.all(bad.averages > s / system.doubling_constant - 1e-12)
         and np.all(bad.averages <= system.doubling_constant * s + 1e-12)
@@ -601,7 +607,7 @@ def _run_cz_decompose(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
         "good_sup": float(np.max(np.abs(res.good), initial=0.0)),
     }
     invariants = {
-        "exact_to_machine": exact <= 1e-12 * max(float(f.max()), 1.0),
+        "exact_to_machine": exact <= machine,
         "l1_constant_4": l1_split <= 4.0 * l1_f + 1e-12,
         "good_bounded": results["good_sup"] <= system.doubling_constant * s + 1e-12,
         "bad_means_zero": mean_ok,

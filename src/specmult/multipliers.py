@@ -120,6 +120,8 @@ class DyadicRange:
 
 
 _STEP_REL = 1e-4  # relative step for central differences
+_CAUCHY_NODES = 64  # trapezoid nodes on the Cauchy circle of a d = 1 partial
+_CAUCHY_RADIUS = 0.5  # that circle's radius relative to lam
 _TILE_POINTS = 1 << 13  # grid points per seminorm tile: each temporary fits in 128 KiB, so malloc reuses it
 
 
@@ -136,18 +138,28 @@ def _axis_rows(axes) -> np.ndarray:
 def _partial_values(m: MultiplierSpec, gamma, axes) -> np.ndarray:
     """lam^0-free partial derivative values d^gamma m on the tensor grid of axes.
 
-    Analytic partials win; otherwise the tensor central-difference stencil
-    with per-axis relative steps h_j = _STEP_REL * lam_j, nodes
-    lam_j + (g_j/2 - i) h_j and weights (-1)^i C(g_j, i), last axis fastest.
-    Steps, shifted nodes and the divisor prod_j h_j^g_j are formed on the
-    axes; only the multiplier sees (n, d) rows.
+    For d = 1 and a multiplier with ``sector_evaluate``, the Cauchy integral
+    on the circle |z - lam| = rho lam, rho = _CAUCHY_RADIUS, by the
+    trapezoid rule on _CAUCHY_NODES nodes theta_j:
+    d^k m(lam) = k! (rho lam)^{-k} mean_j m(lam (1 + rho e^{i theta_j})) e^{-i k theta_j},
+    reduced over the node axis row by row, so a row does not depend on the tile.
+    Otherwise the tensor central-difference stencil with per-axis relative
+    steps h_j = _STEP_REL * lam_j, nodes lam_j + (g_j/2 - i) h_j and weights
+    (-1)^i C(g_j, i), last axis fastest.  Steps, shifted nodes and the
+    divisor prod_j h_j^g_j are formed on the axes; only the multiplier sees
+    (n, d) rows.
     """
     gamma = tuple(int(g) for g in gamma)
-    if m.partials is not None and gamma in m.partials:
-        lam = _axis_rows(axes)
-        return np.asarray(m.partials[gamma](lam), dtype=complex).reshape(lam.shape[0])
     if not any(gamma):
         return m(_axis_rows(axes))
+    if len(gamma) == 1 and m.sector_evaluate is not None:
+        (k,), (lam,) = gamma, axes
+        theta = 2.0 * math.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES
+        z = np.multiply.outer(lam, 1.0 + _CAUCHY_RADIUS * np.exp(1j * theta))
+        vals = m.sector_evaluate(z.reshape(-1, 1)).reshape(z.shape)
+        return (vals * np.exp(-1j * k * theta)).mean(axis=1) * (
+            math.factorial(k) / (_CAUCHY_RADIUS * lam) ** k
+        )
     h = [_STEP_REL * a for a in axes]
     stencil = [[(g / 2.0 - i, (-1.0) ** i * math.comb(g, i)) for i in range(g + 1)] for g in gamma]
     vals = None  # the first term sets the dtype: a real multiplier stays real
@@ -487,7 +499,8 @@ def square_function(sys: SpectralSystem, c: CoefficientVector, params: SquareFun
 # -- built-in multiplier family ---------------------------------------------
 #
 # MultiplierSpec.__call__ hands every evaluator an (n, arity) array, and
-# _partial_values hands the partials the same rows.
+# _partial_values hands sector_evaluate complex (n, 1) rows on its Cauchy
+# circles: a d = 1 built-in's partials come from its sector_evaluate.
 
 
 def _one(lam):
@@ -502,23 +515,6 @@ def _riesz1(z):
     return z[:, 0] / (1.0 + z[:, 0])
 
 
-def _riesz1_partial(k: int):
-    """d^k/dlam^k lam/(1+lam) = (-1)^(k+1) k! / (1+lam)^(k+1)."""
-    c = float((-1) ** (k + 1) * math.factorial(k))
-    return lambda lam: c / (1.0 + lam[:, 0]) ** (k + 1)
-
-
-def _imag_partial(u: float, k: int):
-    """d^k/dlam^k lam^{iu} = prod_{j<k} (iu - j) lam^{iu-k}."""
-    c = math.prod((1j * u - j for j in range(1, k)), start=1j * u)
-    return lambda lam: c * lam[:, 0] ** complex(-k, u)
-
-
-# orders of the closed-form partials of riesz1 and imag: every order the
-# Marcinkiewicz schema accepts
-_PARTIAL_ORDERS = range(1, 5)
-
-
 def builtin_multiplier(name: str, u: float = 1.0) -> MultiplierSpec:
     """Named multipliers used across tests and the CLI.
 
@@ -531,12 +527,10 @@ def builtin_multiplier(name: str, u: float = 1.0) -> MultiplierSpec:
     if name == "zero":
         return MultiplierSpec(1, _zeros, name="zero")
     if name == "riesz1":
-        partials = {(k,): _riesz1_partial(k) for k in _PARTIAL_ORDERS}
-        return MultiplierSpec(1, _riesz1, partials=partials, sector_evaluate=_riesz1, name="riesz1")
+        return MultiplierSpec(1, _riesz1, sector_evaluate=_riesz1, name="riesz1")
     if name == "imag":
         f = lambda z: z[:, 0] ** complex(0, u)
-        partials = {(k,): _imag_partial(u, k) for k in _PARTIAL_ORDERS}
-        return MultiplierSpec(1, f, partials=partials, sector_evaluate=f, name=f"imag(u={u})")
+        return MultiplierSpec(1, f, sector_evaluate=f, name=f"imag(u={u})")
     if name == "imag_decay":
         def f(lam):
             x = lam[:, 0]
@@ -545,14 +539,7 @@ def builtin_multiplier(name: str, u: float = 1.0) -> MultiplierSpec:
     if name == "log_bump":
         def f(lam):
             return np.exp(-0.5 * np.log(lam[:, 0]) ** 2)
-        def f1(lam):
-            x = lam[:, 0]
-            return np.exp(-0.5 * np.log(x) ** 2) * (-np.log(x) / x)
-        def f2(lam):
-            x = lam[:, 0]
-            lg = np.log(x)
-            return np.exp(-0.5 * lg**2) * (lg**2 + lg - 1.0) / x**2
-        return MultiplierSpec(1, f, partials={(1,): f1, (2,): f2}, name="log_bump")
+        return MultiplierSpec(1, f, sector_evaluate=f, name="log_bump")
     if name == "riesz2":
         def f(lam):
             tot = lam[:, 0] + lam[:, 1]

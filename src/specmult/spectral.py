@@ -178,15 +178,14 @@ class MultiplierSpec:
 
     ``evaluate`` is vectorized: it maps an (n, arity) array of spectral points
     to an (n,) complex or real array; a real one comes back as float64.
-    ``partials`` optionally maps a differentiation multi-order gamma to the
-    analytic partial derivative (same calling convention); absent orders
-    fall back to central differences.
-    ``sector_evaluate`` accepts complex arguments for rotated rays.
+    ``sector_evaluate`` is the holomorphic extension: it accepts complex
+    arguments, for rotated rays and for the Cauchy-integral partials of a
+    d = 1 Marcinkiewicz seminorm; without it, partials come from central
+    differences.
     """
 
     arity: int
     evaluate: Callable[[np.ndarray], np.ndarray]
-    partials: Mapping[MultiIndex, Callable[[np.ndarray], np.ndarray]] | None = None
     sector_evaluate: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 

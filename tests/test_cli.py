@@ -344,6 +344,16 @@ def test_main_cz_threshold_selecting_whole_window_exit(tmp_path, capsys):
     assert capsys.readouterr().out.count("PASS") == 6
 
 
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_main_cz_scaled_threshold_not_finite_exit(tmp_path, capsys, seed):
+    # the schema admits 1e308, but the random fixture scales it by 1.5 times
+    # the largest fiber average, past the largest float
+    args = ["cz-decompose", "--seed", seed, "--out", str(tmp_path), "--override", "fixture=random"]
+    assert main(args + ["--override", "threshold=1e308"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: threshold: expected at most ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_square_systems_built_once():
     assert cli._ou16() is cli._square_system(1, 16)
     assert cli._ou_torus() is cli._square_system(2, 12)

@@ -10,6 +10,9 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from specmult.multipliers import (
+    BUILTIN_MULTIPLIERS,
+    _CAUCHY_NODES,
+    _CAUCHY_RADIUS,
     _STEP_REL,
     ATLViolation,
     DecayProfile,
@@ -92,6 +95,65 @@ def test_seminorm_riesz1_matches_mpmath_boxes():
         assert marcinkiewicz_seminorm(m, (k,), dyadic) == pytest.approx(exact, rel=1e-12), k
 
 
+def _imag_decay_sector():
+    """imag_decay (u = 1) with the holomorphic extension z^i e^{-z} it lacks."""
+    f = lambda z: z[:, 0] ** 1j * np.exp(-z[:, 0])
+    return MultiplierSpec(1, f, sector_evaluate=f, name="imag_decay[sector]")
+
+
+_CAUCHY_ORACLES = {
+    "riesz1": (lambda: builtin_multiplier("riesz1"), lambda z: z / (1 + z)),
+    "imag": (lambda: builtin_multiplier("imag"), lambda z: z**1j),
+    "log_bump": (lambda: builtin_multiplier("log_bump"), lambda z: mpmath.exp(-mpmath.log(z) ** 2 / 2)),
+    "imag_decay": (_imag_decay_sector, lambda z: z**1j * mpmath.exp(-z)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CAUCHY_ORACLES))
+def test_cauchy_partials_match_mpmath(name):
+    # each error within 1e-14 times the Cauchy ceiling k! rho^-k max_disc|m|,
+    # which also bounds the rule's value itself
+    make, exact_fn = _CAUCHY_ORACLES[name]
+    m = make()
+    lam = np.array([1e-3, 0.1, 1.0, 3.0, 10.0])
+    # max modulus: the disc's max sits on its circle, sampled through the rule's nodes
+    n = 64 * _CAUCHY_NODES
+    circle = np.multiply.outer(lam, 1.0 + _CAUCHY_RADIUS * np.exp(2j * math.pi * np.arange(n) / n))
+    disc_max = np.abs(m.sector_evaluate(circle.reshape(-1, 1))).reshape(circle.shape).max(axis=1)
+    for k in range(1, 5):
+        got = lam**k * _partial_values(m, (k,), [lam])
+        ceiling = math.factorial(k) * _CAUCHY_RADIUS**-k * disc_max
+        with mpmath.workdps(30):
+            exact = np.array(
+                [complex(x**k * mpmath.diff(exact_fn, x, k)) for x in map(mpmath.mpf, lam)]
+            )
+        assert np.all(np.abs(got - exact) <= 1e-14 * ceiling), (name, k)
+        assert np.all(np.abs(got) <= ceiling), (name, k)
+
+
+def _seminorm_axis(dyadic=DyadicRange(), n_gl=32):
+    """The per-axis Gauss-Legendre nodes of a seminorm: n_gl per dyadic box."""
+    xi, _ = gauss_legendre(n_gl)
+    return np.exp((np.log(dyadic.radii())[:, None] + (xi[None, :] + 1.0) / 2.0 * math.log(2.0)).ravel())
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in BUILTIN_MULTIPLIERS if builtin_multiplier(n).sector_evaluate is not None]
+)
+def test_sector_evaluate_equals_evaluate_on_seminorm_axis(name):
+    # the Cauchy rule differentiates sector_evaluate, so it must be the
+    # function the reports evaluate on the positive reals
+    m = builtin_multiplier(name)
+    axis = _seminorm_axis()
+    if m.arity == 1:
+        lam = axis[:, None]
+    else:  # every 8th node keeps the 2-d tensor grid at 110k points
+        lam = np.stack(np.meshgrid(axis[::8], axis[::8], indexing="ij"), axis=-1).reshape(-1, 2)
+    np.testing.assert_allclose(
+        m.sector_evaluate(lam.astype(complex)), m(lam), rtol=2 * np.finfo(float).eps, atol=0.0
+    )
+
+
 def test_seminorm_two_homogeneous_exactly():
     # doubling m scales every intermediate by a power of two, so the
     # quadrature commutes with the scaling bit for bit
@@ -142,8 +204,8 @@ def _full_grid_seminorm(m, gamma, dyadic, n_gl=32):
     """The seminorm on the whole d-fold tensor grid at once, node axes contracted last first."""
     d = m.arity
     R = dyadic.radii()
-    xi, wq = gauss_legendre(n_gl)
-    lam_axis = np.exp((np.log(R)[:, None] + (xi[None, :] + 1.0) / 2.0 * math.log(2.0)).ravel())
+    _, wq = gauss_legendre(n_gl)
+    lam_axis = _seminorm_axis(dyadic, n_gl)
     lam = np.stack(np.meshgrid(*[lam_axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
     weight = math.prod(lam[:, j] ** g for j, g in enumerate(gamma))
     box = (np.abs(weight * _partial_values(m, gamma, [lam_axis] * d)) ** 2).reshape((len(R), n_gl) * d)
@@ -155,7 +217,8 @@ def _full_grid_seminorm(m, gamma, dyadic, n_gl=32):
 def test_blocked_seminorm_equals_full_grid():
     # per-radius blocks end in the full grid's (n_R, n_gl, ...) contraction, bit for bit
     dyadic = DyadicRange(K=3)
-    for name, rho in (("imag_decay", (4,)), ("riesz1", (2,)), ("log_bump", (2,)), ("riesz2", (2, 2))):
+    cases = (("imag_decay", (4,)), ("riesz1", (2,)), ("imag", (4,)), ("log_bump", (2,)), ("riesz2", (2, 2)))
+    for name, rho in cases:
         m = builtin_multiplier(name)
         for gamma in MarcOrder(rho).gammas():
             assert marcinkiewicz_seminorm(m, gamma, dyadic) == _full_grid_seminorm(m, gamma, dyadic), (name, gamma)
@@ -197,7 +260,7 @@ def _log_uniform_points(n, d, seed):
 
 
 def test_partial_values_written_out_d1():
-    m = builtin_multiplier("imag_decay")  # no analytic partials
+    m = builtin_multiplier("imag_decay")  # no sector_evaluate: the stencil
     lam = _log_uniform_points(2000, 1, 0)
     h = _STEP_REL * lam
 
@@ -213,12 +276,17 @@ def test_partial_values_written_out_d1():
     }
     for g, expected in written.items():
         np.testing.assert_array_equal(_partial_values(m, (g,), [lam[:, 0]]), expected)
-    riesz1 = builtin_multiplier("riesz1")  # analytic partials win over the stencil
-    np.testing.assert_array_equal(_partial_values(riesz1, (1,), [lam[:, 0]]), riesz1.partials[(1,)](lam))
+    riesz1 = builtin_multiplier("riesz1")  # a sector_evaluate: the Cauchy rule wins over the stencil
+    theta = 2.0 * math.pi * np.arange(64) / 64
+    x = lam[:, 0]
+    z = x[:, None] * (1.0 + 0.5 * np.exp(1j * theta))[None, :]
+    on_circle = (z / (1.0 + z)) * np.exp(-1j * theta)  # riesz1 on the circle, times e^{-i theta}
+    expected = on_circle.mean(axis=1) * (1.0 / (0.5 * x))
+    np.testing.assert_array_equal(_partial_values(riesz1, (1,), [x]), expected)
 
 
 def test_partial_values_written_out_d2():
-    m = builtin_multiplier("riesz2")  # no analytic partials
+    m = builtin_multiplier("riesz2")  # d = 2: the stencil
     axes = _log_uniform_points(50, 2, 1).T
     lam = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     h = _STEP_REL * lam
