@@ -431,6 +431,16 @@ def test_riesz_cross_check_at_the_schema_maximum(tmp_path):
     assert summary["results"]["max_relative_error"] <= 1e-5
 
 
+def test_cz_estimates_model_dim_2_frozen(tmp_path, capsys):
+    # the audits on R^1 x R^2, which no benchmark workload runs, pinned at seed 1
+    out = tmp_path / "r"
+    assert main(["cz-estimates", "--seed", "1", "--override", "model_dim=2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert results["growth_sup"] == pytest.approx(0.4651293757486013, rel=1e-12)
+    assert results["smooth_sup"] == pytest.approx(1.7881557608042646, rel=1e-12)
+
+
 def test_riesz_cross_check_frees_its_system_before_the_split(tmp_path, monkeypatch):
     # the tensor system and its held complex basis (5.1 MB at the defaults)
     # are out of scope by the time the T split runs
