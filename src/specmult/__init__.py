@@ -48,11 +48,9 @@ from .ouhermite import (
     ou_system,
 )
 from .products import (
-    EtaMetric,
     HeatKernelModel,
     KappaSpec,
     ProductGrid,
-    ProductPoint,
     apply_T_split,
     cz_growth_check,
     cz_smooth_check,

@@ -289,7 +289,6 @@ def operator_registry() -> dict[str, tuple[Callable[[], SpectralSystem], str, bo
     """id -> (system builder, built-in multiplier name, needs ATL-safe draws)."""
     reg: dict[str, tuple[Callable[[], SpectralSystem], str, bool]] = {
         "identity": (_ou16, "one", False),
-        "zero": (_ou16, "zero", False),
         "riesz": (_ou_torus, "riesz2", False),
     }
     for name in BUILTIN_MULTIPLIERS:

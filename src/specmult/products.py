@@ -37,8 +37,6 @@ __all__ = [
     "euclidean_heat_model",
     "torus_heat_model",
     "torus_system",
-    "ProductPoint",
-    "EtaMetric",
     "ProductGrid",
     "product_grid",
     "in_local_region",
@@ -350,43 +348,27 @@ def torus_system(n_max: int, n_grid: int | None = None) -> SpectralSystem:
 # -- product geometry --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductPoint:
-    x1: np.ndarray
-    x2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x1", np.atleast_1d(np.asarray(self.x1, dtype=float)))
-        object.__setattr__(self, "x2", np.atleast_1d(np.asarray(self.x2, dtype=float)))
+# A point x = (x1, x2) of R^d x Y is a row of d + model.dim floats, x2 in the
+# last model.dim columns, as in ProductGrid.points(); a stack of points is an
+# array of such rows.
 
 
-def _stack_points(points) -> tuple[np.ndarray, np.ndarray]:
-    """(x1, x2) arrays with one row per product point (a ProductPoint or an (x1, x2) pair)."""
-    if not len(points):
-        return np.empty((0, 1)), np.empty((0, 1))
-    pts = [p if isinstance(p, ProductPoint) else ProductPoint(*p) for p in points]
-    return np.array([p.x1 for p in pts]), np.array([p.x2 for p in pts])
+def _columns(model: HeatKernelModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x1 and x2 columns of the product points x."""
+    return x[..., :-model.dim], x[..., -model.dim:]
 
 
-def _eta_rows(model: HeatKernelModel, x, y) -> np.ndarray:
-    """max(|x1 - y1|, zeta(x2, y2)) row by row at stacked points x = (x1, x2), y = (y1, y2)."""
-    return np.maximum(np.linalg.norm(x[0] - y[0], axis=-1), model.zeta(x[1], y[1]))
+def _eta_rows(model: HeatKernelModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """eta(x, y) = max(|x1 - y1|, zeta(x2, y2)), the product metric, row by row."""
+    (x1, x2), (y1, y2) = _columns(model, x), _columns(model, y)
+    return np.maximum(np.linalg.norm(x1 - y1, axis=-1), model.zeta(x2, y2))
 
 
-def _ball_volume_rows(model: HeatKernelModel, x, R: np.ndarray) -> np.ndarray:
-    """|B(x1, R)| * mu(B(x2, R)) row by row at stacked points x = (x1, x2) and radii R."""
-    d = x[0].shape[1]
-    return _UNIT_BALL_VOLUME[d] * R**d * model.ball_volume(x[1], R)
-
-
-class EtaMetric:
-    """eta(x, y) = max(|x1 - y1|, zeta(x2, y2)): the product metric."""
-
-    def __init__(self, model: HeatKernelModel):
-        self.model = model
-
-    def __call__(self, x, y) -> float:
-        return float(_eta_rows(self.model, _stack_points([x]), _stack_points([y]))[0])
+def _ball_volume_rows(model: HeatKernelModel, x: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """|B(x1, R)| * mu(B(x2, R)) row by row at the points x and radii R."""
+    x1, x2 = _columns(model, x)
+    d = x1.shape[-1]
+    return _UNIT_BALL_VOLUME[d] * R**d * model.ball_volume(x2, R)
 
 
 def _check_cutoff(s: float) -> None:
@@ -455,14 +437,14 @@ _PAIR_BLOCK = 32
 
 
 def _ktilde_rows(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int) -> np.ndarray:
-    """The comparison kernel Ktilde at stacked point pairs x = (x1, x2), y = (y1, y2).
+    """The comparison kernel Ktilde at the point pairs (x, y), one pair per row.
 
     The r-integrand is kappa(r) dW_r/dr(x1 - y1) p_{-log r}(x2, y2).
     model.kernel is batched over the r-nodes and the pairs of a block at
     once.  Each element goes through the float operations of the one-pair
     quadrature, so batched and one-pair values agree bit for bit.
     """
-    (x1, x2), (y1, y2) = x, y
+    (x1, x2), (y1, y2) = _columns(model, x), _columns(model, y)
     r, w = _r_quadrature(kappa, n_r)
     t = -np.log(r)
     weight = w * kappa(r)
@@ -476,8 +458,12 @@ def _ktilde_rows(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int) -> np
 
 
 def kernel_Ktilde(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 512) -> complex:
-    """Ktilde(x, y) = int kappa(r) dW_r/dr(x1 - y1) p_{-log r}(x2, y2) dr, the comparison kernel."""
-    return complex(_ktilde_rows(_stack_points([x]), _stack_points([y]), kappa, model, n_r)[0])
+    """Ktilde(x, y) = int kappa(r) dW_r/dr(x1 - y1) p_{-log r}(x2, y2) dr, the comparison kernel.
+
+    x and y are product points, each one row (x1, x2) with x2 in the last model.dim entries.
+    """
+    x, y = (np.asarray(p, dtype=float).reshape(1, -1) for p in (x, y))
+    return complex(_ktilde_rows(x, y, kappa, model, n_r)[0])
 
 
 def local_mask(grid: ProductGrid, s: float = 2.0) -> np.ndarray:
@@ -715,10 +701,6 @@ class CZEstimateReport:
     kind: str
 
 
-def _select(x, keep: np.ndarray):
-    return x[0][keep], x[1][keep]
-
-
 def _report(vals: np.ndarray, n_filtered: int, kind: str, kappa: KappaSpec) -> CZEstimateReport:
     """The audit report of the kernel values vals, taken relative to sup|kappa| when it is > 0."""
     if kappa.sup_norm > 0:
@@ -735,14 +717,14 @@ def _report(vals: np.ndarray, n_filtered: int, kind: str, kappa: KappaSpec) -> C
 def cz_growth_check(pairs, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 512) -> CZEstimateReport:
     """sup over pairs of |Ktilde(x,y)| (Lambda x mu)(B(x, eta(x,y))) / sup|kappa|.
 
+    pairs is an (n, 2, d + model.dim) array, as sample_product_pairs draws it.
     Pairs with eta(x, y) = 0 are filtered out; the rest are evaluated in one
     batched kernel quadrature.
     """
-    x = _stack_points([p[0] for p in pairs])
-    y = _stack_points([p[1] for p in pairs])
+    x, y = np.moveaxis(pairs, 1, 0)
     e = _eta_rows(model, x, y)
     keep = e != 0.0
-    x, y, e = _select(x, keep), _select(y, keep), e[keep]
+    x, y, e = x[keep], y[keep], e[keep]
     K = _ktilde_rows(x, y, kappa, model, n_r)
     # hypot rounds like Python's abs(complex); NumPy's complex abs can differ in the last bit
     vals = np.hypot(K.real, K.imag) * _ball_volume_rows(model, x, e)
@@ -750,13 +732,15 @@ def cz_growth_check(pairs, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 
 
 
 def cz_smooth_check(triples, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 512) -> CZEstimateReport:
-    """Smoothness audit on triples (x, y, y') with 2 eta(y,y') <= eta(x,y)."""
-    x, y, yp = (_stack_points([t[i] for t in triples]) for i in range(3))
+    """Smoothness audit on triples (x, y, y') with 2 eta(y,y') <= eta(x,y).
+
+    triples is an (n, 3, d + model.dim) array, as sample_product_triples draws it.
+    """
+    x, y, yp = np.moveaxis(triples, 1, 0)
     e_xy = _eta_rows(model, x, y)
     e_yy = _eta_rows(model, y, yp)
     keep = (e_yy != 0.0) & ~(2.0 * e_yy > e_xy)
-    x, y, yp = _select(x, keep), _select(y, keep), _select(yp, keep)
-    e_xy, e_yy = e_xy[keep], e_yy[keep]
+    x, y, yp, e_xy, e_yy = x[keep], y[keep], yp[keep], e_xy[keep], e_yy[keep]
     diff = _ktilde_rows(x, y, kappa, model, n_r) - _ktilde_rows(x, yp, kappa, model, n_r)
     vals = np.hypot(diff.real, diff.imag) * (e_xy / e_yy) * _ball_volume_rows(model, x, e_xy)
     return _report(vals, len(keep) - len(vals), "smooth", kappa)
@@ -773,34 +757,36 @@ def _child_rngs(seed: int, n: int):
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _draw_pair(rng: np.random.Generator, model: HeatKernelModel, d: int) -> tuple[ProductPoint, ProductPoint]:
-    """One (x, y) draw on R^d x Y: x1 and y1 first, then x2 and y2."""
-    x1, y1 = rng.normal(0.0, _SAMPLE_SD, d), rng.normal(0.0, _SAMPLE_SD, d)
+def _draw_pair(rng: np.random.Generator, model: HeatKernelModel, d: int, out: np.ndarray) -> None:
+    """One (x, y) draw on R^d x Y into the rows out[0] and out[1]: x1 and y1 first, then x2 and y2."""
+    (x1, x2), (y1, y2) = _columns(model, out[0]), _columns(model, out[1])
+    x1[:], y1[:] = rng.normal(0.0, _SAMPLE_SD, d), rng.normal(0.0, _SAMPLE_SD, d)
     if model.torus:
-        x2, y2 = rng.uniform(0.0, 1.0, 1), rng.uniform(0.0, 1.0, 1)
+        x2[:], y2[:] = rng.uniform(0.0, 1.0, 1), rng.uniform(0.0, 1.0, 1)
     else:
-        x2 = rng.normal(0.0, _SAMPLE_SD, model.dim)
-        y2 = rng.normal(0.0, _SAMPLE_SD, model.dim)
-    return ProductPoint(x1, x2), ProductPoint(y1, y2)
+        x2[:] = rng.normal(0.0, _SAMPLE_SD, model.dim)
+        y2[:] = rng.normal(0.0, _SAMPLE_SD, model.dim)
 
 
-def sample_product_pairs(n: int, seed: int, model: HeatKernelModel, d: int = 1):
-    """Random (x, y) pairs on R^d x Y for the growth audit."""
-    return [_draw_pair(rng, model, d) for rng in _child_rngs(seed, n)]
+def sample_product_pairs(n: int, seed: int, model: HeatKernelModel, d: int = 1) -> np.ndarray:
+    """Random (x, y) pairs on R^d x Y for the growth audit, as an (n, 2, d + model.dim) array."""
+    out = np.empty((n, 2, d + model.dim))
+    for rng, pair in zip(_child_rngs(seed, n), out):
+        _draw_pair(rng, model, d, pair)
+    return out
 
 
-def sample_product_triples(n: int, seed: int, model: HeatKernelModel, d: int = 1):
-    """Random (x, y, y') triples with y' a small perturbation of y."""
-    out = []
-    eta = EtaMetric(model)
-    for rng in _child_rngs(seed, n):
-        x, y = _draw_pair(rng, model, d)
-        scale = 0.25 * eta(x, y) * rng.uniform(0.2, 1.0)
+def sample_product_triples(n: int, seed: int, model: HeatKernelModel, d: int = 1) -> np.ndarray:
+    """Random (x, y, y') triples with y' a small perturbation of y, as an (n, 3, d + model.dim) array."""
+    out = np.empty((n, 3, d + model.dim))
+    for rng, triple in zip(_child_rngs(seed, n), out):
+        _draw_pair(rng, model, d, triple)
+        x, y, yp = triple
+        scale = 0.25 * float(_eta_rows(model, x, y)) * rng.uniform(0.2, 1.0)
         u1 = rng.normal(0.0, 1.0, d)
         u2 = rng.normal(0.0, 1.0, model.dim)
         nrm = math.sqrt(float(u1 @ u1 + u2 @ u2))
-        yp = ProductPoint(y.x1 + scale * u1 / nrm, y.x2 + scale * u2 / nrm)
-        out.append((x, y, yp))
+        yp[:] = y + scale * np.concatenate([u1, u2]) / nrm
     return out
 
 

@@ -12,10 +12,9 @@ from specmult import products, spectral
 from specmult.ouhermite import _mehler_dr_raw, _w_dr_raw, ou_system
 from specmult.products import (
     _ball_volume_rows,
+    _eta_rows,
     _r_quadrature,
-    EtaMetric,
     KappaSpec,
-    ProductPoint,
     apply_T_split,
     cz_growth_check,
     cz_smooth_check,
@@ -243,8 +242,7 @@ def test_kernel_joint_batching_matches_per_pair(euclid1, torus, d):
     t = -np.log(np.linspace(0.1, 0.9, 512))
     for model in (euclid1, euclidean_heat_model(2), torus):
         pairs = sample_product_pairs(32, 5, model, d=d)
-        x2 = np.array([x.x2 for x, _ in pairs])
-        y2 = np.array([y.x2 for _, y in pairs])
+        x2, y2 = pairs[:, 0, d:], pairs[:, 1, d:]
         joint = model.kernel(t, x2[:, None, :], y2[:, None, :])
         assert joint.shape == (32, 512)
         assert np.array_equal(joint, np.array([model.kernel(t, p, q) for p, q in zip(x2, y2)]))
@@ -281,16 +279,16 @@ def test_local_region_symmetry():
 
 
 def test_eta_metric(euclid1):
-    eta = EtaMetric(euclid1)
-    x = ProductPoint([0.0], [0.0])
-    y = ProductPoint([1.0], [0.3])
-    assert eta(x, y) == 1.0
-    assert eta(x, y) == eta(y, x)
+    # points (x1, x2) of R^1 x R^1 as rows
+    x = np.array([[0.0, 0.0]])
+    y = np.array([[1.0, 0.3]])
+    assert _eta_rows(euclid1, x, y).tolist() == [1.0]
+    assert _eta_rows(euclid1, y, x).tolist() == [1.0]
 
 
 def test_ball_volume_product(euclid1):
     # |B_R(x1)| * mu(B_R(x2)) = 2R * 2R in R^1 x R^1
-    x = (np.array([[0.0]]), np.array([[0.0]]))
+    x = np.array([[0.0, 0.0]])
     assert _ball_volume_rows(euclid1, x, np.array([1.0])).tolist() == [4.0]
 
 
@@ -298,18 +296,18 @@ def test_ball_volume_product(euclid1):
 
 
 def test_kernel_zero_kappa(euclid1):
-    x, y = ProductPoint([0.0], [0.0]), ProductPoint([1.0], [1.0])
+    x, y = [0.0, 0.0], [1.0, 1.0]
     assert kernel_Ktilde(x, y, KAPPA_ZERO, euclid1) == 0.0
 
 
 def test_kernel_requires_compact_support(euclid1):
-    x, y = ProductPoint([0.0], [0.0]), ProductPoint([1.0], [1.0])
+    x, y = [0.0, 0.0], [1.0, 1.0]
     with pytest.raises(ValueError, match="compact support"):
         kernel_Ktilde(x, y, kappa_one(), euclid1)
 
 
 def test_kernel_linear_in_kappa(euclid1, kid):
-    x, y = ProductPoint([0.2], [0.1]), ProductPoint([1.0], [0.7])
+    x, y = [0.2, 0.1], [1.0, 0.7]
     bump = KappaSpec(
         evaluate=lambda r: np.sin(np.pi * np.asarray(r)).astype(complex),
         support=(0.1, 0.9),
@@ -329,8 +327,8 @@ def test_kernel_linear_in_kappa(euclid1, kid):
 
 def test_ktilde_translation_invariance(euclid1, kid):
     # x1, y1 enter only through x1 - y1; a power-of-two shift is exact
-    a = kernel_Ktilde(ProductPoint([0.25], [0.1]), ProductPoint([1.0], [0.6]), kid, euclid1)
-    b = kernel_Ktilde(ProductPoint([0.75], [0.1]), ProductPoint([1.5], [0.6]), kid, euclid1)
+    a = kernel_Ktilde([0.25, 0.1], [1.0, 0.6], kid, euclid1)
+    b = kernel_Ktilde([0.75, 0.1], [1.5, 0.6], kid, euclid1)
     assert a == b
 
 
@@ -343,11 +341,17 @@ def _r_rule(kappa):
     return 0.5 * (hi - lo) * xi + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
+def _split(model, x):
+    """The x1 and x2 parts of a product point held as one row."""
+    return x[:-model.dim], x[-model.dim:]
+
+
 def _ktilde_pointwise(x, y, kappa, model):
     """The comparison kernel of one pair, its r-quadrature written out."""
+    (x1, x2), (y1, y2) = _split(model, x), _split(model, y)
     r, w = _r_rule(kappa)
-    pk = model.kernel(-np.log(r), x.x2, y.x2)
-    return complex(np.sum(w * kappa(r) * _w_dr_raw(r, x.x1 - y.x1) * pk))
+    pk = model.kernel(-np.log(r), x2, y2)
+    return complex(np.sum(w * kappa(r) * _w_dr_raw(r, x1 - y1) * pk))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -359,13 +363,15 @@ def test_kernels_match_pointwise_formulas(euclid1, torus, kid, d):
 
 
 def _eta_pointwise(model, x, y):
-    return float(max(np.linalg.norm(x.x1 - y.x1), model.zeta(x.x2, y.x2)))
+    (x1, x2), (y1, y2) = _split(model, x), _split(model, y)
+    return float(max(np.linalg.norm(x1 - y1), model.zeta(x2, y2)))
 
 
 def _volume_pointwise(model, x, R):
     """|B(x1, R)| * mu(B(x2, R)) written out: 2R in R^1, pi R^2 in R^2."""
-    omega_rd = 2.0 * R if len(x.x1) == 1 else math.pi * R**2
-    return float(omega_rd * model.ball_volume(x.x2, R))
+    x1, x2 = _split(model, x)
+    omega_rd = 2.0 * R if len(x1) == 1 else math.pi * R**2
+    return float(omega_rd * model.ball_volume(x2, R))
 
 
 def test_cz_values_match_pointwise_formulas(euclid1, kid):
@@ -393,16 +399,16 @@ def test_cz_values_match_pointwise_formulas(euclid1, kid):
 
 def test_cz_batched_matches_scalar_helpers():
     # with x1 in R^2 and a complex kappa the audits still agree exactly with
-    # EtaMetric, the written-out ball volume and abs(kernel_Ktilde) pair by pair
+    # the one-pair eta, the written-out ball volume and abs(kernel_Ktilde) pair by pair
     model = euclidean_heat_model(2)
-    eta = EtaMetric(model)
     chirp = KappaSpec(evaluate=lambda r: np.exp(7j * np.asarray(r)), support=(0.1, 0.9), sup_norm=1.0)
     pairs = sample_product_pairs(200, 3, model, d=2)
     want = [
-        abs(kernel_Ktilde(x, y, chirp, model)) * _volume_pointwise(model, x, eta(x, y)) for x, y in pairs
+        abs(kernel_Ktilde(x, y, chirp, model)) * _volume_pointwise(model, x, float(_eta_rows(model, x, y)))
+        for x, y in pairs
     ]
     assert np.array_equal(cz_growth_check(pairs, chirp, model).values, want)
-    assert cz_growth_check([], chirp, model).n_used == 0
+    assert cz_growth_check(pairs[:0], chirp, model).n_used == 0
 
 
 def test_gauss_legendre_rule_is_shared_and_read_only():
@@ -443,8 +449,8 @@ def test_no_rule_rebuilt_per_call(monkeypatch, euclid1, torus, kid):
 
 
 def test_ktilde_growth_frozen(euclid1, kid):
-    x, y = ProductPoint([0.0], [0.0]), ProductPoint([1.0], [1.0])
-    e = EtaMetric(euclid1)(x, y)
+    x, y = np.array([0.0, 0.0]), np.array([1.0, 1.0])
+    e = _eta_pointwise(euclid1, x, y)
     got = abs(kernel_Ktilde(x, y, kid, euclid1)) * _volume_pointwise(euclid1, x, e) / kid.sup_norm
     assert got == pytest.approx(KTILDE_GROWTH_R1, rel=1e-12)
 
@@ -710,9 +716,11 @@ def test_cz_smooth_frozen_and_stable(euclid1, kid):
     assert rep.sup <= 1.5 * half.sup
 
 
-def test_sampler_prefix_stability(euclid1):
-    short = sample_product_pairs(4, 13, euclid1)
-    long = sample_product_pairs(8, 13, euclid1)
-    for (xa, ya), (xb, yb) in zip(short, long):
-        assert np.array_equal(xa.x1, xb.x1) and np.array_equal(ya.x1, yb.x1)
-        assert np.array_equal(xa.x2, xb.x2) and np.array_equal(ya.x2, yb.x2)
+def test_sampler_prefix_stability(euclid1, torus):
+    # cz-estimates audits the first n samples of a 2n draw as the n draw
+    for model in (euclid1, euclidean_heat_model(2), torus):
+        for d in (1, 2):
+            for sampler, k in ((sample_product_pairs, 2), (sample_product_triples, 3)):
+                short = sampler(4, 13, model, d=d)
+                assert short.shape == (4, k, d + model.dim)
+                assert np.array_equal(sampler(8, 13, model, d=d)[:4], short)
