@@ -71,7 +71,6 @@ from .products import (
     torus_system,
 )
 from .spectral import (
-    CoefficientVector,
     EvaluationError,
     GridFunction,
     MultiplierSpec,

@@ -199,8 +199,12 @@ class ExperimentConfig:
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments ignored."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"config: cannot read {path}: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -493,7 +497,7 @@ def _riesz_spectral_side(cfg: ExperimentConfig, kappa) -> tuple[list, list, floa
     c = sys_.random_coefficients(np.random.default_rng(cfg.seed))
     ca = apply_multiplier(riesz, sys_, c)
     cb = apply_multiplier(flip, sys_, c)
-    resid = np.max(np.abs(ca.values + cb.values - c.values))  # all three in basis order
+    resid = np.max(np.abs(ca + cb - c))
     return fs, g_spec, float(resid)
 
 
@@ -678,7 +682,8 @@ def run(config: ExperimentConfig) -> dict:
     """Execute one experiment and write its report files.
 
     Returns the summary dict; writes ``summary.json`` plus one CSV per
-    result table under ``config.out``.
+    result table under ``config.out``; an ``out`` that cannot be written is
+    a UsageError.
     """
     start = time.perf_counter()
     runner = _EXPERIMENTS[config.kind]
@@ -690,28 +695,31 @@ def run(config: ExperimentConfig) -> dict:
         if isinstance(value, float) and not math.isfinite(value):
             raise NumericalFailure(f"result {key} is not finite")
 
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        if header == ["__svg__"]:
-            (out / f"{name.removesuffix('_svg')}.svg").write_text(rows[0][0] + "\n")
-            continue
-        with open(out / f"{name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_csv_cell(cell) for cell in row])
+    try:
+        out = Path(config.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            if header == ["__svg__"]:
+                (out / f"{name.removesuffix('_svg')}.svg").write_text(rows[0][0] + "\n")
+                continue
+            with open(out / f"{name}.csv", "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow([_csv_cell(cell) for cell in row])
 
-    summary = {
-        "schema": 1,
-        "config": _jsonable(
-            {"kind": config.kind, "seed": config.seed, "out": config.out, **config.params}
-        ),
-        "results": _jsonable(results),
-        "invariants": _jsonable(invariants),
-        "runtime_seconds": time.perf_counter() - start,
-    }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        summary = {
+            "schema": 1,
+            "config": _jsonable(
+                {"kind": config.kind, "seed": config.seed, "out": config.out, **config.params}
+            ),
+            "results": _jsonable(results),
+            "invariants": _jsonable(invariants),
+            "runtime_seconds": time.perf_counter() - start,
+        }
+        (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise UsageError(f"out: cannot write the report to {config.out}: {exc}") from None
     return summary
 
 
@@ -756,9 +764,6 @@ def main(argv: list[str] | None = None) -> int:
         summary = run(config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"usage error: config: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -26,10 +26,10 @@ from typing import Iterator
 import numpy as np
 
 from .spectral import (
-    CoefficientVector,
     GridFunction,
     MultiplierSpec,
     SpectralSystem,
+    _coefficients,
     _pair_rows,
     _trapezoid,
     gauss_legendre,
@@ -463,7 +463,7 @@ def square_constant(N) -> float:
     return float(math.prod(math.gamma(2 * n) / 4.0**n for n in np.atleast_1d(N).tolist()))
 
 
-def square_function(sys: SpectralSystem, c: CoefficientVector, params: SquareFunctionParams) -> GridFunction:
+def square_function(sys: SpectralSystem, c: np.ndarray, params: SquareFunctionParams) -> GridFunction:
     """g_N(f)(x) = ( sum_t w_t | sum_k (t lam(k))^N e^{-<t,lam(k)>} c_k H_k(x) |^2 )^{1/2}.
 
     The t-sum over the tensor grid is contracted analytically per axis, which
@@ -471,19 +471,20 @@ def square_function(sys: SpectralSystem, c: CoefficientVector, params: SquareFun
     """
     if len(params.N) != sys.dimension:
         raise ValueError("params.N must match system dimension")
-    support = np.flatnonzero(c.values)
-    if not support.size:
+    c = _coefficients(c, sys)
+    rows = np.flatnonzero(c)
+    if not rows.size:
         return sys.grid_function(np.zeros(len(sys.weights)))
-    rows = sys.positions(c.indices)[support]
     lam = sys.eigenvalue_matrix()[rows]  # (n_sup, d)
     if np.any(lam == 0.0):
         i, j = np.argwhere(lam == 0.0)[0]
         raise ATLViolation(
-            f"coefficient at index {c.indices[support[i]]} sits on a zero eigenvalue (axis {int(j)})"
+            f"coefficient at index {tuple(sys.basis_index_set[rows[i]].tolist())} "
+            f"sits on a zero eigenvalue (axis {int(j)})"
         )
-    cvec = c.values[support]
+    cvec = c[rows]
     # per-axis kernels: k_j(a, b) = sum_i w_i (t_i a)^N (t_i b)^N e^{-t_i (a+b)}
-    M = np.ones((len(support), len(support)))
+    M = np.ones((len(rows), len(rows)))
     for j, (t, w, Nj) in enumerate(zip(params.t_nodes, params.t_weights, params.N)):
         a, inv = np.unique(lam[:, j], return_inverse=True)
         P = (np.outer(a, t)) ** Nj * np.exp(-np.outer(a, t))  # (n_a, n_t)

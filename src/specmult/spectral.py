@@ -5,6 +5,7 @@ A :class:`SpectralSystem` holds a finite orthonormal basis as arrays: an
 and a quadrature rule for the underlying measure.  Joint multiplier
 operators m(L_1, ..., L_d) are diagonal in the basis, so applying one is
 multiplying the coefficient array by m evaluated on the eigenvalue rows.
+A coefficient vector is a complex (n,) array in the same row order.
 
 Everything here is exact linear algebra on finite sums; the only analysis
 lives in the quadrature rule a system is built with.  The L^2 domain
@@ -14,16 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import roots_legendre
 
 __all__ = [
-    "MultiIndex",
     "GridFunction",
-    "CoefficientVector",
     "MultiplierSpec",
     "SpectralSystem",
     "EvaluationError",
@@ -34,9 +32,6 @@ __all__ = [
     "tensor",
     "gauss_legendre",
 ]
-
-#: Multi-indices are plain tuples of non-negative ints.
-MultiIndex = tuple
 
 TAU_ORTH = 1e-10  # orthonormality tolerance of shipped quadrature rules
 
@@ -132,46 +127,6 @@ class GridFunction:
         return GridFunction(self.points, self.weights, values)
 
 
-class CoefficientVector:
-    """Spectral coefficients: ``values[i]`` belongs to the multi-index ``indices[i]``.
-
-    Build one from a mapping ``{multi-index: value}``, or from matching
-    ``indices`` and ``values`` sequences.
-    """
-
-    def __init__(
-        self,
-        coeffs: Mapping[MultiIndex, complex] | None = None,
-        *,
-        indices: Sequence[MultiIndex] = (),
-        values=(),
-    ):
-        if coeffs is not None:
-            coeffs = {tuple(k): v for k, v in dict(coeffs).items()}
-            indices, values = tuple(coeffs), list(coeffs.values())
-        self.indices = tuple(indices)
-        self.values = np.asarray(values, dtype=complex)
-        if self.values.shape != (len(self.indices),):
-            raise ValueError("need one value per index")
-
-    @cached_property
-    def _position(self) -> dict:
-        return dict(zip(self.indices, range(len(self.indices))))
-
-    def get(self, k: MultiIndex) -> complex:
-        i = self._position.get(tuple(k))
-        return 0.0 + 0.0j if i is None else complex(self.values[i])
-
-    def items(self):
-        return zip(self.indices, self.values.tolist())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
 @dataclass(frozen=True)
 class MultiplierSpec:
     """A scalar multiplier function on (0, inf)^arity.
@@ -206,13 +161,14 @@ class MultiplierSpec:
 class SpectralSystem:
     """Truncated joint eigen-system of d commuting operators, held as arrays.
 
-    Row i of every per-basis array belongs to the multi-index
-    ``basis_index_set[i]``.
+    Row i of every per-basis array, and entry i of a coefficient array,
+    belongs to the multi-index ``basis_index_set[i]``.
 
     Parameters
     ----------
     basis_index_set : (n, L) ints, or n multi-indices
-        All of one common length, not necessarily d; entries >= 0.
+        All of one common length, not necessarily d; entries >= 0.  Kept
+        as a read-only (n, L) int array.
     eigenvalues : (n, d) array
         Row i is the joint eigenvalue (lambda_1, ..., lambda_d) >= 0 of
         basis element i; d is the multiplier arity.
@@ -234,14 +190,15 @@ class SpectralSystem:
         name: str = "",
     ):
         try:
-            index = np.asarray(basis_index_set, dtype=int)
+            index = np.array(basis_index_set, dtype=int)
         except ValueError:
             raise ValueError("all multi-indices must share one length") from None
         if index.ndim != 2 or len(index) == 0:
             raise ValueError("basis_index_set must be a non-empty list of multi-indices")
         if np.any(index < 0):
             raise ValueError("multi-index entries must be >= 0")
-        self.basis_index_set = tuple(map(tuple, index.tolist()))
+        index.flags.writeable = False
+        self.basis_index_set = index
         n = len(index)
 
         lam = np.asarray(eigenvalues, dtype=float)
@@ -261,31 +218,20 @@ class SpectralSystem:
         if self._basis.shape != (n, len(self.weights)):
             raise ValueError("basis matrix has wrong shape")
         self.name = name
-        self._position = dict(zip(self.basis_index_set, range(n)))
 
     # -- derived structure ------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.basis_index_set)
 
-    def position(self, k: MultiIndex) -> int:
+    def position(self, k) -> int:
+        """Basis row of the multi-index k; KeyError if k is not in the basis."""
         k = tuple(k)
-        if k not in self._position:
-            raise KeyError(f"index {k} not in basis")
-        return self._position[k]
-
-    def positions(self, indices: Sequence[MultiIndex]) -> np.ndarray:
-        """Basis rows of ``indices``; KeyError for an index not in the basis."""
-        if indices is self.basis_index_set:
-            return np.arange(len(self))
-        try:
-            return np.fromiter(map(self._position.__getitem__, indices), np.intp, len(indices))
-        except KeyError as exc:
-            raise KeyError(f"index {exc.args[0]} not in basis") from None
-
-    def eigenvalues(self, k: MultiIndex) -> np.ndarray:
-        """The d-vector (lambda_1(k), ..., lambda_d(k))."""
-        return self._lam[self.position(k)].copy()
+        if len(k) == self.basis_index_set.shape[1]:
+            hit = np.flatnonzero(np.all(self.basis_index_set == k, axis=1))
+            if hit.size:
+                return int(hit[0])
+        raise KeyError(f"index {k} not in basis")
 
     def eigenvalue_matrix(self) -> np.ndarray:
         """(n_basis, d) array of eigenvalue vectors in basis order."""
@@ -309,58 +255,63 @@ class SpectralSystem:
     def grid_function(self, values: np.ndarray) -> GridFunction:
         return GridFunction(self.points, self.weights, values)
 
-    def random_coefficients(self, rng: np.random.Generator, *, atl_safe: bool = False) -> CoefficientVector:
-        """i.i.d. standard-normal coefficients on the basis index set.
+    def random_coefficients(self, rng: np.random.Generator, *, atl_safe: bool = False) -> np.ndarray:
+        """i.i.d. standard-normal coefficients in basis order, as a complex array.
 
         With ``atl_safe`` the coefficients vanish wherever any per-axis
         eigenvalue is zero.
         """
-        draws = rng.standard_normal(len(self))
-        if not atl_safe:
-            return CoefficientVector(indices=self.basis_index_set, values=draws)
-        keep = np.all(self._lam != 0.0, axis=1)
-        return CoefficientVector(
-            indices=tuple(compress(self.basis_index_set, keep.tolist())), values=draws[keep]
-        )
+        c = rng.standard_normal(len(self)).astype(complex)
+        if atl_safe:
+            c[np.any(self._lam == 0.0, axis=1)] = 0.0
+        return c
 
 
 # -- operations -----------------------------------------------------------
 
 
-def decompose(f: GridFunction, sys: SpectralSystem) -> CoefficientVector:
-    """Quadrature inner products of f with every basis element."""
+def _coefficients(c, sys: SpectralSystem) -> np.ndarray:
+    """c as a complex array in basis order; ValueError unless one entry per basis row."""
+    c = np.asarray(c, dtype=complex)
+    if c.shape != (len(sys),):
+        raise ValueError(f"need {len(sys)} coefficients in basis order, got shape {c.shape}")
+    return c
+
+
+def decompose(f: GridFunction, sys: SpectralSystem) -> np.ndarray:
+    """Quadrature inner products of f with every basis element, in basis order."""
     if f.values.shape != sys.weights.shape or f.points.shape != sys.points.shape:
         raise ValueError("grid mismatch: f is not sampled on the system quadrature")
-    c = sys.basis_matrix() @ (sys.weights * f.values)
-    return CoefficientVector(indices=sys.basis_index_set, values=c)
+    return (sys.basis_matrix() @ (sys.weights * f.values)).astype(complex, copy=False)
 
 
-def reconstruct(c: CoefficientVector, sys: SpectralSystem) -> GridFunction:
+def reconstruct(c: np.ndarray, sys: SpectralSystem) -> GridFunction:
     """Sum of c_k * basis_k on the system grid.
 
     The coefficients are complex, so the product runs against a complex
     copy of the basis that the system makes on its first reconstruct and
     keeps (twice the bytes of the float basis).  It is the product NumPy
-    runs for ``vec @ basis_matrix()``, without casting the basis per call.
+    runs for ``c @ basis_matrix()``, without casting the basis per call.
     """
-    vec = np.zeros(len(sys), dtype=complex)
-    vec[sys.positions(c.indices)] = c.values
-    values = vec @ sys._complex_basis
+    values = _coefficients(c, sys) @ sys._complex_basis
     if np.max(np.abs(values.imag), initial=0.0) == 0.0:
         values = values.real
     return sys.grid_function(values)
 
 
-def apply_multiplier(m: MultiplierSpec, sys: SpectralSystem, c: CoefficientVector) -> CoefficientVector:
+def apply_multiplier(m: MultiplierSpec, sys: SpectralSystem, c: np.ndarray) -> np.ndarray:
     """Coefficient-wise multiplication by m on the joint spectrum.
 
-    m is evaluated only on the eigenvalues of the indices c carries.
+    m is evaluated only on the rows where c is non-zero; the others stay 0.
     """
     if m.arity != sys.dimension:
         raise ValueError(f"multiplier arity {m.arity} != system dimension {sys.dimension}")
-    if not len(c):
-        return c
-    lam = sys._lam[sys.positions(c.indices)]
+    c = _coefficients(c, sys)
+    out = np.zeros_like(c)
+    rows = np.flatnonzero(c)
+    if not rows.size:
+        return out
+    lam = sys._lam[rows]
     vals = m(lam)
     bad = ~np.isfinite(vals)
     if np.any(bad):
@@ -372,7 +323,8 @@ def apply_multiplier(m: MultiplierSpec, sys: SpectralSystem, c: CoefficientVecto
         raise EvaluationError(
             f"multiplier {m.name or 'm'} is not finite at lambda = {point}{hint}"
         )
-    return CoefficientVector(indices=c.indices, values=c.values * vals)
+    out[rows] = c[rows] * vals
+    return out
 
 
 def tensor(sys_a: SpectralSystem, sys_b: SpectralSystem, max_basis: int = 100_000) -> SpectralSystem:
@@ -385,7 +337,7 @@ def tensor(sys_a: SpectralSystem, sys_b: SpectralSystem, max_basis: int = 100_00
     if na * nb > max_basis:
         raise CapacityError(f"tensor basis would have {na * nb} > {max_basis} elements")
     return SpectralSystem(
-        _pair_rows(np.array(sys_a.basis_index_set), np.array(sys_b.basis_index_set)),
+        _pair_rows(sys_a.basis_index_set, sys_b.basis_index_set),
         _pair_rows(sys_a.eigenvalue_matrix(), sys_b.eigenvalue_matrix()),
         np.kron(sys_a.basis_matrix(), sys_b.basis_matrix()),
         _pair_rows(sys_a.points, sys_b.points),

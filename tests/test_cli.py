@@ -371,6 +371,30 @@ def test_main_missing_config_exit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage error: config:")
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_main_unreadable_config_exit(tmp_path, capsys, kind):
+    path = tmp_path
+    if kind == "not-utf8":
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("grid=128 # \xe9\n".encode("latin-1"))
+    rc = main(["square-function", "--seed", "0", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("usage error: config:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["existing-file", "below-a-file"])
+def test_main_unwritable_out_exit(tmp_path, capsys, kind):
+    blocker = tmp_path / "report"
+    blocker.write_text("not a directory\n")
+    out = blocker if kind == "existing-file" else blocker / "sub"
+    rc = main(["cz-decompose", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("usage error: out:") and "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_main_negative_seed_exit(capsys):
     rc = main(["norm-estimate", "--seed", "-1"])
     assert rc == 2

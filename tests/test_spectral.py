@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmult.cli import _ou16, _ou_torus, _square_system
+from specmult.multipliers import builtin_multiplier, square_function, square_function_params
 from specmult.ouhermite import hermite_eval, ou_system
 from specmult.products import torus_system
 from specmult.spectral import (
     CapacityError,
-    CoefficientVector,
     EvaluationError,
     GridFunction,
     MultiplierSpec,
@@ -30,8 +30,16 @@ def ou1():
     return ou_system(1, 12)
 
 
-def unit(k):
-    return CoefficientVector({k: 1.0})
+def coefficients(sys_, entries):
+    """The coefficient array with ``entries[k]`` in the row of multi-index k, 0 elsewhere."""
+    c = np.zeros(len(sys_), dtype=complex)
+    for k, v in entries.items():
+        c[sys_.position(k)] = v
+    return c
+
+
+def unit(sys_, k):
+    return coefficients(sys_, {k: 1.0})
 
 
 def test_grid_function_validation():
@@ -63,24 +71,25 @@ def test_orthonormality_defect_below_tolerance(ou1):
 
 
 def test_decompose_basis_element_gives_unit_vector(ou1):
-    f = reconstruct(unit((5,)), ou1)
+    f = reconstruct(unit(ou1, (5,)), ou1)
     c = decompose(f, ou1)
-    assert abs(c.get((5,)) - 1.0) < TAU_ORTH
-    others = [abs(v) for k, v in c.items() if k != (5,)]
-    assert max(others) < TAU_ORTH
+    i = ou1.position((5,))
+    assert abs(c[i] - 1.0) < TAU_ORTH
+    assert np.max(np.abs(np.delete(c, i))) < TAU_ORTH
 
 
 def test_decompose_zero(ou1):
     c = decompose(ou1.grid_function(np.zeros(len(ou1.weights))), ou1)
-    assert all(v == 0 for _, v in c.items())
+    assert c.shape == (len(ou1),) and np.all(c == 0)
 
 
 def test_decompose_coordinate_function(ou1):
     # x = H_1(x)/sqrt(2) in the normalized basis
     f = ou1.grid_function(ou1.points[:, 0])
     c = decompose(f, ou1)
-    assert abs(c.get((1,)) - 1.0 / np.sqrt(2.0)) < TAU_ORTH
-    assert max(abs(v) for k, v in c.items() if k != (1,)) < TAU_ORTH
+    i = ou1.position((1,))
+    assert abs(c[i] - 1.0 / np.sqrt(2.0)) < TAU_ORTH
+    assert np.max(np.abs(np.delete(c, i))) < TAU_ORTH
 
 
 def test_decompose_grid_mismatch(ou1):
@@ -90,15 +99,43 @@ def test_decompose_grid_mismatch(ou1):
 
 
 def test_reconstruct_round_trip(ou1):
-    c = CoefficientVector({(2,): 1.0, (5,): 3.0})
+    c = coefficients(ou1, {(2,): 1.0, (5,): 3.0})
     back = decompose(reconstruct(c, ou1), ou1)
-    assert abs(back.get((2,)) - 1.0) < 1e-10
-    assert abs(back.get((5,)) - 3.0) < 1e-10
+    assert abs(back[ou1.position((2,))] - 1.0) < 1e-10
+    assert abs(back[ou1.position((5,))] - 3.0) < 1e-10
 
 
-def test_reconstruct_unknown_index(ou1):
-    with pytest.raises(KeyError):
-        reconstruct(unit((99,)), ou1)
+@pytest.mark.parametrize("op", ["reconstruct", "apply_multiplier", "square_function"])
+def test_wrong_length_coefficients_rejected(ou1, op):
+    # a short array would otherwise act on the first rows only
+    calls = {
+        "reconstruct": lambda c: reconstruct(c, ou1),
+        "apply_multiplier": lambda c: apply_multiplier(builtin_multiplier("one"), ou1, c),
+        "square_function": lambda c: square_function(ou1, c, square_function_params(ou1, 1)),
+    }
+    for n in (len(ou1) - 1, len(ou1) + 1):
+        with pytest.raises(ValueError, match="coefficients in basis order"):
+            calls[op](np.ones(n))
+
+
+def test_position_is_the_basis_row():
+    t = tensor(ou_system(1, 3), torus_system(1, 8))
+    for i, k in enumerate(t.basis_index_set):
+        assert t.position(k) == t.position(tuple(k.tolist())) == i
+    with pytest.raises(KeyError, match="not in basis"):
+        t.position((99, 0, 0))
+    with pytest.raises(KeyError, match="not in basis"):
+        t.position((0, 1))
+
+
+def test_basis_index_set_is_a_read_only_int_array():
+    index = np.array([[0], [1]])
+    sys_ = SpectralSystem(index, [[0.0], [1.0]], np.eye(2), [[0.0], [1.0]], [1.0, 1.0])
+    assert sys_.basis_index_set.dtype.kind == "i" and sys_.basis_index_set.shape == (2, 1)
+    with pytest.raises(ValueError, match="read-only"):
+        sys_.basis_index_set[0, 0] = 5
+    index[0, 0] = 5  # the caller's array is copied, not frozen
+    assert sys_.basis_index_set[0, 0] == 0
 
 
 _RECONSTRUCT_SYSTEMS = {
@@ -121,12 +158,11 @@ def test_reconstruct_is_the_complex_product_bit_for_bit(name, complex_coeffs):
         values = rng.standard_normal(len(sys_))
         if complex_coeffs:
             values = values + 1j * rng.standard_normal(len(sys_))
-        c = CoefficientVector(indices=sys_.basis_index_set, values=values)
-        want = c.values @ sys_.basis_matrix().astype(complex)
+        want = values.astype(complex) @ sys_.basis_matrix().astype(complex)
         if not complex_coeffs:
             assert np.all(want.imag == 0.0)
             want = want.real
-        got = reconstruct(c, sys_).values
+        got = reconstruct(values, sys_).values
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
@@ -147,27 +183,27 @@ def test_reconstruct_does_not_cast_the_basis_per_call():
 
 def test_apply_identity_multiplier(ou1):
     m = MultiplierSpec(1, lambda lam: np.ones(len(np.atleast_2d(lam)), dtype=complex))
-    c = CoefficientVector({(0,): 1.0, (3,): 2.0 - 1.0j})
+    c = coefficients(ou1, {(0,): 1.0, (3,): 2.0 - 1.0j})
     out = apply_multiplier(m, ou1, c)
-    assert out.get((0,)) == 1.0 and out.get((3,)) == 2.0 - 1.0j
+    assert np.array_equal(out, c)
 
 
 def test_apply_projection_multiplier(ou1):
     proj = MultiplierSpec(
         1, lambda lam: (np.atleast_2d(lam)[:, 0] == 3.0).astype(complex), name="P_3"
     )
-    c = CoefficientVector({(3,): 1.0, (2,): 1.0})
+    c = coefficients(ou1, {(3,): 1.0, (2,): 1.0})
     out = apply_multiplier(proj, ou1, c)
-    assert out.get((3,)) == 1.0 and out.get((2,)) == 0.0
+    assert np.array_equal(out, unit(ou1, (3,)))
     # idempotence is exact: the indicator squares to itself
     twice = apply_multiplier(proj, ou1, out)
-    assert all(twice.get(k) == out.get(k) for k in ou1.basis_index_set)
+    assert np.array_equal(twice, out)
 
 
 def test_apply_eigenvalue_multiplier(ou1):
     m = MultiplierSpec(1, lambda lam: np.atleast_2d(lam)[:, 0].astype(complex))
-    out = apply_multiplier(m, ou1, unit((4,)))
-    assert out.get((4,)) == 4.0
+    out = apply_multiplier(m, ou1, unit(ou1, (4,)))
+    assert out[ou1.position((4,))] == 4.0
 
 
 def test_apply_nonfinite_names_offending_point(ou1):
@@ -177,13 +213,25 @@ def test_apply_nonfinite_names_offending_point(ou1):
 
     m = MultiplierSpec(1, inv, name="inv")
     with pytest.raises(EvaluationError, match=r"inv.*\(0\.0,\).*zero eigenvalue"):
-        apply_multiplier(m, ou1, unit((0,)))
+        apply_multiplier(m, ou1, unit(ou1, (0,)))
+
+
+def test_apply_multiplier_skips_zero_coefficients():
+    # imag = lam^{iu} is not finite at the zero eigenvalue of row 0; a 0 there is never evaluated
+    ou = ou_system(1, 4)
+    imag = builtin_multiplier("imag")
+    c = ou.random_coefficients(np.random.default_rng(0), atl_safe=True)
+    assert c[0] == 0 and ou.eigenvalue_matrix()[0, 0] == 0.0
+    out = apply_multiplier(imag, ou, c)
+    assert out[0] == 0 and np.all(out[1:] != 0)
+    with np.errstate(invalid="ignore"), pytest.raises(EvaluationError, match=r"\(0\.0,\)"):
+        apply_multiplier(imag, ou, np.ones(len(ou)))
 
 
 def test_apply_arity_mismatch(ou1):
     m = MultiplierSpec(2, lambda lam: np.ones(len(np.atleast_2d(lam)), dtype=complex))
     with pytest.raises(ValueError, match="arity"):
-        apply_multiplier(m, ou1, unit((1,)))
+        apply_multiplier(m, ou1, unit(ou1, (1,)))
 
 
 def test_basis_arrays_match_pointwise_formulas():
@@ -191,13 +239,13 @@ def test_basis_arrays_match_pointwise_formulas():
     ou2 = ou_system(2, 5)
     for i, k in enumerate(ou2.basis_index_set):
         assert np.array_equal(ou2.basis_matrix()[i], hermite_eval(k, ou2.points))
-        assert ou2.eigenvalues(k)[0] == float(sum(k))
+        assert ou2.eigenvalue_matrix()[i, 0] == float(sum(k))
     tor = torus_system(3, 32)
     x = tor.points[:, 0]
     for i, (n, s) in enumerate(tor.basis_index_set):
         trig = np.cos if s == 0 else np.sin
         assert np.array_equal(tor.basis_matrix()[i], math.sqrt(2.0) * trig(2.0 * math.pi * n * x))
-        assert tor.eigenvalues((n, s))[0] == (2.0 * math.pi * n) ** 2
+        assert tor.eigenvalue_matrix()[i, 0] == (2.0 * math.pi * n) ** 2
 
 
 def test_tensor_of_singletons():
@@ -206,13 +254,13 @@ def test_tensor_of_singletons():
 
     prod = tensor(single(1.0), single(2.0))
     assert len(prod) == 1 and prod.dimension == 2
-    assert tuple(prod.eigenvalues((0, 0))) == (1.0, 2.0)
+    assert tuple(prod.eigenvalue_matrix()[prod.position((0, 0))]) == (1.0, 2.0)
 
 
 def test_tensor_ou_ou_counting():
     t = tensor(ou_system(1, 5), ou_system(1, 5))
     assert len(t) == 36
-    assert tuple(t.eigenvalues((3, 4))) == (3.0, 4.0)
+    assert tuple(t.eigenvalue_matrix()[t.position((3, 4))]) == (3.0, 4.0)
     assert t.orthonormality_defect() < TAU_ORTH
 
 
@@ -223,25 +271,25 @@ def test_tensor_capacity_error():
 
 def test_tensor_parseval_product_function():
     t = tensor(ou_system(1, 6), ou_system(1, 6))
-    c = CoefficientVector({(2, 3): 1.5, (0, 1): -0.5j})
+    c = coefficients(t, {(2, 3): 1.5, (0, 1): -0.5j})
     f = reconstruct(c, t)
-    assert abs(f.norm_lp(2) ** 2 - c.norm() ** 2) < 1e-10
+    assert abs(f.norm_lp(2) ** 2 - np.linalg.norm(c) ** 2) < 1e-10
 
 
 def test_parseval_band_limited(ou1):
     rng = np.random.default_rng(42)
     c = ou1.random_coefficients(rng)
     f = reconstruct(c, ou1)
-    assert abs(decompose(f, ou1).norm() - f.norm_lp(2)) < TAU_ORTH
+    assert abs(np.linalg.norm(decompose(f, ou1)) - f.norm_lp(2)) < TAU_ORTH
 
 
 def test_contraction_by_sup_norm(ou1):
     rng = np.random.default_rng(1)
     c = ou1.random_coefficients(rng)
     m = MultiplierSpec(1, lambda lam: np.exp(-np.atleast_2d(lam)[:, 0]).astype(complex))
-    sup = max(abs(m(ou1.eigenvalues(k)[None, :])[0]) for k in ou1.basis_index_set)
+    sup = np.max(np.abs(m(ou1.eigenvalue_matrix())))
     out = apply_multiplier(m, ou1, c)
-    assert out.norm() <= sup * c.norm() + 1e-15
+    assert np.linalg.norm(out) <= sup * np.linalg.norm(c) + 1e-15
 
 
 def test_riesz_identity_on_tensor_system():
@@ -253,7 +301,7 @@ def test_riesz_identity_on_tensor_system():
     c = t.random_coefficients(rng)
     a = apply_multiplier(first, t, c)
     b = apply_multiplier(second, t, c)
-    resid = max(abs(a.get(k) + b.get(k) - c.get(k)) for k in t.basis_index_set)
+    resid = np.max(np.abs(a + b - c))
     assert resid < 1e-12
 
 
@@ -267,13 +315,16 @@ def test_diagonal_multipliers_commute(ou1):
     c = ou1.random_coefficients(np.random.default_rng(7))
     ab = apply_multiplier(m1, ou1, apply_multiplier(m2, ou1, c))
     ba = apply_multiplier(m2, ou1, apply_multiplier(m1, ou1, c))
-    assert all(ab.get(k) == ba.get(k) for k in ou1.basis_index_set)
+    assert np.array_equal(ab, ba)
 
 
 def test_random_coefficients_atl_safe(ou1):
     c = ou1.random_coefficients(np.random.default_rng(0), atl_safe=True)
-    assert (0,) not in dict(c.items())
-    assert all(ou1.eigenvalues(k).min() > 0 for k, _ in c.items())
+    plain = ou1.random_coefficients(np.random.default_rng(0))
+    assert c.dtype == plain.dtype == complex and c.shape == (len(ou1),)
+    keep = np.all(ou1.eigenvalue_matrix() > 0, axis=1)
+    assert c[ou1.position((0,))] == 0 and np.all(c[~keep] == 0)
+    assert np.array_equal(c[keep], plain[keep])
 
 
 def test_multi_index_entries_validated():
@@ -296,12 +347,11 @@ def _system(name: str):
     return _SYSTEMS[name]
 
 
-def _coefficients(sys_, rng, density: float) -> CoefficientVector:
-    """Complex normal coefficients on a random part of the basis."""
+def _coefficients(sys_, rng, density: float) -> np.ndarray:
+    """Complex normal coefficients on a random part of the basis, 0 elsewhere."""
     keep = rng.random(len(sys_)) < density
     values = rng.standard_normal(len(sys_)) + 1j * rng.standard_normal(len(sys_))
-    indices = [k for k, kept in zip(sys_.basis_index_set, keep) if kept]
-    return CoefficientVector(indices=indices, values=values[keep])
+    return np.where(keep, values, 0.0)
 
 
 def _bounded_multiplier(arity: int, s: float, u: float) -> MultiplierSpec:
@@ -331,16 +381,9 @@ def test_apply_multiplier_is_linear(name, seed, density, s, u, a, b):
     rng = np.random.default_rng(seed)
     c1 = _coefficients(sys_, rng, 1.0)
     c2 = _coefficients(sys_, rng, density)
-
-    def dense(c):
-        out = np.zeros(len(sys_), dtype=complex)
-        out[sys_.positions(c.indices)] = c.values
-        return out
-
-    combined = CoefficientVector(indices=sys_.basis_index_set, values=a * dense(c1) + b * dense(c2))
-    lhs = apply_multiplier(m, sys_, combined).values
-    rhs = a * dense(apply_multiplier(m, sys_, c1)) + b * dense(apply_multiplier(m, sys_, c2))
-    assert np.max(np.abs(lhs - rhs)) <= 1e-13 * (abs(a) * c1.norm() + abs(b) * c2.norm())
+    lhs = apply_multiplier(m, sys_, a * c1 + b * c2)
+    rhs = a * apply_multiplier(m, sys_, c1) + b * apply_multiplier(m, sys_, c2)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13 * (abs(a) * np.linalg.norm(c1) + abs(b) * np.linalg.norm(c2))
 
 
 @PROPERTY
@@ -353,8 +396,8 @@ def test_apply_multiplier_is_multiplicative(name, seed, density, s1, u1, s2, u2)
     c = _coefficients(sys_, np.random.default_rng(seed), density)
     once = apply_multiplier(product, sys_, c)
     twice = apply_multiplier(m1, sys_, apply_multiplier(m2, sys_, c))
-    assert once.indices == twice.indices == c.indices
-    assert np.max(np.abs(once.values - twice.values), initial=0.0) <= 1e-13 * c.norm()
+    assert np.array_equal(once == 0, c == 0) and np.array_equal(twice == 0, c == 0)
+    assert np.max(np.abs(once - twice)) <= 1e-13 * np.linalg.norm(c)
 
 
 @PROPERTY
@@ -363,7 +406,8 @@ def test_tensor_parseval(seed, density):
     t = _system("tensor")
     c = _coefficients(t, np.random.default_rng(seed), density)
     f = reconstruct(c, t)
-    assert abs(f.norm_lp(2) ** 2 - c.norm() ** 2) <= 1e-12 * max(c.norm() ** 2, 1.0)
+    norm2 = np.linalg.norm(c) ** 2
+    assert abs(f.norm_lp(2) ** 2 - norm2) <= 1e-12 * max(norm2, 1.0)
 
 
 @PROPERTY
