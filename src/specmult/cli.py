@@ -22,6 +22,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -268,6 +269,11 @@ def build_config(
         raise UsageError("seed: required for sampled experiments")
     if out is None:
         out = reserved.get("out", f"reports/{kind}")
+    # fail before the experiment runs: out, or its nearest existing ancestor, must be a directory
+    path = Path(out)
+    existing = next(p for p in (path, *path.absolute().parents) if os.path.exists(p))
+    if not os.path.isdir(existing):
+        raise UsageError(f"out: {existing} is not a directory (got {str(out)!r})")
     return ExperimentConfig(kind=kind, seed=seed, out=str(out), params=params)
 
 

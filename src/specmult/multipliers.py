@@ -30,7 +30,6 @@ from .spectral import (
     MultiplierSpec,
     SpectralSystem,
     _coefficients,
-    _pair_rows,
     _trapezoid,
     gauss_legendre,
 )
@@ -122,7 +121,7 @@ class DyadicRange:
 _STEP_REL = 1e-4  # relative step for central differences
 _CAUCHY_NODES = 64  # trapezoid nodes on the Cauchy circle of a d = 1 partial
 _CAUCHY_RADIUS = 0.5  # that circle's radius relative to lam
-_TILE_POINTS = 1 << 13  # grid points per seminorm tile: each temporary fits in 128 KiB, so malloc reuses it
+_TILE_POINTS = 1 << 14  # grid points per seminorm tile: each temporary fits in 256 KiB, so malloc reuses it
 
 
 def _axis_outer(factors) -> np.ndarray:
@@ -131,8 +130,15 @@ def _axis_outer(factors) -> np.ndarray:
 
 
 def _axis_rows(axes) -> np.ndarray:
-    """The tensor grid of the 1-d axes as (n, d) rows, last axis fastest."""
-    return functools.reduce(_pair_rows, [a[:, None] for a in axes])
+    """The tensor grid of the 1-d axes as (n, d) rows, last axis fastest.
+
+    The rows are the transpose of a (d, n) array filled axis by axis, so
+    each column an evaluator reads is contiguous.
+    """
+    cols = np.empty((len(axes),) + tuple(len(a) for a in axes))
+    for j, a in enumerate(axes):
+        cols[j] = a.reshape((-1,) + (1,) * (len(axes) - 1 - j))
+    return cols.reshape(len(axes), -1).T
 
 
 def _partial_values(m: MultiplierSpec, gamma, axes) -> np.ndarray:
@@ -165,13 +171,15 @@ def _partial_values(m: MultiplierSpec, gamma, axes) -> np.ndarray:
     vals = None  # the first term sets the dtype: a real multiplier stays real
     for node in itertools.product(*stencil):
         offset, coeff = zip(*node)
-        term = math.prod(coeff) * m(_axis_rows([a + o * hj for a, o, hj in zip(axes, offset, h)]))
+        term = m(_axis_rows([a + o * hj for a, o, hj in zip(axes, offset, h)]))
+        term *= math.prod(coeff)
         if vals is None:
             vals = term
         else:
             vals += term
     # scalar exponents: NumPy squares for g = 2, where an exponent array would call pow
-    return vals / _axis_outer([hj**g for hj, g in zip(h, gamma)])
+    vals /= _axis_outer([hj**g for hj, g in zip(h, gamma)])
+    return vals
 
 
 def marcinkiewicz_seminorm(
@@ -207,9 +215,9 @@ def marcinkiewicz_seminorm(
         box = np.empty((n_gl,) + (len(R), n_gl) * (d - 1))
         for i in range(0, n_gl, rows):
             axes = [first[i : i + rows]] + [lam_axis] * (d - 1)
-            weight = _axis_outer([a**g for a, g in zip(axes, gamma)])
-            tile = box[i : i + rows]
-            tile[...] = (np.abs(weight * _partial_values(m, gamma, axes)) ** 2).reshape(tile.shape)
+            vals = _partial_values(m, gamma, axes)
+            vals *= _axis_outer([a**g for a, g in zip(axes, gamma)])
+            np.square(np.abs(vals), out=box[i : i + rows].reshape(-1))  # a view: box is C-contiguous
         for axis in range(2 * d - 2, 0, -2):  # contract the other node axes, last first
             box = np.moveaxis(box, axis, -1) @ (wq / 2.0)
         blocks.append(box)
@@ -256,13 +264,23 @@ def mellin_on_grid(m: MultiplierSpec, u_values: np.ndarray, grid: LogGrid = LogG
 # frequencies per phase block: the complex (block, len(s)) matrix e^{-ius}
 # is 64 MB on the default 2^14-node log grid
 _U_BLOCK = 256
+_PHASE_SLAB = 8  # frequencies per np.exp call filling a block in place
 
 
 def _phase_blocks(u: np.ndarray, s: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, e^{-i u[rows] s}) for consecutive blocks of at most _U_BLOCK frequencies."""
+    """(rows, e^{-i u[rows] s}) for consecutive blocks of at most _U_BLOCK frequencies.
+
+    Each block is filled in slabs of _PHASE_SLAB frequencies, so no
+    temporary the size of a block is built next to it.
+    """
     for i in range(0, len(u), _U_BLOCK):
         rows = slice(i, i + _U_BLOCK)
-        yield rows, np.exp(-1j * np.outer(u[rows], s))
+        block = u[rows]
+        E = np.empty((len(block), len(s)), dtype=complex)
+        for j in range(0, len(block), _PHASE_SLAB):
+            slab = slice(j, j + _PHASE_SLAB)
+            np.exp(-1j * np.outer(block[slab], s), out=E[slab])
+        yield rows, E
 
 
 def _fourier_rows(u: np.ndarray, s: np.ndarray, wg: np.ndarray) -> np.ndarray:
@@ -544,7 +562,10 @@ def builtin_multiplier(name: str, u: float = 1.0) -> MultiplierSpec:
     if name == "riesz2":
         def f(lam):
             tot = lam[:, 0] + lam[:, 1]
-            return np.divide(lam[:, 0], tot, out=np.zeros(len(tot)), where=tot > 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = lam[:, 0] / tot
+            out[~(tot > 0)] = 0.0  # the origin, and NaN rows
+            return out
         def sector(z):
             return z[:, 0] / (z[:, 0] + z[:, 1])
         return MultiplierSpec(2, f, sector_evaluate=sector, name="riesz2")

@@ -384,7 +384,12 @@ def test_main_unreadable_config_exit(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("kind", ["existing-file", "below-a-file"])
-def test_main_unwritable_out_exit(tmp_path, capsys, kind):
+def test_main_unwritable_out_exit(tmp_path, monkeypatch, capsys, kind):
+    def never(cfg):
+        raise AssertionError("the experiment ran")
+
+    # out is checked before the experiment starts
+    monkeypatch.setitem(cli._EXPERIMENTS, "cz-decompose", never)
     blocker = tmp_path / "report"
     blocker.write_text("not a directory\n")
     out = blocker if kind == "existing-file" else blocker / "sub"
@@ -392,7 +397,16 @@ def test_main_unwritable_out_exit(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("usage error: out:") and "Traceback" not in err
+    assert str(out) in err
     assert blocker.read_text() == "not a directory\n"
+
+
+def test_run_out_unwritable_at_write_time(tmp_path):
+    # build_config accepted the path; a file put there afterwards fails the write
+    config = build_config("cz-decompose", out=str(tmp_path / "r"))
+    (tmp_path / "r").write_text("appeared later\n")
+    with pytest.raises(UsageError, match="^out: cannot write the report"):
+        run(config)
 
 
 def test_main_negative_seed_exit(capsys):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -33,10 +34,10 @@ from specmult.multipliers import (
     square_function_params,
     worst_case_order,
 )
-from specmult.multipliers import _partial_values
+from specmult.multipliers import _U_BLOCK, _axis_rows, _partial_values, _phase_blocks
 from specmult.ouhermite import ou_system
 from specmult.products import torus_system
-from specmult.spectral import MultiplierSpec, gauss_legendre, reconstruct, tensor
+from specmult.spectral import MultiplierSpec, _pair_rows, gauss_legendre, reconstruct, tensor
 
 MAR_RIESZ1_RHO1 = 0.6931462268866521  # frozen regression value, default dyadic range
 MAR_RIESZ2_RHO11 = 0.48045301391729195  # riesz2, max over gamma <= (1, 1), default dyadic range
@@ -250,6 +251,15 @@ def test_seminorm_memory_below_two_megabytes():
     assert peak < 2_000_000
 
 
+def test_axis_rows_equal_pair_rows_with_contiguous_columns():
+    rng = np.random.default_rng(11)
+    for lengths in ((37,), (5, 9)):
+        axes = [rng.uniform(0.1, 10.0, n) for n in lengths]
+        rows = _axis_rows(axes)
+        np.testing.assert_array_equal(rows, functools.reduce(_pair_rows, [a[:, None] for a in axes]))
+        assert all(rows[:, j].flags.c_contiguous for j in range(len(axes)))
+
+
 def test_marc_order_gammas_last_entry_fastest():
     assert list(MarcOrder((2, 1)).gammas()) == list(np.ndindex(3, 2))
     assert list(MarcOrder((0,)).gammas()) == [(0,)]
@@ -436,6 +446,34 @@ def test_decay_check_memory_below_full_phase_matrix():
     finally:
         tracemalloc.stop()
     assert peak < len(u) * grid.n * 16  # one complex (u, s) phase matrix
+
+
+def test_phase_blocks_equal_one_shot_exponential():
+    s = LogGrid(n=1 << 9).nodes()[0]
+    for count in (1, 7, 25, 200, 600):  # 600 crosses _U_BLOCK
+        u = np.geomspace(2.0, 40.0, count)
+        blocks = list(_phase_blocks(u, s))
+        assert len(blocks) == -(-count // _U_BLOCK)
+        for rows, E in blocks:
+            np.testing.assert_array_equal(E, np.exp(-1j * np.outer(u[rows], s)))
+
+
+def test_phase_matrix_memory_one_block():
+    # the block is filled in place: no temporary the size of a block next to it
+    u = np.geomspace(2.0, 40.0, 200)
+    grid = LogGrid(n=1 << 12)
+    calls = (
+        lambda: decay_check(builtin_multiplier("one"), 4, 3, u_grid=u, grid=grid),
+        lambda: mellin_on_grid(builtin_multiplier("log_bump"), u, grid),
+    )
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * len(u) * grid.n * 16
 
 
 def test_decay_check_zero_multiplier():
@@ -650,9 +688,13 @@ def test_riesz2_evaluator_is_plain_division():
     lam = 10.0 ** np.random.default_rng(5).uniform(-6.0, 6.0, size=(4000, 2))
     lam[:5] = 0.0
     lam[5:8, 0] = 0.0  # zero numerator, positive total
+    lam[-4:-2, 0] = np.nan  # NaN rows evaluate to 0, like the origin
+    lam[-2:, 1] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = builtin_multiplier("riesz2")(lam)
     assert got.dtype == np.float64  # a real multiplier stays real
-    assert np.all(got[:5] == 0.0)
-    np.testing.assert_array_equal(got[5:], lam[5:, 0] / (lam[5:, 0] + lam[5:, 1]))
+    assert np.all(got[:5] == 0.0) and np.all(got[-4:] == 0.0)
+    np.testing.assert_array_equal(got[5:-4], lam[5:-4, 0] / (lam[5:-4, 0] + lam[5:-4, 1]))
+    tot = lam[:, 0] + lam[:, 1]
+    np.testing.assert_array_equal(got, np.divide(lam[:, 0], tot, out=np.zeros(len(tot)), where=tot > 0))
