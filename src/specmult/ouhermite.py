@@ -3,7 +3,8 @@
 gamma is the Gaussian probability measure pi^{-d/2} e^{-|x|^2} dx.  The
 normalized Hermite polynomials H_k are an orthonormal eigenbasis of the OU
 operator with eigenvalue |k| = k_1 + ... + k_d.  The semigroup r^L (r = e^{-t})
-has the Gaussian kernel M_r against *Lebesgue* measure; W_r is the matching
+has the Gaussian kernel M_r against *Lebesgue* measure and the symmetric
+kernel K_r = pi^{d/2} e^{|y|^2} M_r against gamma; W_r is the matching
 convolution kernel used for comparison estimates.  One Gauss-Hermite grid
 serves both measures: Lebesgue weights are the gamma weights divided by the
 gamma density.
@@ -160,6 +161,41 @@ def _mehler_dr_raw(r, x1, y1):
     # it can differ from NumPy's vectorized pow in the last bit, and a value
     # must not depend on whether its r-node came alone or in a block
     return np.pi ** (-d / 2.0) * bracket * np.power(s, -d / 2.0 - 1.0) * np.exp(-q / s)
+
+
+def _mehler_gamma_dr_raw(r, x1, y1):
+    """Exact r-derivative dK_r/dr(x1, y1) of the Mehler kernel against gamma.
+
+    K_r = pi^{d/2} e^{|y1|^2} M_r = s^{-d/2} exp(-r (r (|x1|^2 + |y1|^2) - 2 x1.y1) / s),
+    s = 1 - r^2, is the kernel of r^L against gamma.  r^L is self-adjoint
+    there, so K_r is symmetric; it is also even under (x1, y1) -> (-x1, -y1).
+    With D = |x1 - y1|^2 and Q = x1 . y1 its exponent is
+    -r^2 D / s + 2 r Q / (1 + r), at most (|x1|^2 + |y1|^2) / 2, and
+
+        dK_r/dr = s^{-d/2-1} [d r - 2 r D / s + 2 (1 - r) Q / (1 + r)] exp(...).
+
+    In D and Q no two large terms cancel, as they would in |x1|^2 + |y1|^2
+    against 2 Q far from the origin, and both are symmetric and even bit for
+    bit, so the result is too.  The points broadcast as in _mehler_dr_raw,
+    with at least one point axis in front of the space axis; so does an array
+    of r-nodes, whose factors are formed on the r-array before they meet the
+    point axes.
+    """
+    r = np.asarray(r, dtype=float)
+    z = x1 - y1
+    d = z.shape[-1]
+    D = np.sum(z * z, axis=-1)
+    Q = np.sum(x1 * y1, axis=-1)
+    s = 1.0 - r * r
+    c = np.power(s, -d / 2.0 - 1.0)  # np.power, as in _mehler_dr_raw
+    e = (2.0 * r / (1.0 + r)) * Q
+    e -= (r * r / s) * D
+    np.exp(e, out=e)
+    k = (c * 2.0 * (1.0 - r) / (1.0 + r)) * Q
+    k -= (c * 2.0 * r / s) * D
+    k += c * d * r
+    k *= e
+    return k
 
 
 def mehler_kernel(r: float, x1, y1):

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .ouhermite import _mehler_dr_raw, _product_grid, _w_dr_raw, hermite_basis, lebesgue_weights
+from .ouhermite import _mehler_dr_raw, _mehler_gamma_dr_raw, _product_grid, _w_dr_raw, hermite_basis, lebesgue_weights
 from .spectral import GridFunction, MultiplierSpec, SpectralSystem, _pair_rows, _trapezoid, gauss_legendre
 
 __all__ = [
@@ -475,18 +475,19 @@ def local_mask(grid: ProductGrid, s: float = 2.0) -> np.ndarray:
     return dist <= s / (1.0 + norms[:, None] + norms[None, :])
 
 
-# The T split sums its r-quadrature in tiles of whole x1 rows: one Mehler call
-# per tile and block of _SPLIT_R_BLOCK r-nodes returns an (r-nodes, rows, n1)
-# array, and the rows of a tile are chosen so that each (r-nodes, rows, n1, d)
-# temporary of that call holds about _SPLIT_TILE_BYTES, whatever the grid.  The
-# heat kernel is called once per r-block too.
+# The T split sums its r-quadrature in tiles of whole x1 rows of the top half:
+# one call of the Gaussian-measure Mehler derivative per tile [lo, hi) and
+# block of _SPLIT_R_BLOCK r-nodes returns an (r-nodes, rows, n1 - 2 lo) array
+# on the tile's band of columns, and the rows of a tile are chosen so that each
+# temporary of that call holds at most _SPLIT_TILE_BYTES, whatever the grid.
+# The heat kernel is called once per r-block too.
 _SPLIT_TILE_BYTES = 1 << 18
 _SPLIT_R_BLOCK = 32
 
 
-def _split_rows(n1: int, d: int) -> int:
+def _split_rows(n1: int) -> int:
     """x1 rows per tile of the T split's r-sum."""
-    return max(1, _SPLIT_TILE_BYTES // (8 * _SPLIT_R_BLOCK * n1 * d))
+    return max(1, _SPLIT_TILE_BYTES // (8 * _SPLIT_R_BLOCK * n1))
 
 
 def _heat_spectrum(model: HeatKernelModel, y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -538,12 +539,17 @@ def apply_T_split(
     which is real and even.  The r-quadrature is summed first, before any
     product with f, into one x1-kernel per frequency,
 
-        B_xi = sum_r kappa(r) w_r c_r[xi] dM_r/dr  (= B_{-xi}),
+        B_xi = sum_r kappa(r) w_r c_r[xi] dK_r/dr  (= B_{-xi}),
 
-    in tiles of x1 rows, so the full (n_y, n_x, n_x) kernel is never held.
-    Only the first ceil(n1 / 2) rows are summed: dM_r/dr(-x, -y) equals
-    dM_r/dr(x, y) bit for bit, so row n1-1-i of B is row i reversed.
-    ``base_mask``, the Lebesgue weights and the local cutoff multiply B once.
+    with K_r = pi^{d/2} e^{|y1|^2} M_r the Mehler kernel against gamma, so that
+    B_xi times the gamma weights is the Lebesgue-weighted sum over dM_r/dr.
+    K_r is symmetric and even, K(-x, -y) = K(x, y), bit for bit, so only the
+    top ceil(n1 / 2) rows are summed, in tiles of x1 rows, each row i on its
+    band of columns i..n1-1-i (the tile [lo, hi) on the columns lo..n1-1-lo).
+    The columns left of the band are filled by symmetry, those right of it by
+    symmetry and the mirror x1[n1-1-i] = -x1[i], and row n1-1-i of B is row
+    i reversed; the full (n_y, n_x, n_x) kernel is never held.
+    ``base_mask``, the gamma weights and the local cutoff multiply B once.
     Then T_full^ = B_xi G^ and T_loc^ = (B_xi chi_{N_s}) G^, with G^ the DFT
     along y of f times the y-weights, and one inverse DFT gives both parts.
 
@@ -565,7 +571,8 @@ def apply_T_split(
     x1 = grid.x1_points
     if not np.array_equal(x1[::-1], -x1):
         raise ValueError("grid.x1_points: the T split needs nodes mirrored about 0, x1[::-1] == -x1")
-    weights = np.broadcast_to(grid.x1_lebesgue_weights, (n1, n1))
+    # B.w^Leb = K.w^gamma: the kernel against gamma takes the gamma weights
+    weights = np.broadcast_to(grid.x1_gamma_weights, (n1, n1))
     if base_mask is not None:
         base = np.asarray(base_mask, dtype=bool)
         if base.shape != (n1, n1):
@@ -586,23 +593,34 @@ def apply_T_split(
     T_full = np.empty(F.shape, dtype=complex)
     T_loc = np.empty(F.shape, dtype=complex)
     half = (n1 + 1) // 2
-    rows = _split_rows(n1, grid.d)
-    # one pair of work buffers for every tile; the last tile may use a prefix
+    rows = _split_rows(n1)
+    # the real and imaginary part of B_xi on the top half of the x1 rows
+    top = np.empty((2, n_f, half, n1))
     acc_buf = np.empty(2 * n_f * rows * n1)
-    mirror_buf = np.empty(2 * n_f * rows * n1)
     for lo in range(0, half, rows):
         hi = min(lo + rows, half)
-        m = hi - lo
-        acc = acc_buf[:2 * n_f * m * n1].reshape(2 * n_f, m * n1)
+        band = slice(lo, n1 - lo)
+        acc = acc_buf[:2 * n_f * (hi - lo) * (n1 - 2 * lo)].reshape(2 * n_f, -1)
         acc[...] = 0.0
         for r_lo in range(0, n_r, _SPLIT_R_BLOCK):
             nodes = r[r_lo:r_lo + _SPLIT_R_BLOCK]
-            md = _mehler_dr_raw(nodes[:, None, None], x1[lo:hi, None, :], x1[None, :, :])
-            acc += coef[:, r_lo:r_lo + len(nodes)] @ md.reshape(len(nodes), m * n1)
-        B = acc.reshape(2, n_f, m, n1)  # real and imaginary part of B_xi on the tile's rows
+            kd = _mehler_gamma_dr_raw(nodes[:, None, None], x1[lo:hi, None, :], x1[None, band, :])
+            acc += coef[:, r_lo:r_lo + len(nodes)] @ kd.reshape(len(nodes), -1)
+        top[:, :, lo:hi, band] = acc.reshape(2, n_f, hi - lo, -1)
+        # row i is summed on the columns i..n1-1-i; K is symmetric, and
+        # x1[n1-1-i] = -x1[i] with K(-x, -y) = K(x, y), so the columns left of
+        # the band are K[j, i] and those right of it K[n1-1-j, n1-1-i], both
+        # on rows of earlier tiles
+        top[:, :, lo:hi, :lo] = top[:, :, :lo, lo:hi].swapaxes(-1, -2)
+        top[:, :, lo:hi, n1 - lo:] = top[:, :, :lo, n1 - hi:n1 - lo][:, :, ::-1, ::-1].swapaxes(-1, -2)
+    # the fills above read unscaled rows of earlier tiles, so B is scaled in
+    # place only now, a tile of top rows and their mirrors at a time
+    mirror_buf = np.empty(2 * n_f * rows * n1)
+    for lo in range(0, half, rows):
+        hi = min(lo + rows, half)
+        B = top[:, :, lo:hi]
         tiles = [(slice(lo, hi), B)]
-        # x1[n1-1-i] = -x1[i] and dM_r/dr(-x, -y) = dM_r/dr(x, y), so row n1-1-i of
-        # B is row i reversed; the middle row of an odd grid is its own mirror
+        # row n1-1-i of B is row i reversed; the middle row of an odd grid is its own mirror
         k = min(hi, n1 - half) - lo
         if k > 0:
             mirror = mirror_buf[:2 * n_f * k * n1].reshape(2, n_f, k, n1)
@@ -779,14 +797,20 @@ def sample_product_pairs(n: int, seed: int, model: HeatKernelModel, d: int = 1) 
 def sample_product_triples(n: int, seed: int, model: HeatKernelModel, d: int = 1) -> np.ndarray:
     """Random (x, y, y') triples with y' a small perturbation of y, as an (n, 3, d + model.dim) array."""
     out = np.empty((n, 3, d + model.dim))
-    for rng, triple in zip(_child_rngs(seed, n), out):
-        _draw_pair(rng, model, d, triple)
-        x, y, yp = triple
-        scale = 0.25 * float(_eta_rows(model, x, y)) * rng.uniform(0.2, 1.0)
-        u1 = rng.normal(0.0, 1.0, d)
-        u2 = rng.normal(0.0, 1.0, model.dim)
-        nrm = math.sqrt(float(u1 @ u1 + u2 @ u2))
-        yp[:] = y + scale * np.concatenate([u1, u2]) / nrm
+    v = np.empty(n)
+    u = np.empty((n, d + model.dim))
+    u1, u2 = _columns(model, u)
+    # the draws do not depend on eta: only they run triple by triple
+    for i, rng in enumerate(_child_rngs(seed, n)):
+        _draw_pair(rng, model, d, out[i])
+        v[i] = rng.uniform(0.2, 1.0)
+        u1[i], u2[i] = rng.normal(0.0, 1.0, d), rng.normal(0.0, 1.0, model.dim)
+    x, y, yp = np.moveaxis(out, 1, 0)
+    scale = 0.25 * _eta_rows(model, x, y) * v
+    # |u|^2 from one dot product per row and factor: the stacked matmul rounds
+    # like u1 @ u1, where a sum over the row can differ in the last bit
+    sq = (u1[:, None, :] @ u1[:, :, None] + u2[:, None, :] @ u2[:, :, None])[:, 0, 0]
+    yp[...] = y + scale[:, None] * u / np.sqrt(sq)[:, None]
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from specmult.ouhermite import (
     _mehler_dr_raw,
+    _mehler_gamma_dr_raw,
     _w_dr_raw,
     _w_raw,
     apply_semigroup_kernel,
@@ -208,6 +209,43 @@ def test_kernel_derivatives_on_r_nodes_match_mpmath():
                 dm, dw = _oracle_derivatives(rk, x1, y1)
                 assert md[p, k] == pytest.approx(dm, rel=1e-12)
                 assert wd[p, k] == pytest.approx(dw, rel=1e-12)
+
+
+def _gamma_kernel_mp(r, x, y):
+    """K_r(x, y) = (1-r^2)^{-d/2} exp(-r (r (|x|^2 + |y|^2) - 2 x.y) / (1-r^2)) in mpmath precision."""
+    s = 1 - r * r
+    p = sum(v * v for v in x) + sum(v * v for v in y)
+    q = sum(a * b for a, b in zip(x, y))
+    return s ** (-mpmath.mpf(len(x)) / 2) * mpmath.exp(-r * (r * p - 2 * q) / s)
+
+
+# the oracle pairs and two farther out, where the exponent of K_r is large
+_GAMMA_ORACLE_PAIRS = _ORACLE_PAIRS + [([4.0], [3.5]), ([3.0, -2.0], [2.5, -2.5])]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_mehler_gamma_dr_matches_mpmath_and_the_lebesgue_kernel(d):
+    # dK_r/dr for the kernel against gamma, K_r = pi^{d/2} e^{|y|^2} M_r, on an
+    # r-block against (n, 1, d) and (1, n, d) points, as in the T split
+    pairs = [(x1, y1) for x1, y1 in _GAMMA_ORACLE_PAIRS if len(x1) == d]
+    x = np.array([v for pair in pairs for v in pair], dtype=float)
+    r = np.array(_ORACLE_R)
+    kd = _mehler_gamma_dr_raw(r[:, None, None], x[:, None, :], x[None, :, :])
+    assert kd.shape == (len(r), len(x), len(x))
+    # symmetric and even bit for bit
+    assert np.array_equal(kd, kd.transpose(0, 2, 1))
+    assert np.array_equal(_mehler_gamma_dr_raw(r[:, None, None], -x[:, None, :], -x[None, :, :]), kd)
+    # pi^{d/2} e^{|y|^2} dM_r/dr with y the column point
+    md = _mehler_dr_raw(r[:, None, None], x[:, None, :], x[None, :, :])
+    lebesgue = np.pi ** (d / 2) * np.exp(np.sum(x * x, axis=1)) * md
+    np.testing.assert_allclose(kd, lebesgue, rtol=1e-12, atol=0)
+    for p in range(len(pairs)):
+        i, j = 2 * p, 2 * p + 1
+        for k, rk in enumerate(_ORACLE_R):
+            with mpmath.workdps(30):
+                xs, ys = ([mpmath.mpf(float(v)) for v in x[n]] for n in (i, j))
+                want = float(mpmath.diff(lambda t: _gamma_kernel_mp(t, xs, ys), rk))
+            assert kd[k, i, j] == pytest.approx(want, rel=1e-12)
 
 
 def test_gauss_hermite_nodes_are_mirrored_bit_for_bit():

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from specmult import products, spectral
-from specmult.ouhermite import _mehler_dr_raw, _w_dr_raw, ou_system
+from specmult.ouhermite import _mehler_dr_raw, _mehler_gamma_dr_raw, _w_dr_raw, ou_system
 from specmult.products import (
     _ball_volume_rows,
     _eta_rows,
@@ -552,6 +552,14 @@ def test_t_split_matches_r_node_loop_on_a_2d_grid(torus, kappa, s, with_base):
     _check_split_against_r_nodes(torus, kappa, grid, s, with_base, seed=2)
 
 
+def test_t_split_matches_r_node_loop_at_the_schema_edge(torus):
+    # the largest k_max and n_x the riesz-cross-check schema admits: |x1|^2
+    # reaches about 480, where the exponent of the kernel against gamma and
+    # the Lebesgue weights are at their largest
+    grid = product_grid(torus, d=1, k_max=24, n_y=8, n_x=256)
+    _check_split_against_r_nodes(torus, kappa_indicator(0.1, 0.9), grid, 2.0, True, seed=8)
+
+
 def _check_split_against_r_nodes(model, kappa, grid, s, with_base, seed):
     rng = np.random.default_rng(seed)
     n = grid.shape[0] * grid.shape[1]
@@ -565,24 +573,26 @@ def _check_split_against_r_nodes(model, kappa, grid, s, with_base, seed):
     assert np.max(np.abs(glob.values - want_glob)) <= 1e-12 * scale
 
 
-def test_t_split_evaluates_the_mirrored_half_once_per_r_block(torus, kid, monkeypatch):
-    # the default riesz-cross-check grid: dM_r/dr is evaluated on the first
-    # ceil(n1 / 2) x1 rows only, one call per tile and r-block
+def test_t_split_sums_the_symmetric_band_once_per_r_block(torus, kid, monkeypatch):
+    # the default riesz-cross-check grid: dK_r/dr is evaluated on the top
+    # ceil(n1 / 2) x1 rows only, the tile [lo, hi) on the columns [lo, n1 - lo),
+    # one call per tile and r-block
     calls, entries = [], []
 
     def counting(*args):
-        out = _mehler_dr_raw(*args)
+        out = _mehler_gamma_dr_raw(*args)
         calls.append(1)
         entries.append(out.size)
         return out
 
-    monkeypatch.setattr(products, "_mehler_dr_raw", counting)
+    monkeypatch.setattr(products, "_mehler_gamma_dr_raw", counting)
     n_x, n_y, n_r = 128, 32, 512
     grid = product_grid(torus, d=1, k_max=12, n_y=n_y, n_x=n_x)
     apply_T_split(grid.function(np.ones(n_x * n_y)), kid, torus, grid, n_r=n_r)
-    half = (n_x + 1) // 2
-    assert sum(entries) <= half * n_x * n_r == 4_194_304
-    tiles = -(-half // products._split_rows(n_x, 1))
+    half, rows = (n_x + 1) // 2, products._split_rows(n_x)
+    band = sum((min(lo + rows, half) - lo) * (n_x - 2 * lo) for lo in range(0, half, rows))
+    assert sum(entries) == band * n_r == 2_359_296
+    tiles = -(-half // rows)
     assert len(calls) <= (n_r // products._SPLIT_R_BLOCK) * tiles
 
 
@@ -714,6 +724,36 @@ def test_cz_smooth_frozen_and_stable(euclid1, kid):
     assert rep.sup == pytest.approx(CZ_SMOOTH_SUP, rel=1e-12)
     half = cz_smooth_check(sample_product_triples(100, 8, euclid1), kid, euclid1)
     assert rep.sup <= 1.5 * half.sup
+
+
+def _triples_row_by_row(n, seed, model, d):
+    """sample_product_triples written out one triple at a time, each row's
+    eta, scale and y' formed from that row alone."""
+    out = np.empty((n, 3, d + model.dim))
+    for child, (x, y, yp) in zip(np.random.SeedSequence(seed).spawn(n), out):
+        rng = np.random.default_rng(child)
+        x1, y1 = rng.normal(0.0, 1.5, d), rng.normal(0.0, 1.5, d)
+        if model.torus:
+            x2, y2 = rng.uniform(0.0, 1.0, 1), rng.uniform(0.0, 1.0, 1)
+        else:
+            x2, y2 = rng.normal(0.0, 1.5, model.dim), rng.normal(0.0, 1.5, model.dim)
+        x[:], y[:] = np.concatenate([x1, x2]), np.concatenate([y1, y2])
+        eta = max(float(np.linalg.norm(x1 - y1, axis=-1)), float(model.zeta(x2, y2)))
+        scale = 0.25 * eta * rng.uniform(0.2, 1.0)
+        u1 = rng.normal(0.0, 1.0, d)
+        u2 = rng.normal(0.0, 1.0, model.dim)
+        nrm = math.sqrt(float(u1 @ u1 + u2 @ u2))
+        yp[:] = y + scale * np.concatenate([u1, u2]) / nrm
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_triple_sampler_is_the_row_by_row_formula(euclid1, torus, d):
+    # the sampler draws triple by triple and forms eta, the scale and y' for
+    # all rows at once; every row must keep the bits of its own formula
+    for model in (euclid1, euclidean_heat_model(2), torus):
+        for seed in (8, 13):
+            assert np.array_equal(sample_product_triples(300, seed, model, d=d), _triples_row_by_row(300, seed, model, d))
 
 
 def test_sampler_prefix_stability(euclid1, torus):
