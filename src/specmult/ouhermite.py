@@ -177,9 +177,10 @@ def _mehler_gamma_dr_raw(r, x1, y1):
     In D and Q no two large terms cancel, as they would in |x1|^2 + |y1|^2
     against 2 Q far from the origin, and both are symmetric and even bit for
     bit, so the result is too.  The points broadcast as in _mehler_dr_raw,
-    with at least one point axis in front of the space axis; so does an array
-    of r-nodes, whose factors are formed on the r-array before they meet the
-    point axes.
+    with at least one point axis in front of the space axis.  The T split
+    passes its r-nodes as a column, r[:, None], against one row of x1 and y1
+    per point pair, and gets an (n_r, pairs) array; the r-only factors are
+    formed on the column before they meet the pair axis.
     """
     r = np.asarray(r, dtype=float)
     z = x1 - y1

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .ouhermite import _mehler_dr_raw, _mehler_gamma_dr_raw, _product_grid, _w_dr_raw, hermite_basis, lebesgue_weights
+from .ouhermite import _mehler_dr_raw, _mehler_gamma_dr_raw, _product_grid, _w_dr_raw, hermite_basis
 from .spectral import GridFunction, MultiplierSpec, SpectralSystem, _pair_rows, _trapezoid, gauss_legendre
 
 __all__ = [
@@ -392,7 +392,6 @@ class ProductGrid:
 
     x1_points: np.ndarray
     x1_gamma_weights: np.ndarray
-    x1_lebesgue_weights: np.ndarray
     y_points: np.ndarray
     y_weights: np.ndarray
 
@@ -419,7 +418,7 @@ def product_grid(model: HeatKernelModel, d: int = 1, k_max: int = 12, n_y: int =
     basis = hermite_basis(k_max, n_x)
     x1, gw = _product_grid(basis.gh_nodes, basis.gh_weights, d)
     y_pts, y_w = model.grid(n_y)
-    return ProductGrid(x1, gw, lebesgue_weights(x1, gw), y_pts, y_w)
+    return ProductGrid(x1, gw, y_pts, y_w)
 
 
 # -- kernels -----------------------------------------------------------------
@@ -431,9 +430,15 @@ def _r_quadrature(kappa: KappaSpec, n_r: int) -> tuple[np.ndarray, np.ndarray]:
     return _legendre_on(*kappa.support, n_r)
 
 
-# point pairs per block of the batched kernel quadrature: the (pairs, n_r)
-# work arrays stay at a few hundred kB whatever the sample size
-_PAIR_BLOCK = 32
+# the batched kernel quadratures take point pairs in blocks against all r-nodes
+# at once: each (pairs, n_r) float temporary of a block holds at most
+# _BLOCK_BYTES, whatever the sample or grid size
+_BLOCK_BYTES = 1 << 18
+
+
+def _pair_blocks(n_pairs: int, n_r: int) -> list[slice]:
+    step = max(1, _BLOCK_BYTES // (8 * n_r))
+    return [slice(lo, lo + step) for lo in range(0, n_pairs, step)]
 
 
 def _ktilde_rows(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int) -> np.ndarray:
@@ -449,8 +454,7 @@ def _ktilde_rows(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int) -> np
     t = -np.log(r)
     weight = w * kappa(r)
     out = np.empty(len(x1), dtype=complex)
-    for lo in range(0, len(x1), _PAIR_BLOCK):
-        blk = slice(lo, lo + _PAIR_BLOCK)
+    for blk in _pair_blocks(len(x1), n_r):
         factor = _w_dr_raw(r, x1[blk, None, :] - y1[blk, None, :])
         pk = model.kernel(t, x2[blk, None, :], y2[blk, None, :])
         out[blk] = np.sum(weight * factor * pk, axis=-1)
@@ -475,19 +479,8 @@ def local_mask(grid: ProductGrid, s: float = 2.0) -> np.ndarray:
     return dist <= s / (1.0 + norms[:, None] + norms[None, :])
 
 
-# The T split sums its r-quadrature in tiles of whole x1 rows of the top half:
-# one call of the Gaussian-measure Mehler derivative per tile [lo, hi) and
-# block of _SPLIT_R_BLOCK r-nodes returns an (r-nodes, rows, n1 - 2 lo) array
-# on the tile's band of columns, and the rows of a tile are chosen so that each
-# temporary of that call holds at most _SPLIT_TILE_BYTES, whatever the grid.
-# The heat kernel is called once per r-block too.
-_SPLIT_TILE_BYTES = 1 << 18
+# r-nodes per call of the heat kernel in the T split
 _SPLIT_R_BLOCK = 32
-
-
-def _split_rows(n1: int) -> int:
-    """x1 rows per tile of the T split's r-sum."""
-    return max(1, _SPLIT_TILE_BYTES // (8 * _SPLIT_R_BLOCK * n1))
 
 
 def _heat_spectrum(model: HeatKernelModel, y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -507,7 +500,7 @@ def _heat_spectrum(model: HeatKernelModel, y: np.ndarray, t: np.ndarray) -> np.n
 def _frequency_product(B: np.ndarray, g: np.ndarray) -> np.ndarray:
     """B_xi applied to one function's columns at xi and -xi: an (x, xi, 2) complex array.
 
-    B is (2, n_f, m, n1), the real and imaginary part of B_xi; g is
+    B is (2, n_f, n1, n1), the real and imaginary part of B_xi; g is
     (n_f, n1, 4), the real and imaginary part of G^ at xi, then at -xi.
     """
     p = (B @ g).view(complex)
@@ -543,13 +536,12 @@ def apply_T_split(
 
     with K_r = pi^{d/2} e^{|y1|^2} M_r the Mehler kernel against gamma, so that
     B_xi times the gamma weights is the Lebesgue-weighted sum over dM_r/dr.
-    K_r is symmetric and even, K(-x, -y) = K(x, y), bit for bit, so only the
-    top ceil(n1 / 2) rows are summed, in tiles of x1 rows, each row i on its
-    band of columns i..n1-1-i (the tile [lo, hi) on the columns lo..n1-1-lo).
-    The columns left of the band are filled by symmetry, those right of it by
-    symmetry and the mirror x1[n1-1-i] = -x1[i], and row n1-1-i of B is row
-    i reversed; the full (n_y, n_x, n_x) kernel is never held.
-    ``base_mask``, the gamma weights and the local cutoff multiply B once.
+    K_r is symmetric and even, K(-x, -y) = K(x, y), bit for bit, and
+    x1[n1-1-i] = -x1[i], so B_xi takes one value on each class of x1 pairs
+    {(i, j), (j, i), (n1-1-i, n1-1-j), (n1-1-j, n1-1-i)}: the r-sum runs on
+    the representatives i <= j, i + j <= n1 - 1 only, and each sum is written
+    at the four places of its class in the full (2, n_f, n1, n1) real B.
+    ``base_mask``, the gamma weights and the local cutoff multiply B in place.
     Then T_full^ = B_xi G^ and T_loc^ = (B_xi chi_{N_s}) G^, with G^ the DFT
     along y of f times the y-weights, and one inverse DFT gives both parts.
 
@@ -590,49 +582,29 @@ def apply_T_split(
     # each function's columns at xi and -xi as real pairs, (n_f, n1, 4); a function
     # is applied on its own, so its split does not depend on the rest of the stack
     G = np.stack([G[..., :n_f], G[..., neg]], axis=-1).view(float).transpose(0, 2, 1, 3).copy()
+    # one pair (i, j) per class, i <= j and i + j <= n1 - 1; its r-sum, the
+    # real and imaginary part of B_xi[i, j] at every xi, goes to the whole class.
+    # B is held as B[x, (part, xi), y]: a class's sums are written a few
+    # kilobytes apart, not one whole B_xi apart, and each B_xi of the
+    # (2, n_f, n1, n1) view is still a matrix with unit stride along y
+    a, b = np.triu_indices(n1)
+    keep = a + b <= n1 - 1
+    a, b = a[keep], b[keep]
+    B = np.empty((n1, 2 * n_f, n1))
+    for blk in _pair_blocks(len(a), n_r):
+        i, j = a[blk], b[blk]
+        sums = (coef @ _mehler_gamma_dr_raw(r[:, None], x1[i], x1[j])).T
+        for p, q in ((i, j), (j, i), (n1 - 1 - i, n1 - 1 - j), (n1 - 1 - j, n1 - 1 - i)):
+            B[p, :, q] = sums
+    B = B.transpose(1, 0, 2).reshape(2, n_f, n1, n1)
     T_full = np.empty(F.shape, dtype=complex)
     T_loc = np.empty(F.shape, dtype=complex)
-    half = (n1 + 1) // 2
-    rows = _split_rows(n1)
-    # the real and imaginary part of B_xi on the top half of the x1 rows
-    top = np.empty((2, n_f, half, n1))
-    acc_buf = np.empty(2 * n_f * rows * n1)
-    for lo in range(0, half, rows):
-        hi = min(lo + rows, half)
-        band = slice(lo, n1 - lo)
-        acc = acc_buf[:2 * n_f * (hi - lo) * (n1 - 2 * lo)].reshape(2 * n_f, -1)
-        acc[...] = 0.0
-        for r_lo in range(0, n_r, _SPLIT_R_BLOCK):
-            nodes = r[r_lo:r_lo + _SPLIT_R_BLOCK]
-            kd = _mehler_gamma_dr_raw(nodes[:, None, None], x1[lo:hi, None, :], x1[None, band, :])
-            acc += coef[:, r_lo:r_lo + len(nodes)] @ kd.reshape(len(nodes), -1)
-        top[:, :, lo:hi, band] = acc.reshape(2, n_f, hi - lo, -1)
-        # row i is summed on the columns i..n1-1-i; K is symmetric, and
-        # x1[n1-1-i] = -x1[i] with K(-x, -y) = K(x, y), so the columns left of
-        # the band are K[j, i] and those right of it K[n1-1-j, n1-1-i], both
-        # on rows of earlier tiles
-        top[:, :, lo:hi, :lo] = top[:, :, :lo, lo:hi].swapaxes(-1, -2)
-        top[:, :, lo:hi, n1 - lo:] = top[:, :, :lo, n1 - hi:n1 - lo][:, :, ::-1, ::-1].swapaxes(-1, -2)
-    # the fills above read unscaled rows of earlier tiles, so B is scaled in
-    # place only now, a tile of top rows and their mirrors at a time
-    mirror_buf = np.empty(2 * n_f * rows * n1)
-    for lo in range(0, half, rows):
-        hi = min(lo + rows, half)
-        B = top[:, :, lo:hi]
-        tiles = [(slice(lo, hi), B)]
-        # row n1-1-i of B is row i reversed; the middle row of an odd grid is its own mirror
-        k = min(hi, n1 - half) - lo
-        if k > 0:
-            mirror = mirror_buf[:2 * n_f * k * n1].reshape(2, n_f, k, n1)
-            np.copyto(mirror, B[:, :, k - 1::-1, ::-1])
-            tiles.append((slice(n1 - lo - k, n1 - lo), mirror))
-        for blk, Bt in tiles:
-            for scale, T in ((weights[blk], T_full), (mask[blk], T_loc)):
-                Bt *= scale
-                for out, g in zip(T, G):
-                    prod = _frequency_product(Bt, g)
-                    out[blk, neg] = prod[..., 1]
-                    out[blk, :n_f] = prod[..., 0]
+    for scale, T in ((weights, T_full), (mask, T_loc)):
+        B *= scale
+        for out, g in zip(T, G):
+            prod = _frequency_product(B, g)
+            out[:, neg] = prod[..., 1]
+            out[:, :n_f] = prod[..., 0]
     T_full = np.fft.ifft(T_full, axis=-1)
     T_loc = np.fft.ifft(T_loc, axis=-1)
     pts, wts = grid.points(), grid.weights()  # shared by every returned function

@@ -210,8 +210,12 @@ class SpectralSystem:
         self.dimension = lam.shape[1]
         self.atl = bool(np.all(lam.max(axis=1) > 0))
 
-        self.points = _point_rows(points, np.asarray(weights).size)
         self.weights = np.asarray(weights, dtype=float)
+        if self.weights.ndim != 1:
+            raise ValueError(f"weights must be a 1-D array, got shape {self.weights.shape}")
+        self.points = _point_rows(points, len(self.weights))
+        if len(self.points) != len(self.weights):
+            raise ValueError(f"points: expected one row per weight ({len(self.weights)}), got {len(self.points)}")
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be positive")
         self._basis = np.asarray(basis, dtype=float)

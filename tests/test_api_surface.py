@@ -36,6 +36,7 @@ _UNREACHED = {
     "hermite_eval": "oracle: test_basis_arrays_match_pointwise_formulas",
     "mehler_kernel": "oracle: test_mehler_dr_matches_finite_difference",
     "apply_semigroup_kernel": "oracle: test_semigroup_spectral_agreement_band_limited",
+    "lebesgue_weights": "oracle: test_mehler_unit_lebesgue_mass",
     "mellin_on_grid": "oracle: test_decay_check_sup_is_max_of_direct_mellin_sums",
     "kernel_Ktilde": "BENCHMARK.json per-layer metric",
     # the Laplace-transform multipliers of the abstract
@@ -126,3 +127,20 @@ def test_reasons_name_their_claim():
         if reason.startswith("oracle: "):
             test = reason.removeprefix("oracle: ")
             assert name in bodies.get(test, ()), f"{test} does not call the oracle {name}"
+
+
+def test_every_private_module_name_is_read():
+    # a private helper or constant that no package source reads is dead code
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    defs, _, _ = _definitions()
+    unread = sorted(
+        f"{layer}.{name}" for layer, name in defs
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+    assert unread == [], f"private names no package source reads: {unread}"

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from specmult import products, spectral
-from specmult.ouhermite import _mehler_dr_raw, _mehler_gamma_dr_raw, _w_dr_raw, ou_system
+from specmult.ouhermite import _mehler_dr_raw, _mehler_gamma_dr_raw, _w_dr_raw, lebesgue_weights, ou_system
 from specmult.products import (
     _ball_volume_rows,
     _eta_rows,
@@ -504,6 +504,7 @@ def _split_by_r_nodes(f, kappa, model, grid, s=2.0, base_mask=None, n_r=512):
     x1, y2 = grid.x1_points, grid.y_points
     mask = local_mask(grid, s)
     base = np.ones((n1, n1), dtype=bool) if base_mask is None else base_mask
+    leb = lebesgue_weights(x1, grid.x1_gamma_weights)
     r, w = _r_quadrature(kappa, n_r)
     T_full = np.zeros(F.shape, dtype=complex)
     T_loc = np.zeros(F.shape, dtype=complex)
@@ -511,7 +512,7 @@ def _split_by_r_nodes(f, kappa, model, grid, s=2.0, base_mask=None, n_r=512):
         md = _mehler_dr_raw(float(ri), x1[:, None, :], x1[None, :, :])
         pk = model.kernel(-math.log(ri), y2[:, None, :], y2[None, :, :])
         right = F @ (pk * grid.y_weights[None, :]).T
-        A = md * base * grid.x1_lebesgue_weights[None, :]
+        A = md * base * leb[None, :]
         T_full += ki * (A @ right)
         T_loc += ki * ((A * mask) @ right)
     return T_loc.reshape(-1), (T_full - T_loc).reshape(-1), np.max(np.abs(T_full))
@@ -573,27 +574,28 @@ def _check_split_against_r_nodes(model, kappa, grid, s, with_base, seed):
     assert np.max(np.abs(glob.values - want_glob)) <= 1e-12 * scale
 
 
-def test_t_split_sums_the_symmetric_band_once_per_r_block(torus, kid, monkeypatch):
-    # the default riesz-cross-check grid: dK_r/dr is evaluated on the top
-    # ceil(n1 / 2) x1 rows only, the tile [lo, hi) on the columns [lo, n1 - lo),
-    # one call per tile and r-block
-    calls, entries = [], []
+@pytest.mark.parametrize("k_max, n_y, n_x, n_pairs", [(12, 32, 128, 4160), (8, 16, 97, 49**2)], ids=["default", "odd_n_x"])
+def test_t_split_sums_one_x1_pair_per_symmetry_class(torus, kid, monkeypatch, k_max, n_y, n_x, n_pairs):
+    # the default riesz-cross-check grid and an odd n_x: dK_r/dr is evaluated
+    # once against all r-nodes on each pair i <= j, i + j <= n1 - 1, one per
+    # class {(i, j), (j, i), (n1-1-i, n1-1-j), (n1-1-j, n1-1-i)}, and nowhere else
+    grid = product_grid(torus, d=1, k_max=k_max, n_y=n_y, n_x=n_x)
+    index = {float(x): k for k, x in enumerate(grid.x1_points[:, 0])}
+    n_r, pairs, entries = 512, [], []
 
-    def counting(*args):
-        out = _mehler_gamma_dr_raw(*args)
-        calls.append(1)
+    def recording(r, x1, y1):
+        out = _mehler_gamma_dr_raw(r, x1, y1)
+        assert np.size(r) == n_r
+        xb, yb = (p[..., 0].ravel().tolist() for p in np.broadcast_arrays(x1, y1))
+        pairs.extend((index[x], index[y]) for x, y in zip(xb, yb))
         entries.append(out.size)
         return out
 
-    monkeypatch.setattr(products, "_mehler_gamma_dr_raw", counting)
-    n_x, n_y, n_r = 128, 32, 512
-    grid = product_grid(torus, d=1, k_max=12, n_y=n_y, n_x=n_x)
+    monkeypatch.setattr(products, "_mehler_gamma_dr_raw", recording)
     apply_T_split(grid.function(np.ones(n_x * n_y)), kid, torus, grid, n_r=n_r)
-    half, rows = (n_x + 1) // 2, products._split_rows(n_x)
-    band = sum((min(lo + rows, half) - lo) * (n_x - 2 * lo) for lo in range(0, half, rows))
-    assert sum(entries) == band * n_r == 2_359_296
-    tiles = -(-half // rows)
-    assert len(calls) <= (n_r // products._SPLIT_R_BLOCK) * tiles
+    assert sorted(pairs) == [(i, j) for i in range(n_x) for j in range(i, n_x - i)]
+    assert len(pairs) == n_pairs
+    assert sum(entries) == n_pairs * n_r  # 2,129,920 at the default grid
 
 
 def test_t_split_rejects_non_torus_input(torus, euclid1, kid):
@@ -632,11 +634,12 @@ def test_t_split_rejects_bad_arguments(torus, kid):
         apply_T_split([], kid, torus, grid)
 
 
-def test_t_split_memory_below_one_full_kernel(torus, kid):
-    # the default riesz-cross-check grid: the tiled r-sum never holds the
-    # whole (n_y, n_x, n_x) complex kernel, 8.4 MB here
-    n_x, n_y = 128, 32
-    grid = product_grid(torus, d=1, k_max=12, n_y=n_y, n_x=n_x)
+@pytest.mark.parametrize("k_max, n_y, n_x", [(12, 32, 128), (24, 128, 256)], ids=["default", "schema_edge"])
+def test_t_split_memory_below_one_full_kernel(torus, kid, k_max, n_y, n_x):
+    # the default riesz-cross-check grid and the largest its schema admits,
+    # where B is largest: the split holds the real (2, n_y // 2 + 1, n_x, n_x)
+    # B, never the whole (n_y, n_x, n_x) complex kernel, 8.4 MB and 134 MB here
+    grid = product_grid(torus, d=1, k_max=k_max, n_y=n_y, n_x=n_x)
     rng = np.random.default_rng(5)
     n = n_x * n_y
     fs = [grid.function(rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(5)]

@@ -332,6 +332,19 @@ def test_multi_index_entries_validated():
         SpectralSystem([(-1,)], [[1.0]], [[1.0]], [[0.0]], [1.0])
 
 
+def test_points_need_one_row_per_weight():
+    # five points for four weights used to build, and fail only at reconstruct
+    with pytest.raises(ValueError, match=r"points: expected one row per weight \(4\), got 5"):
+        SpectralSystem([[0], [1]], [[0.0], [1.0]], np.ones((2, 4)), np.arange(5.0)[:, None], np.full(4, 0.25))
+
+
+def test_weights_must_be_one_dimensional():
+    # a (4, 1) column of weights used to build, and broadcast against the basis at first use
+    with pytest.raises(ValueError, match=r"weights must be a 1-D array, got shape \(4, 1\)"):
+        SpectralSystem([[0], [1]], [[0.0], [1.0]], np.ones((2, 4)), np.arange(4.0)[:, None],
+                       np.array([[0.25], [0.5], [0.25], [0.25]]))
+
+
 # -- properties ------------------------------------------------------------
 
 PROPERTY = settings(max_examples=12, derandomize=True, deadline=None)
