@@ -215,7 +215,8 @@ class HeatKernelModel:
     kernel(t, x2, y2) is the density of e^{-tA} against mu.  The trailing
     axis of x2 and y2 is the space axis; t broadcasts against the point
     axes in front of it, so t of shape (n_t,) with points of shape
-    (n, 1, dim) gives an (n, n_t) array.
+    (n, 1, dim) gives an (n, n_t) array.  A value depends only on its own t
+    and points: a 0-d t, or a block of the t, gives the same bits.
     """
 
     name: str
@@ -242,7 +243,7 @@ def euclidean_heat_model(m: int = 1) -> HeatKernelModel:
         t = np.asarray(t, dtype=float)
         z = np.asarray(x2, dtype=float) - np.asarray(y2, dtype=float)
         q = np.sum(z * z, axis=-1)
-        return (4.0 * math.pi * t) ** (-m / 2.0) * np.exp(-q / (4.0 * t))
+        return np.power(4.0 * math.pi * t, -m / 2.0) * np.exp(-q / (4.0 * t))
 
     def zeta(x2, y2):
         z = np.asarray(x2, dtype=float) - np.asarray(y2, dtype=float)
@@ -284,19 +285,28 @@ def _torus_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def torus_heat_model() -> HeatKernelModel:
-    """Unit-circumference torus; kernel = wrapped Gaussian, mu(Y) = 1."""
+    """Unit-circumference torus; kernel = wrapped Gaussian, mu(Y) = 1.
+
+    The kernel at t sums the Gaussian's images z + j, |j| <= n_t, with
+    n_t = ceil(1/2 + sqrt(-4 t log _THETA_TRUNC)) + 1 sized for that t alone,
+    so a value does not depend on the other t of the call.
+    """
 
     def kernel(t, x2, y2):
-        # wrapped Gaussian: the image sum runs over a trailing axis
+        # one pair of images z +- j at a time, the farthest first; past n_t a
+        # pair adds an exact 0, so a value depends only on its own (t, z)
         t = np.asarray(t, dtype=float)
         z = _wrap(np.sum(np.asarray(x2, dtype=float) - np.asarray(y2, dtype=float), axis=-1))
-        tmax = float(np.max(t))
-        n_img = int(math.ceil(0.5 + math.sqrt(4.0 * tmax * -math.log(_THETA_TRUNC)))) + 1
-        j = np.arange(-n_img, n_img + 1)
-        zz = np.asarray(z)[..., None] + j
-        # a scalar t stays scalar: NumPy's scalar and array pow round differently
-        tt = t[..., None] if t.ndim else t
-        return np.sum((4.0 * math.pi * tt) ** -0.5 * np.exp(-(zz * zz) / (4.0 * tt)), axis=-1)
+        n_t = np.ceil(0.5 + np.sqrt(4.0 * t * -math.log(_THETA_TRUNC))) + 1
+        scale = np.power(4.0 * math.pi * t, -0.5)
+
+        def image(u):
+            return scale * np.exp(-(u * u) / (4.0 * t))
+
+        total = np.zeros(np.broadcast_shapes(z.shape, t.shape))
+        for j in range(int(np.max(n_t)), 0, -1):
+            total += np.where(j <= n_t, image(z - j) + image(z + j), 0.0)
+        return total + image(z)
 
     def zeta(x2, y2):
         z = _wrap(np.sum(np.asarray(x2, dtype=float) - np.asarray(y2, dtype=float), axis=-1))
@@ -396,10 +406,6 @@ class ProductGrid:
     y_weights: np.ndarray
 
     @property
-    def d(self) -> int:
-        return self.x1_points.shape[1]
-
-    @property
     def shape(self) -> tuple:
         return (len(self.x1_points), len(self.y_points))
 
@@ -479,32 +485,15 @@ def local_mask(grid: ProductGrid, s: float = 2.0) -> np.ndarray:
     return dist <= s / (1.0 + norms[:, None] + norms[None, :])
 
 
-# r-nodes per call of the heat kernel in the T split
-_SPLIT_R_BLOCK = 32
-
-
 def _heat_spectrum(model: HeatKernelModel, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """DFT along y of c_t[b] = p_t(y_b - y_0), the first column of the circulant
     heat factor, at the frequencies 0..n_y // 2: a real (n_y // 2 + 1, n_t) array.
 
-    The column is even, c_t[b] = c_t[n_y - b], so its DFT is real and even;
-    the real part is the DFT of the computed column's even part.
+    The column comes from one call of the heat kernel at every t.  It is
+    even, c_t[b] = c_t[n_y - b], so its DFT is real and even; the real part
+    is the DFT of the computed column's even part.
     """
-    column = np.concatenate(
-        [model.kernel(t[lo:lo + _SPLIT_R_BLOCK], y[:, None, :], y[0]) for lo in range(0, len(t), _SPLIT_R_BLOCK)],
-        axis=1,
-    )
-    return np.fft.rfft(column, axis=0).real
-
-
-def _frequency_product(B: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """B_xi applied to one function's columns at xi and -xi: an (x, xi, 2) complex array.
-
-    B is (2, n_f, n1, n1), the real and imaginary part of B_xi; g is
-    (n_f, n1, 4), the real and imaginary part of G^ at xi, then at -xi.
-    """
-    p = (B @ g).view(complex)
-    return (p[0] + 1j * p[1]).transpose(1, 0, 2)
+    return np.fft.rfft(model.kernel(t, y[:, None, :], y[0]), axis=0).real
 
 
 def apply_T_split(
@@ -539,11 +528,13 @@ def apply_T_split(
     K_r is symmetric and even, K(-x, -y) = K(x, y), bit for bit, and
     x1[n1-1-i] = -x1[i], so B_xi takes one value on each class of x1 pairs
     {(i, j), (j, i), (n1-1-i, n1-1-j), (n1-1-j, n1-1-i)}: the r-sum runs on
-    the representatives i <= j, i + j <= n1 - 1 only, and each sum is written
-    at the four places of its class in the full (2, n_f, n1, n1) real B.
+    the representatives i <= j, i + j <= n1 - 1 only, one real product over
+    the real and imaginary r-weights, and each sum is written at the four
+    places of its class in the full complex (n_f, n1, n1) B.
     ``base_mask``, the gamma weights and the local cutoff multiply B in place.
     Then T_full^ = B_xi G^ and T_loc^ = (B_xi chi_{N_s}) G^, with G^ the DFT
-    along y of f times the y-weights, and one inverse DFT gives both parts.
+    along y of f times the y-weights, one complex product of B_xi with the
+    columns of G^ at xi and -xi, and one inverse DFT gives both parts.
 
     ``f`` may also be a sequence of functions on the grid: B is built once
     for the whole stack, and a list of (T_loc f, T_glob f) pairs comes back.
@@ -579,32 +570,32 @@ def apply_T_split(
     coef = np.concatenate([coef.real, coef.imag])  # the complex r-sum as one real product
     F = np.stack([g.values.reshape(n1, n2) for g in fs])
     G = np.fft.fft(F * grid.y_weights, axis=-1)
-    # each function's columns at xi and -xi as real pairs, (n_f, n1, 4); a function
-    # is applied on its own, so its split does not depend on the rest of the stack
-    G = np.stack([G[..., :n_f], G[..., neg]], axis=-1).view(float).transpose(0, 2, 1, 3).copy()
-    # one pair (i, j) per class, i <= j and i + j <= n1 - 1; its r-sum, the
-    # real and imaginary part of B_xi[i, j] at every xi, goes to the whole class.
-    # B is held as B[x, (part, xi), y]: a class's sums are written a few
-    # kilobytes apart, not one whole B_xi apart, and each B_xi of the
-    # (2, n_f, n1, n1) view is still a matrix with unit stride along y
+    # each function's columns at xi and -xi, (n_f, n1, 2); a function is applied
+    # on its own, so its split does not depend on the rest of the stack
+    G = np.stack([G[..., :n_f], G[..., neg]], axis=-1).transpose(0, 2, 1, 3)
+    # one pair (i, j) per class, i <= j and i + j <= n1 - 1; its r-sum, B_xi[i, j]
+    # at every xi, goes to the whole class.  B is held as B[x, xi, y]: a class's
+    # sums are written a few kilobytes apart, not one whole B_xi apart, and each
+    # B_xi of the (n_f, n1, n1) view is still a matrix with unit stride along y
     a, b = np.triu_indices(n1)
     keep = a + b <= n1 - 1
     a, b = a[keep], b[keep]
-    B = np.empty((n1, 2 * n_f, n1))
+    B = np.empty((n1, n_f, n1), dtype=complex)
     for blk in _pair_blocks(len(a), n_r):
         i, j = a[blk], b[blk]
-        sums = (coef @ _mehler_gamma_dr_raw(r[:, None], x1[i], x1[j])).T
+        sums = coef @ _mehler_gamma_dr_raw(r[:, None], x1[i], x1[j])
+        sums = (sums[:n_f] + 1j * sums[n_f:]).T
         for p, q in ((i, j), (j, i), (n1 - 1 - i, n1 - 1 - j), (n1 - 1 - j, n1 - 1 - i)):
             B[p, :, q] = sums
-    B = B.transpose(1, 0, 2).reshape(2, n_f, n1, n1)
+    B = B.transpose(1, 0, 2)
     T_full = np.empty(F.shape, dtype=complex)
     T_loc = np.empty(F.shape, dtype=complex)
     for scale, T in ((weights, T_full), (mask, T_loc)):
         B *= scale
         for out, g in zip(T, G):
-            prod = _frequency_product(B, g)
-            out[:, neg] = prod[..., 1]
-            out[:, :n_f] = prod[..., 0]
+            prod = B @ g
+            out[:, neg] = prod[..., 1].T
+            out[:, :n_f] = prod[..., 0].T
     T_full = np.fft.ifft(T_full, axis=-1)
     T_loc = np.fft.ifft(T_loc, axis=-1)
     pts, wts = grid.points(), grid.weights()  # shared by every returned function

@@ -68,6 +68,19 @@ def _point_rows(points, n: int) -> np.ndarray:
     return pts.T if pts.shape[0] == 1 and n != 1 else pts
 
 
+def _quadrature_rule(points, weights) -> tuple[np.ndarray, np.ndarray]:
+    """A quadrature rule as (n, dim) float points and n positive float weights."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1:
+        raise ValueError(f"weights must be a 1-D array, got shape {weights.shape}")
+    points = _point_rows(points, len(weights))
+    if len(points) != len(weights):
+        raise ValueError(f"points: expected one row per weight ({len(weights)}), got {len(points)}")
+    if np.any(weights <= 0):
+        raise ValueError("quadrature weights must be positive")
+    return points, weights
+
+
 class EvaluationError(ValueError):
     """A multiplier evaluated non-finite on a spectrum point."""
 
@@ -95,15 +108,12 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _point_rows(self.points, np.asarray(self.weights).size))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        points, weights = _quadrature_rule(self.points, self.weights)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "values", np.asarray(self.values))
-        if self.weights.ndim != 1 or len(self.weights) != len(self.points):
-            raise ValueError("weights must be one per grid point")
         if self.values.shape != self.weights.shape:
             raise ValueError("values must be one per grid point")
-        if np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be positive")
 
     def norm_lp(self, p: float) -> float:
         """L^p norm with respect to the grid measure (p = inf allowed)."""
@@ -210,14 +220,7 @@ class SpectralSystem:
         self.dimension = lam.shape[1]
         self.atl = bool(np.all(lam.max(axis=1) > 0))
 
-        self.weights = np.asarray(weights, dtype=float)
-        if self.weights.ndim != 1:
-            raise ValueError(f"weights must be a 1-D array, got shape {self.weights.shape}")
-        self.points = _point_rows(points, len(self.weights))
-        if len(self.points) != len(self.weights):
-            raise ValueError(f"points: expected one row per weight ({len(self.weights)}), got {len(self.points)}")
-        if np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be positive")
+        self.points, self.weights = _quadrature_rule(points, weights)
         self._basis = np.asarray(basis, dtype=float)
         if self._basis.shape != (n, len(self.weights)):
             raise ValueError("basis matrix has wrong shape")

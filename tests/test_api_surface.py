@@ -129,18 +129,37 @@ def test_reasons_name_their_claim():
             assert name in bodies.get(test, ()), f"{test} does not call the oracle {name}"
 
 
+def _read(paths, kinds) -> set:
+    """The names (ast.Name) or attributes (ast.Attribute) the sources at paths read."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, kinds) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return read
+
+
 def test_every_private_module_name_is_read():
     # a private helper or constant that no package source reads is dead code
-    read = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    read = _read(PACKAGE.glob("*.py"), (ast.Name, ast.Attribute))
     defs, _, _ = _definitions()
     unread = sorted(
         f"{layer}.{name}" for layer, name in defs
         if name.startswith("_") and not name.startswith("__") and name not in read
     )
     assert unread == [], f"private names no package source reads: {unread}"
+
+
+def test_every_method_and_property_is_read():
+    # a method or property of a layer's class that neither the package nor a
+    # test reads as an attribute is dead code; dunders are reached by protocol
+    read = _read([*PACKAGE.glob("*.py"), *Path(__file__).parent.glob("test_*.py")], ast.Attribute)
+    defs, _, _ = _definitions()
+    unread = sorted(
+        f"{layer}.{node.name}.{item.name}"
+        for (layer, _), nodes in defs.items()
+        for node in nodes if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__") and item.name not in read
+    )
+    assert unread == [], f"methods and properties nothing reads: {unread}"

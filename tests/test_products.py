@@ -238,7 +238,9 @@ def test_ball_volume_doubling(euclid1, torus):
 @pytest.mark.parametrize("d", [1, 2])
 def test_kernel_joint_batching_matches_per_pair(euclid1, torus, d):
     # t and the points broadcast together: row i of the joint call is the
-    # per-pair call of pair i, bit for bit
+    # per-pair call of pair i, and column k is the call at t[k] alone (0-d)
+    # and the same column of calls on blocks of 32 t, bit for bit: a value
+    # does not depend on the other t of its call
     t = -np.log(np.linspace(0.1, 0.9, 512))
     for model in (euclid1, euclidean_heat_model(2), torus):
         pairs = sample_product_pairs(32, 5, model, d=d)
@@ -246,6 +248,30 @@ def test_kernel_joint_batching_matches_per_pair(euclid1, torus, d):
         joint = model.kernel(t, x2[:, None, :], y2[:, None, :])
         assert joint.shape == (32, 512)
         assert np.array_equal(joint, np.array([model.kernel(t, p, q) for p, q in zip(x2, y2)]))
+        assert np.array_equal(joint, np.stack([model.kernel(t_k, x2, y2) for t_k in t], axis=1))
+        blocks = [model.kernel(t[lo:lo + 32], x2[:, None, :], y2[:, None, :]) for lo in range(0, 512, 32)]
+        assert np.array_equal(joint, np.concatenate(blocks, axis=1))
+
+
+def test_torus_kernel_matches_mpmath():
+    # the wrapped Gaussian against a 40-digit reference: its image sum for
+    # t < 0.5, where it converges fast, and 1 + 2 sum_k e^{-4 pi^2 k^2 t}
+    # cos(2 pi k z) for t >= 0.5
+    t = np.geomspace(1e-3, 50.0, 23)
+    z = np.linspace(0.0, 0.5, 11)
+    got = torus_heat_model().kernel(t, z[:, None, None], np.zeros(1))
+
+    def reference(t, z):
+        t, z = mpmath.mpf(t), mpmath.mpf(z)
+        if t < 0.5:
+            images = mpmath.nsum(lambda j: mpmath.exp(-((z + j) ** 2) / (4 * t)), [-mpmath.inf, mpmath.inf])
+            return images / mpmath.sqrt(4 * mpmath.pi * t)
+        k2 = 4 * mpmath.pi**2 * t
+        return 1 + 2 * mpmath.nsum(lambda k: mpmath.exp(-k2 * k * k) * mpmath.cos(2 * mpmath.pi * k * z), [1, mpmath.inf])
+
+    with mpmath.workdps(40):
+        want = np.array([[float(reference(t_k, z_i)) for t_k in t] for z_i in z])
+    assert np.max(np.abs(got - want) / want) <= 1e-14
 
 
 def test_euclidean_model_dimension():
@@ -566,7 +592,7 @@ def _check_split_against_r_nodes(model, kappa, grid, s, with_base, seed):
     n = grid.shape[0] * grid.shape[1]
     f = grid.function(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     base = local_mask(grid, 0.5) if with_base else None
-    # 100 nodes: three full r-blocks and a short one
+    # 100 r-nodes keep the node-by-node reference short
     loc, glob = apply_T_split(f, kappa, model, grid, s=s, base_mask=base, n_r=100)
     want_loc, want_glob, scale = _split_by_r_nodes(f, kappa, model, grid, s=s, base_mask=base, n_r=100)
     assert scale > 0.0
@@ -637,7 +663,7 @@ def test_t_split_rejects_bad_arguments(torus, kid):
 @pytest.mark.parametrize("k_max, n_y, n_x", [(12, 32, 128), (24, 128, 256)], ids=["default", "schema_edge"])
 def test_t_split_memory_below_one_full_kernel(torus, kid, k_max, n_y, n_x):
     # the default riesz-cross-check grid and the largest its schema admits,
-    # where B is largest: the split holds the real (2, n_y // 2 + 1, n_x, n_x)
+    # where B is largest: the split holds the complex (n_y // 2 + 1, n_x, n_x)
     # B, never the whole (n_y, n_x, n_x) complex kernel, 8.4 MB and 134 MB here
     grid = product_grid(torus, d=1, k_max=k_max, n_y=n_y, n_x=n_x)
     rng = np.random.default_rng(5)

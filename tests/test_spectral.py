@@ -43,7 +43,7 @@ def unit(sys_, k):
 
 
 def test_grid_function_validation():
-    with pytest.raises(ValueError, match="one per grid point"):
+    with pytest.raises(ValueError, match=r"points: expected one row per weight \(1\), got 2"):
         GridFunction([[0.0], [1.0]], [1.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="positive"):
         GridFunction([[0.0]], [0.0], [1.0])
