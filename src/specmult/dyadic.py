@@ -1,15 +1,14 @@
-"""Dyadic analysis on one-dimensional model windows.
+"""Dyadic analysis on the unit interval.
 
 Generation averages, the dyadic maximal function, a fibered
 Calderon-Zygmund decomposition by stopping-time cube selection, and
 weak-L1 quasinorms.
 
-The base space is a half-open interval carrying a uniform grid whose
-size is a power of two, so every dyadic cube is an exact slice of grid
-points.  Fibered data is an array whose last axis runs over the window
-grid; leading axes index fibers and are never mixed by any operation
-here.  A plain ``GridFunction`` is accepted wherever a single fiber is
-meant and the result is returned in kind.
+The base space is [0, 1) carrying a uniform grid whose size is a power
+of two, so every dyadic cube is an exact slice of grid points.  Fibered
+data is an array whose last axis runs over the grid; leading axes index
+fibers and are never mixed by any operation here.  A function sampled
+on a ``GridFunction`` grid is passed as its values and weights.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .spectral import GridFunction
 
 __all__ = [
     "CZBad",
@@ -55,20 +52,16 @@ class DyadicCube:
 
 @dataclass(frozen=True)
 class DyadicSystem:
-    """Dyadic cubes over a uniform midpoint grid on [lo, hi).
+    """Dyadic cubes over a uniform midpoint grid of n points on [0, 1).
 
-    Level l splits the window into 2**l half-open cubes; the finest
+    Level l splits the interval into 2**l half-open cubes; the finest
     level keeps at least four grid points per cube so cube averages
     stay meaningful.  Halving gives doubling constant 2 exactly.
     """
 
-    lo: float
-    hi: float
     n: int
 
     def __post_init__(self):
-        if self.hi <= self.lo:
-            raise ValueError("window must have positive length")
         if self.n < 8 or self.n & (self.n - 1):
             raise ValueError("grid size must be a power of two, at least 8")
 
@@ -86,12 +79,11 @@ class DyadicSystem:
 
     @property
     def points(self) -> np.ndarray:
-        h = (self.hi - self.lo) / self.n
-        return self.lo + h * (np.arange(self.n) + 0.5)
+        return (np.arange(self.n) + 0.5) / self.n
 
     @property
     def weights(self) -> np.ndarray:
-        return np.full(self.n, (self.hi - self.lo) / self.n)
+        return np.full(self.n, 1.0 / self.n)
 
     def check_level(self, l: int) -> None:
         if l not in self.levels:
@@ -102,13 +94,13 @@ class DyadicSystem:
         count = 1 << level
         if not 0 <= index < count:
             raise ValueError(f"cube index {index} outside level {level}")
-        width = (self.hi - self.lo) / count
+        width = 1.0 / count
         pts = self.n >> level
         return DyadicCube(
             level=level,
             index=index,
-            lo=self.lo + index * width,
-            hi=self.lo + (index + 1) * width,
+            lo=index * width,
+            hi=(index + 1) * width,
             measure=width,
             start=index * pts,
             stop=(index + 1) * pts,
@@ -118,51 +110,33 @@ class DyadicSystem:
         self.check_level(level)
         return tuple(self.cube(level, k) for k in range(1 << level))
 
-    def grid_function(self, values: np.ndarray) -> GridFunction:
-        return GridFunction(self.points[:, None], self.weights, np.asarray(values))
+
+def dyadic_system(n: int = 256) -> DyadicSystem:
+    return DyadicSystem(n=int(n))
 
 
-def dyadic_system(n: int = 256, window: tuple[float, float] = (0.0, 1.0)) -> DyadicSystem:
-    return DyadicSystem(lo=float(window[0]), hi=float(window[1]), n=int(n))
-
-
-def _unpack(f) -> tuple[np.ndarray, bool]:
-    """Return (array with grid on the last axis, came-as-GridFunction)."""
-    if isinstance(f, GridFunction):
-        return np.asarray(f.values), True
-    return np.asarray(f), False
-
-
-def _repack(values: np.ndarray, template, was_grid: bool):
-    if was_grid:
-        return template.with_values(values)
-    return values
-
-
-def dyadic_average(f, l: int, system: DyadicSystem):
+def dyadic_average(f, l: int, system: DyadicSystem) -> np.ndarray:
     """Generation-l conditional expectation: the cube average, per fiber.
 
     Constant on each level-l cube; uniform weights make the mu-average
     a plain mean over the cube's grid slice.
     """
     system.check_level(l)
-    arr, was_grid = _unpack(f)
+    arr = np.asarray(f)
     if arr.shape[-1] != system.n:
         raise ValueError("last axis of f must match the system grid")
     pts = system.n >> l
     block = arr.reshape(arr.shape[:-1] + (1 << l, pts)).mean(axis=-1)
-    out = np.repeat(block, pts, axis=-1)
-    return _repack(out, f, was_grid)
+    return np.repeat(block, pts, axis=-1)
 
 
-def dyadic_maximal(f, system: DyadicSystem):
+def dyadic_maximal(f, system: DyadicSystem) -> np.ndarray:
     """Pointwise sup over levels of the averages of |f|."""
-    arr, was_grid = _unpack(f)
-    a = np.abs(arr)
+    a = np.abs(np.asarray(f))
     out = np.zeros_like(a, dtype=float)
     for l in system.levels:
         np.maximum(out, dyadic_average(a, l, system), out=out)
-    return _repack(out, f, was_grid)
+    return out
 
 
 @dataclass(frozen=True)
@@ -189,7 +163,7 @@ class CZBad:
 class CZResult:
     """Decomposition f = good + sum of bad parts at a threshold."""
 
-    good: object
+    good: np.ndarray
     bads: tuple[CZBad, ...]
     threshold: float
     system: DyadicSystem
@@ -225,7 +199,7 @@ def cz_decompose(f, s: float, system: DyadicSystem) -> CZResult:
 
     Parameters
     ----------
-    f : array or GridFunction
+    f : array
         Non-negative samples, grid on the last axis; leading axes are
         fibers.
     s : float
@@ -235,12 +209,12 @@ def cz_decompose(f, s: float, system: DyadicSystem) -> CZResult:
     Returns
     -------
     CZResult
-        With ``good`` matching the input container and bad parts merged
-        by cube identity across fibers.
+        With ``good`` shaped as f and bad parts merged by cube identity
+        across fibers.
     """
     if s <= 0:
         raise ValueError("threshold s must be positive")
-    arr, was_grid = _unpack(f)
+    arr = np.asarray(f)
     if arr.shape[-1] != system.n:
         raise ValueError("last axis of f must match the system grid")
     if not np.all(np.isfinite(arr)):
@@ -268,29 +242,23 @@ def cz_decompose(f, s: float, system: DyadicSystem) -> CZResult:
             good[fib, cube.start : cube.stop] = a[:, None]
             bads.append(CZBad(cube=cube, fibers=fib, values=b, averages=a))
 
-    good_out = _repack(good.reshape(arr.shape), f, was_grid)
     return CZResult(
-        good=good_out, bads=tuple(bads), threshold=float(s), system=system, n_fibers=nf
+        good=good.reshape(arr.shape), bads=tuple(bads), threshold=float(s), system=system, n_fibers=nf
     )
 
 
-def weak_quasinorm(f, weights=None) -> float:
+def weak_quasinorm(values, weights) -> float:
     """The L^{1,inf} quasinorm sup_s s * measure{|f| > s} on a grid.
 
-    The sup over continuous s of the piecewise-constant distribution
-    function is approached just below each attained value, so it equals
-    the max over distinct values v > 0 of v * measure{|f| >= v}.
+    ``values`` holds f and ``weights`` the measure of each grid point, one
+    per value.  The sup over continuous s of the piecewise-constant
+    distribution function is approached just below each attained value,
+    so it equals the max over distinct values v > 0 of v * measure{|f| >= v}.
     """
-    if isinstance(f, GridFunction):
-        values, weights = f.values, f.weights
-    else:
-        values = np.asarray(f)
-        if weights is None:
-            raise ValueError("weights are required unless f is a GridFunction")
     a = np.abs(np.asarray(values, dtype=float).ravel())
     w = np.asarray(weights, dtype=float).ravel()
     if a.shape != w.shape:
-        raise ValueError("weights must be one per value")
+        raise ValueError(f"weights: expected one per value ({a.size}), got {w.size}")
     order = np.argsort(a)[::-1]
     a = a[order]
     cum = np.cumsum(w[order])

@@ -30,8 +30,8 @@ from .spectral import (
     MultiplierSpec,
     SpectralSystem,
     _coefficients,
+    _legendre_on,
     _trapezoid,
-    gauss_legendre,
 )
 
 __all__ = [
@@ -206,9 +206,9 @@ def marcinkiewicz_seminorm(
     if d > 2:
         raise NotImplementedError("seminorm implemented for d <= 2")
     R = dyadic.radii()
-    xi, wq = gauss_legendre(n_gl)
+    xi, wq = _legendre_on(0.0, 1.0, n_gl)
     # per-axis abscissae: log lam = log R_i + xi_j log 2, xi_j on [0, 1]
-    lam_axis = np.exp((np.log(R)[:, None] + (xi[None, :] + 1.0) / 2.0 * math.log(2.0)).ravel())
+    lam_axis = np.exp((np.log(R)[:, None] + xi[None, :] * math.log(2.0)).ravel())
     rows = max(1, _TILE_POINTS // len(lam_axis) ** (d - 1))
     blocks = []
     for first in lam_axis.reshape(len(R), n_gl):
@@ -219,9 +219,9 @@ def marcinkiewicz_seminorm(
             vals *= _axis_outer([a**g for a, g in zip(axes, gamma)])
             np.square(np.abs(vals), out=box[i : i + rows].reshape(-1))  # a view: box is C-contiguous
         for axis in range(2 * d - 2, 0, -2):  # contract the other node axes, last first
-            box = np.moveaxis(box, axis, -1) @ (wq / 2.0)
+            box = np.moveaxis(box, axis, -1) @ wq
         blocks.append(box)
-    box = np.moveaxis(np.stack(blocks), 1, -1) @ (wq / 2.0)
+    box = np.moveaxis(np.stack(blocks), 1, -1) @ wq
     return float(box.max() * math.log(2.0) ** d)
 
 

@@ -14,15 +14,12 @@ against central finite differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .spectral import GridFunction, SpectralSystem, _pair_rows, _point_rows
+from .spectral import GridFunction, SpectralSystem, _pair_rows
 
 __all__ = [
-    "HermiteBasis",
     "hermite_basis",
     "hermite_vandermonde",
     "hermite_eval",
@@ -66,22 +63,17 @@ def hermite_eval(k, x) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HermiteBasis:
-    """Per-axis Gauss-Hermite rule for the Gaussian probability measure."""
+def hermite_basis(k_max: int, n_nodes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Hermite rule for degrees up to k_max on one axis: (nodes, weights).
 
-    gh_nodes: np.ndarray
-    gh_weights: np.ndarray  # sums to 1 (gamma is a probability measure)
-
-
-def hermite_basis(k_max: int, n_nodes: int | None = None) -> HermiteBasis:
-    """The Gauss-Hermite rule for degrees up to k_max on one axis."""
+    The weights are those of the Gaussian probability measure, so they sum to 1.
+    """
     if n_nodes is None:
         n_nodes = default_node_count(k_max)
     if n_nodes < k_max + 1:
         raise ValueError("need at least k_max+1 Gauss-Hermite nodes")
     nodes, w = hermgauss(n_nodes)
-    return HermiteBasis(nodes, w / np.sqrt(np.pi))
+    return nodes, w / np.sqrt(np.pi)
 
 
 def default_node_count(k_max: int) -> int:
@@ -103,8 +95,8 @@ def ou_system(d: int, k_max: int, n_nodes: int | None = None) -> SpectralSystem:
     """
     if d not in (1, 2):
         raise ValueError("dimension d must be 1 or 2")
-    basis = hermite_basis(k_max, n_nodes)
-    pts, wts = _product_grid(basis.gh_nodes, basis.gh_weights, d)
+    nodes, weights = hermite_basis(k_max, n_nodes)
+    pts, wts = _product_grid(nodes, weights, d)
 
     if d == 1:
         indices = np.arange(k_max + 1)[:, None]
@@ -112,10 +104,10 @@ def ou_system(d: int, k_max: int, n_nodes: int | None = None) -> SpectralSystem:
         k1, k2 = np.triu_indices(k_max + 1)
         indices = np.column_stack([k1, k2 - k1])  # k1 + k2 <= k_max, k1 major
 
-    V = hermite_vandermonde(k_max, basis.gh_nodes)
+    V = hermite_vandermonde(k_max, nodes)
     B = V[indices[:, 0]]
     if d == 2:
-        n = len(basis.gh_nodes)
+        n = len(nodes)
         B = (B[:, :, None] * V[indices[:, 1]][:, None, :]).reshape(len(indices), n * n)
 
     return SpectralSystem(
@@ -129,10 +121,9 @@ def ou_system(d: int, k_max: int, n_nodes: int | None = None) -> SpectralSystem:
 
 
 def lebesgue_weights(points: np.ndarray, gamma_weights: np.ndarray) -> np.ndarray:
-    """Convert gamma-measure weights to Lebesgue weights on the same grid."""
-    pts = _point_rows(points, gamma_weights.size)
-    d = pts.shape[1]
-    return gamma_weights * np.pi ** (d / 2.0) * np.exp(np.sum(pts**2, axis=1))
+    """Convert gamma-measure weights to Lebesgue weights on the same (n, d) grid."""
+    points = np.asarray(points, dtype=float)
+    return gamma_weights * np.pi ** (points.shape[1] / 2.0) * np.exp(np.sum(points**2, axis=1))
 
 
 def _check_r(r: float) -> None:
@@ -147,20 +138,13 @@ def _mehler_kernel_raw(r, x1, y1):
 
 
 def _mehler_dr_raw(r, x1, y1):
-    """Exact r-derivative dM_r/dr(x1, y1); an array of r-nodes broadcasts in front of the space axis."""
-    r = np.asarray(r, dtype=float)
-    u = r[..., None] * x1 - y1 if r.ndim else r * x1 - y1
-    d = u.shape[-1]
-    q = np.sum(u * u, axis=-1)
-    ux = np.sum(u * x1, axis=-1)
-    s = 1.0 - r * r
-    # d/dr of M_r; the inner-product term carries a factor 2 (chain rule on
-    # |r x1 - y1|^2), unlike the cruder bound-stage constant.
-    bracket = d * r - 2.0 * r * q / s - 2.0 * ux
-    # np.power even for a scalar r, whose s ** would take the C library's pow:
-    # it can differ from NumPy's vectorized pow in the last bit, and a value
-    # must not depend on whether its r-node came alone or in a block
-    return np.pi ** (-d / 2.0) * bracket * np.power(s, -d / 2.0 - 1.0) * np.exp(-q / s)
+    """Exact r-derivative dM_r/dr(x1, y1) = pi^{-d/2} e^{-|y1|^2} dK_r/dr(x1, y1).
+
+    Broadcast as _mehler_gamma_dr_raw, with at least one point axis in
+    front of the space axis.
+    """
+    d = np.broadcast_shapes(np.shape(x1), np.shape(y1))[-1]
+    return np.pi ** (-d / 2.0) * np.exp(-np.sum(y1 * y1, axis=-1)) * _mehler_gamma_dr_raw(r, x1, y1)
 
 
 def _mehler_gamma_dr_raw(r, x1, y1):
@@ -176,8 +160,9 @@ def _mehler_gamma_dr_raw(r, x1, y1):
 
     In D and Q no two large terms cancel, as they would in |x1|^2 + |y1|^2
     against 2 Q far from the origin, and both are symmetric and even bit for
-    bit, so the result is too.  The points broadcast as in _mehler_dr_raw,
-    with at least one point axis in front of the space axis.  The T split
+    bit, so the result is too.  The trailing axis of the points is the space
+    axis, and r broadcasts against the point axes in front of it, of which
+    there must be at least one.  The T split
     passes its r-nodes as a column, r[:, None], against one row of x1 and y1
     per point pair, and gets an (n_r, pairs) array; the r-only factors are
     formed on the column before they meet the pair axis.
@@ -188,7 +173,10 @@ def _mehler_gamma_dr_raw(r, x1, y1):
     D = np.sum(z * z, axis=-1)
     Q = np.sum(x1 * y1, axis=-1)
     s = 1.0 - r * r
-    c = np.power(s, -d / 2.0 - 1.0)  # np.power, as in _mehler_dr_raw
+    # np.power even for a scalar r, whose s ** would take the C library's pow:
+    # it can differ from NumPy's vectorized pow in the last bit, and a value
+    # must not depend on whether its r-node came alone or in a block
+    c = np.power(s, -d / 2.0 - 1.0)
     e = (2.0 * r / (1.0 + r)) * Q
     e -= (r * r / s) * D
     np.exp(e, out=e)
@@ -233,7 +221,7 @@ def _w_dr_raw(r, z):
     d = z.shape[-1]
     q = np.sum(z**2, axis=-1)
     s = 1.0 - r * r
-    # np.power for the same reason as in _mehler_dr_raw
+    # np.power for the same reason as in _mehler_gamma_dr_raw
     return np.pi ** (-d / 2.0) * r * np.power(s, -d / 2.0 - 1.0) * np.exp(-q / s) * (d - 2.0 * q / s)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .ouhermite import _mehler_dr_raw, _mehler_gamma_dr_raw, _product_grid, _w_dr_raw, hermite_basis
-from .spectral import GridFunction, MultiplierSpec, SpectralSystem, _pair_rows, _trapezoid, gauss_legendre
+from .spectral import GridFunction, MultiplierSpec, SpectralSystem, _legendre_on, _pair_rows, _trapezoid
 
 __all__ = [
     "KappaSpec",
@@ -141,12 +141,6 @@ def kappa_indicator(lo: float = 0.1, hi: float = 0.9) -> KappaSpec:
 
 
 _LAPLACE_N = 8192
-
-
-def _legendre_on(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule mapped onto [lo, hi]: (nodes, weights)."""
-    xi, w = gauss_legendre(n)
-    return 0.5 * (hi - lo) * xi + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
 def _check_spectral_points(lam, a) -> None:
@@ -421,8 +415,7 @@ class ProductGrid:
 
 def product_grid(model: HeatKernelModel, d: int = 1, k_max: int = 12, n_y: int = 32,
                  n_x: int | None = None) -> ProductGrid:
-    basis = hermite_basis(k_max, n_x)
-    x1, gw = _product_grid(basis.gh_nodes, basis.gh_weights, d)
+    x1, gw = _product_grid(*hermite_basis(k_max, n_x), d)
     y_pts, y_w = model.grid(n_y)
     return ProductGrid(x1, gw, y_pts, y_w)
 
@@ -613,7 +606,8 @@ def _di_integrand(r: float, x1: np.ndarray, y1: np.ndarray) -> float:
     s = 1.0 - r * r
     if s <= 0.0:
         return 0.0
-    return float(abs(_mehler_dr_raw(np.float64(r), x1, y1) - _w_dr_raw(np.float64(r), x1 - y1)))
+    md = _mehler_dr_raw(np.float64(r), x1[None], y1[None])[0]
+    return float(abs(md - _w_dr_raw(np.float64(r), x1 - y1)))
 
 
 def di_integral(x1, y1) -> float:

@@ -49,6 +49,12 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _legendre_on(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule mapped onto [lo, hi]: (nodes, weights)."""
+    xi, w = gauss_legendre(n)
+    return 0.5 * (hi - lo) * xi + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+
+
 def _trapezoid(n: int, h: float) -> np.ndarray:
     """Weights of the n-node trapezoid rule with uniform spacing h."""
     w = np.full(n, h)
@@ -62,18 +68,14 @@ def _pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])
 
 
-def _point_rows(points, n: int) -> np.ndarray:
-    """Grid points as an (n, dim) float array; one row of n != 1 values is n scalar points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return pts.T if pts.shape[0] == 1 and n != 1 else pts
-
-
 def _quadrature_rule(points, weights) -> tuple[np.ndarray, np.ndarray]:
     """A quadrature rule as (n, dim) float points and n positive float weights."""
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1:
         raise ValueError(f"weights must be a 1-D array, got shape {weights.shape}")
-    points = _point_rows(points, len(weights))
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"points: expected an (n, dim) array, got shape {points.shape}")
     if len(points) != len(weights):
         raise ValueError(f"points: expected one row per weight ({len(weights)}), got {len(points)}")
     if np.any(weights <= 0):
@@ -142,7 +144,8 @@ class MultiplierSpec:
     """A scalar multiplier function on (0, inf)^arity.
 
     ``evaluate`` is vectorized: it maps an (n, arity) array of spectral points
-    to an (n,) complex or real array; a real one comes back as float64.
+    to an (n,) complex or real array.  Calling the spec takes that array
+    ``lam`` and nothing else; a real result comes back as float64.
     ``sector_evaluate`` is the holomorphic extension: it accepts complex
     arguments, for rotated rays and for the Cauchy-integral partials of a
     d = 1 Marcinkiewicz seminorm; without it, partials come from central
@@ -156,16 +159,11 @@ class MultiplierSpec:
 
     def __call__(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
-        if lam.ndim == 1:
-            if self.arity == 1 and lam.shape != (1,):
-                lam = lam[:, None]  # a batch of scalar arguments
-            else:
-                lam = lam[None, :]
-        if lam.shape[-1] != self.arity:
-            raise ValueError(f"multiplier arity {self.arity}, got points of length {lam.shape[-1]}")
+        if lam.ndim != 2 or lam.shape[1] != self.arity:
+            raise ValueError(f"lam: expected an (n, {self.arity}) array, got shape {lam.shape}")
         out = np.asarray(self.evaluate(lam))
         # a real multiplier stays in real arithmetic downstream
-        return out.astype(complex if np.iscomplexobj(out) else float, copy=False).reshape(lam.shape[:-1])
+        return out.astype(complex if np.iscomplexobj(out) else float, copy=False).reshape(len(lam))
 
 
 class SpectralSystem:

@@ -9,6 +9,7 @@ name a layer lists in ``__all__`` must be reached, or be a key of
 reach must leave the list.
 """
 import ast
+import inspect
 from pathlib import Path
 
 import specmult
@@ -99,6 +100,16 @@ def test_every_public_name_is_reached_or_listed():
         if (layer, name) not in reached and name not in _UNREACHED
     )
     assert stray == [], f"public names no experiment reaches: {stray}"
+
+
+def test_package_namespace_is_the_library_surface():
+    # specmult re-exports the __all__ of every layer but the CLI and adds no public name
+    library = {name for name, layer in _public().items() if layer != "cli"}
+    top = {name for name, value in vars(specmult).items()
+           if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(library - top) == [], "library names specmult does not export"
+    assert sorted(top - library) == [], "specmult names no library layer lists"
+    assert sorted(specmult.__all__) == sorted(library)
 
 
 def test_listed_names_are_public_and_unreached():

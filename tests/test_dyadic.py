@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmult.dyadic import (
-    DyadicSystem,
     cz_decompose,
     dyadic_average,
     dyadic_maximal,
     dyadic_system,
     weak_quasinorm,
 )
-from specmult.spectral import GridFunction
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +29,6 @@ def step_quarter(n):
 
 
 def test_system_validation():
-    with pytest.raises(ValueError, match="positive length"):
-        DyadicSystem(1.0, 1.0, 256)
     with pytest.raises(ValueError, match="power of two"):
         dyadic_system(100)
     with pytest.raises(ValueError, match="power of two"):
@@ -100,14 +96,6 @@ def test_average_validation(sys256):
         dyadic_average(np.zeros(sys256.n), 9, sys256)
     with pytest.raises(ValueError, match="match the system grid"):
         dyadic_average(np.zeros(100), 0, sys256)
-
-
-def test_average_grid_function_round_trip(sys256):
-    f = sys256.grid_function(np.arange(sys256.n, dtype=float))
-    out = dyadic_average(f, 2, sys256)
-    assert isinstance(out, GridFunction)
-    assert np.array_equal(out.points, f.points)
-    assert np.array_equal(out.values, dyadic_average(f.values, 2, sys256))
 
 
 def test_maximal_constant(sys256):
@@ -283,9 +271,10 @@ def test_cz_supports_disjoint():
 
 
 def test_cz_grid_function_fiber_free(sys256):
-    f = sys256.grid_function(step_quarter(sys256.n))
+    # the values of a function on the system grid form one fiber
+    f = step_quarter(sys256.n)
     res = cz_decompose(f, 1.0, sys256)
-    assert isinstance(res.good, GridFunction)
+    assert res.good.shape == f.shape
     assert res.n_fibers == 1
 
 
@@ -320,11 +309,14 @@ def test_weak_quasinorm_chebyshev(sys256):
 
 def test_weak_quasinorm_edge_cases(sys256):
     assert weak_quasinorm(np.zeros(sys256.n), sys256.weights) == 0.0
-    assert weak_quasinorm(sys256.grid_function(np.ones(sys256.n))) == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="weights are required"):
-        weak_quasinorm(np.ones(4))
+    assert weak_quasinorm(np.ones(sys256.n), sys256.weights) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="one per value"):
         weak_quasinorm(np.ones(4), np.ones(3))
+
+
+def test_weak_quasinorm_names_mismatched_weights(sys256):
+    with pytest.raises(ValueError, match=r"weights: expected one per value \(256\), got 4"):
+        weak_quasinorm(np.ones(sys256.n), sys256.weights[:4])
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -345,6 +345,26 @@ def test_weights_must_be_one_dimensional():
                        np.array([[0.25], [0.5], [0.25], [0.25]]))
 
 
+def test_points_must_be_rows():
+    # a 1-D array is not read as n scalar points: the (n, dim) shape is the only form
+    with pytest.raises(ValueError, match=r"points: expected an \(n, dim\) array, got shape \(4,\)"):
+        GridFunction(np.arange(4.0), np.full(4, 0.25), np.ones(4))
+    with pytest.raises(ValueError, match=r"points: expected an \(n, dim\) array, got shape \(4,\)"):
+        SpectralSystem([[0], [1]], [[0.0], [1.0]], np.ones((2, 4)), np.arange(4.0), np.full(4, 0.25))
+
+
+def test_multiplier_takes_rows_of_its_arity():
+    # no guess at a 1-D lam (n scalars for arity 1, one point otherwise) or a stack of rows
+    riesz1, riesz2 = builtin_multiplier("riesz1"), builtin_multiplier("riesz2")
+    with pytest.raises(ValueError, match=r"lam: expected an \(n, 1\) array, got shape \(3,\)"):
+        riesz1(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match=r"lam: expected an \(n, 2\) array, got shape \(2,\)"):
+        riesz2(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match=r"lam: expected an \(n, 1\) array, got shape \(2, 2, 1\)"):
+        riesz1(np.ones((2, 2, 1)))
+    assert riesz2(np.array([[1.0, 3.0]])).shape == (1,)
+
+
 # -- properties ------------------------------------------------------------
 
 PROPERTY = settings(max_examples=12, derandomize=True, deadline=None)
