@@ -36,14 +36,12 @@ from .dyadic import cz_decompose, dyadic_maximal, dyadic_system
 from .multipliers import (
     ATLViolation,
     BUILTIN_MULTIPLIERS,
-    MarcOrder,
     MellinTailError,
     builtin_multiplier,
     decay_check,
     marcinkiewicz_seminorm,
     square_constant,
     square_function,
-    square_function_params,
 )
 from .ouhermite import ou_system
 from .products import (
@@ -388,7 +386,7 @@ def _run_marcinkiewicz(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
         raise UsageError(f"rho: length {len(rho)} != multiplier arity {m.arity}")
     rows = []
     norm = 0.0
-    for gamma in MarcOrder(rho).gammas():
+    for gamma in np.ndindex(*(r + 1 for r in rho)):
         value = marcinkiewicz_seminorm(m, gamma)
         norm = max(norm, value)
         rows.append([",".join(map(str, gamma)), value])
@@ -401,13 +399,13 @@ def _run_mellin_decay(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
     m = builtin_multiplier(cfg.param("multiplier"))
     rho = cfg.param("rho")
     u_grid = np.geomspace(2.0, 40.0, cfg.param("u_count"))
-    report = decay_check(m, N=[rho + 1], rho=[rho], u_grid=u_grid)
+    report = decay_check(m, rho + 1, rho, u_grid=u_grid)
     rows = [[float(u), float(s)] for u, s in zip(report.u_grid, report.sup_abs)]
     results = {
         "multiplier": m.name or cfg.param("multiplier"),
         "n_order": rho + 1,
         "rho": rho,
-        "slope": float(report.slopes[0]),
+        "slope": report.slope,
         "constant": report.constant,
     }
     invariants = {
@@ -421,7 +419,7 @@ def _run_mellin_decay(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
 
 
 def _decay_svg_rows(report) -> list[list]:
-    fit = report.constant * (1.0 + report.u_grid) ** (-report.rho[0])
+    fit = report.constant * (1.0 + report.u_grid) ** (-report.rho)
     svg = _svg_line_chart(
         report.u_grid,
         {"measured": report.sup_abs, "envelope": fit},
@@ -464,14 +462,13 @@ def _svg_line_chart(x: np.ndarray, curves: dict[str, np.ndarray], title: str) ->
 def _run_square_function(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
     N = cfg.param("n_order")
     sys_ = _square_system(len(N), cfg.param("k_max"))
-    params = square_function_params(sys_, N)
     const = square_constant(N)
     rows = []
     worst = 0.0
     for i, rng in enumerate(_child_rngs(cfg.seed, cfg.param("trials"))):
         c = sys_.random_coefficients(rng, atl_safe=True)
         f = reconstruct(c, sys_)
-        g = square_function(sys_, c, params)
+        g = square_function(sys_, c, N)
         ratio = g.norm_lp(2) ** 2 / f.norm_lp(2) ** 2
         err = abs(ratio - const)
         worst = max(worst, err)

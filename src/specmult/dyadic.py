@@ -35,7 +35,6 @@ class DyadicCube:
     """One dyadic cube: a half-open subinterval holding a grid slice."""
 
     level: int
-    index: int
     lo: float
     hi: float
     measure: float
@@ -98,7 +97,6 @@ class DyadicSystem:
         pts = self.n >> level
         return DyadicCube(
             level=level,
-            index=index,
             lo=index * width,
             hi=(index + 1) * width,
             measure=width,
@@ -165,7 +163,6 @@ class CZResult:
 
     good: np.ndarray
     bads: tuple[CZBad, ...]
-    threshold: float
     system: DyadicSystem
     n_fibers: int
 
@@ -242,9 +239,7 @@ def cz_decompose(f, s: float, system: DyadicSystem) -> CZResult:
             good[fib, cube.start : cube.stop] = a[:, None]
             bads.append(CZBad(cube=cube, fibers=fib, values=b, averages=a))
 
-    return CZResult(
-        good=good.reshape(arr.shape), bads=tuple(bads), threshold=float(s), system=system, n_fibers=nf
-    )
+    return CZResult(good=good.reshape(arr.shape), bads=tuple(bads), system=system, n_fibers=nf)
 
 
 def weak_quasinorm(values, weights) -> float:

@@ -35,10 +35,8 @@ from .spectral import (
 )
 
 __all__ = [
-    "MarcOrder",
     "DyadicRange",
     "DecayProfile",
-    "SquareFunctionParams",
     "LogGrid",
     "DecayReport",
     "MellinTailError",
@@ -51,9 +49,7 @@ __all__ = [
     "required_order",
     "worst_case_order",
     "square_function",
-    "square_function_params",
     "square_constant",
-    "default_t_grid",
     "builtin_multiplier",
     "BUILTIN_MULTIPLIERS",
 ]
@@ -69,20 +65,6 @@ class ATLViolation(ValueError):
 
 
 # -- Marcinkiewicz seminorms ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MarcOrder:
-    rho: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", tuple(int(r) for r in self.rho))
-        if any(r < 0 for r in self.rho):
-            raise ValueError("order entries must be >= 0")
-
-    def gammas(self) -> Iterator[tuple]:
-        """Every order gamma <= rho componentwise, the last entry fastest."""
-        return itertools.product(*(range(r + 1) for r in self.rho))
 
 
 @dataclass(frozen=True)
@@ -228,26 +210,28 @@ def marcinkiewicz_seminorm(
 # -- Mellin transform -------------------------------------------------------
 
 
+_S_MAX = 30.0  # the log grid spans s = log lam in [-_S_MAX, _S_MAX]
+_TAIL_TOL = 1e-9  # largest integrand mass allowed in the outer 5% of that window
+
+
 @dataclass(frozen=True)
 class LogGrid:
-    """Uniform trapezoid grid in s = log lam on [-s_max, s_max]."""
+    """Uniform trapezoid grid of n nodes in s = log lam on [-_S_MAX, _S_MAX]."""
 
-    s_max: float = 30.0
     n: int = 1 << 14
-    tail_tol: float = 1e-9
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        s = np.linspace(-self.s_max, self.s_max, self.n)
+        s = np.linspace(-_S_MAX, _S_MAX, self.n)
         return s, _trapezoid(self.n, s[1] - s[0])
 
 
-def _check_tails(g: np.ndarray, s: np.ndarray, w: np.ndarray, grid: LogGrid, what: str):
-    edge = 0.95 * grid.s_max
+def _check_tails(g: np.ndarray, s: np.ndarray, w: np.ndarray, what: str):
+    edge = 0.95 * _S_MAX
     zone = np.abs(s) >= edge
     mass = float(np.sum(w[zone] * np.abs(g)[zone]))
-    if mass > grid.tail_tol:
+    if mass > _TAIL_TOL:
         raise MellinTailError(
-            f"{what}: tail mass {mass:.3e} beyond |log lam| = {edge:.1f} exceeds {grid.tail_tol}"
+            f"{what}: tail mass {mass:.3e} beyond |log lam| = {edge:.1f} exceeds {_TAIL_TOL}"
         )
 
 
@@ -257,7 +241,7 @@ def mellin_on_grid(m: MultiplierSpec, u_values: np.ndarray, grid: LogGrid = LogG
         raise ValueError("mellin_on_grid handles d = 1")
     s, w = grid.nodes()
     g = m(np.exp(s)[:, None])
-    _check_tails(g, s, w, grid, "mellin integrand")
+    _check_tails(g, s, w, "mellin integrand")
     return _fourier_rows(np.asarray(u_values, dtype=float), s, w * g)
 
 
@@ -297,36 +281,38 @@ def _fourier_rows(u: np.ndarray, s: np.ndarray, wg: np.ndarray) -> np.ndarray:
 class DecayReport:
     u_grid: np.ndarray
     sup_abs: np.ndarray           # S(u) = max over t samples of |Mellin(m_{N,t})(u)|
-    slopes: tuple                 # fitted log-log slope per axis, largest decade
-    constant: float               # sup_u S(u) * prod (1+|u_j|)^{rho_j}
-    N: tuple
-    rho: tuple
+    slope: float                  # fitted log-log slope on the largest decade of u
+    constant: float               # sup_u S(u) * (1+|u|)^rho
+    rho: float
     t_samples: np.ndarray
 
-    def slope_ok(self, margin: float = 0.15) -> bool:
-        return all(s <= -r + margin for s, r in zip(self.slopes, self.rho))
+    def slope_ok(self) -> bool:
+        """The fitted slope is at most -rho + 0.15."""
+        return self.slope <= -self.rho + 0.15
 
 
 def decay_check(
     m: MultiplierSpec,
-    N,
-    rho,
+    N: float,
+    rho: float,
     u_grid: np.ndarray | None = None,
     grid: LogGrid = LogGrid(),
 ) -> DecayReport:
     """Envelope decay of sup_t |Mellin(m_{N,t})(u)| against (1+|u|)^{-rho}.
 
-    Implemented for d = 1.  The sup over t is sampled on a log grid (the
-    true sup runs over all t > 0; smooth multipliers vary slowly in t).  The
-    t loop runs inside each block of at most _U_BLOCK frequencies, so the
-    phase matrix never holds more than one block.
+    Implemented for d = 1, so the orders N > rho are two numbers.  The sup
+    over t is sampled on a log grid (the true sup runs over all t > 0;
+    smooth multipliers vary slowly in t).  The t loop runs inside each block
+    of at most _U_BLOCK frequencies, so the phase matrix never holds more
+    than one block.
     """
     if m.arity != 1:
         raise NotImplementedError("decay_check handles d = 1")
-    N = np.atleast_1d(np.asarray(N, dtype=float))
-    rho_v = np.atleast_1d(np.asarray(rho, dtype=float))
-    if not np.all(N > rho_v):
-        raise ValueError("need N > rho componentwise")
+    if np.ndim(N) or np.ndim(rho):
+        raise ValueError(f"N, rho: expected two numbers, got {N!r} and {rho!r}")
+    N, rho = float(N), float(rho)
+    if not N > rho:
+        raise ValueError("need N > rho")
     if u_grid is None:
         u_grid = np.geomspace(2.0, 40.0, 25)
     # reference scale lam ~ 1: same [1e-4, 1e4] span as the g_N grid
@@ -338,22 +324,16 @@ def decay_check(
     for rows, E in _phase_blocks(u_grid, s):
         for t in t_samples:
             tl = t * lam
-            g = tl ** N[0] * np.exp(-tl) * base
+            g = tl**N * np.exp(-tl) * base
             S[rows] = np.maximum(S[rows], np.abs(E @ (w * g)))
     u_max = float(u_grid.max())
     decade = u_grid >= u_max / 10.0
     x = np.log1p(u_grid[decade])
     y = np.log(np.maximum(S[decade], 1e-300))
     slope = float(np.polyfit(x, y, 1)[0]) if np.any(S[decade] > 0) else -np.inf
-    constant = float(np.max(S * (1.0 + np.abs(u_grid)) ** rho_v[0]))
+    constant = float(np.max(S * (1.0 + np.abs(u_grid)) ** rho))
     return DecayReport(
-        u_grid=u_grid,
-        sup_abs=S,
-        slopes=(slope,),
-        constant=constant,
-        N=tuple(N),
-        rho=tuple(rho_v),
-        t_samples=t_samples,
+        u_grid=u_grid, sup_abs=S, slope=slope, constant=constant, rho=rho, t_samples=t_samples
     )
 
 
@@ -376,7 +356,10 @@ def rotate_multiplier(m: MultiplierSpec, phi, eps) -> MultiplierSpec:
     rot[: len(phi)] = np.exp(1j * eps * phi)
 
     def sector(z):
-        return m.sector_evaluate(np.atleast_2d(np.asarray(z, dtype=complex)) * rot[None, :])
+        z = np.asarray(z, dtype=complex)
+        if z.ndim != 2 or z.shape[1] != m.arity:
+            raise ValueError(f"z: expected an (n, {m.arity}) array, got shape {z.shape}")
+        return m.sector_evaluate(z * rot)
 
     return MultiplierSpec(
         arity=m.arity,
@@ -434,46 +417,21 @@ def worst_case_order(profile: DecayProfile) -> np.ndarray:
 # -- square function --------------------------------------------------------
 
 
-def default_t_grid(lam_min: float, lam_max: float, n: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Log-spaced t in [1e-4/lam_max, 1e4/lam_min] with trapezoid dt/t weights."""
-    if not 0 < lam_min <= lam_max:
-        raise ValueError("need 0 < lam_min <= lam_max")
-    t = np.geomspace(1e-4 / lam_max, 1e4 / lam_min, n)
-    return t, _trapezoid(n, math.log(t[-1] / t[0]) / (n - 1))
+_T_NODES = 256  # log-spaced t per axis of the square function
 
 
-@dataclass(frozen=True)
-class SquareFunctionParams:
-    N: tuple
-    t_nodes: tuple    # per-axis node arrays
-    t_weights: tuple  # per-axis dt/t weights
+@functools.lru_cache(maxsize=32)
+def _t_grid(lam_min: float, lam_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """_T_NODES log-spaced t in [1e-4/lam_max, 1e4/lam_min] with trapezoid dt/t weights.
 
-    def __post_init__(self):
-        object.__setattr__(self, "N", tuple(int(n) for n in self.N))
-        if any(n < 1 for n in self.N):
-            raise ValueError("N must be >= 1 componentwise")
-        if len(self.t_nodes) != len(self.N) or len(self.t_weights) != len(self.N):
-            raise ValueError("need one t-grid per axis")
-        for w in self.t_weights:
-            if np.any(np.asarray(w) <= 0):
-                raise ValueError("t-grid weights must be positive")
-
-
-def square_function_params(sys: SpectralSystem, N, n: int = 256) -> SquareFunctionParams:
-    """Default parameters with per-axis t-ranges from the nonzero spectrum."""
-    N = tuple(int(v) for v in np.atleast_1d(N))
-    if len(N) != sys.dimension:
-        raise ValueError("N must have one entry per eigenvalue map")
-    lam = sys.eigenvalue_matrix()
-    nodes, weights = [], []
-    for j in range(sys.dimension):
-        pos = lam[:, j][lam[:, j] > 0]
-        if len(pos) == 0:
-            raise ATLViolation(f"eigenvalue map {j} is identically zero")
-        t, w = default_t_grid(float(pos.min()), float(pos.max()), n)
-        nodes.append(t)
-        weights.append(w)
-    return SquareFunctionParams(N, tuple(nodes), tuple(weights))
+    Built once per (lam_min, lam_max) and shared by every caller, so both
+    arrays are read-only.
+    """
+    t = np.geomspace(1e-4 / lam_max, 1e4 / lam_min, _T_NODES)
+    w = _trapezoid(_T_NODES, math.log(t[-1] / t[0]) / (_T_NODES - 1))
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
 
 
 def square_constant(N) -> float:
@@ -481,19 +439,30 @@ def square_constant(N) -> float:
     return float(math.prod(math.gamma(2 * n) / 4.0**n for n in np.atleast_1d(N).tolist()))
 
 
-def square_function(sys: SpectralSystem, c: np.ndarray, params: SquareFunctionParams) -> GridFunction:
+def square_function(sys: SpectralSystem, c: np.ndarray, N) -> GridFunction:
     """g_N(f)(x) = ( sum_t w_t | sum_k (t lam(k))^N e^{-<t,lam(k)>} c_k H_k(x) |^2 )^{1/2}.
 
-    The t-sum over the tensor grid is contracted analytically per axis, which
-    is an exact rearrangement of the finite sums.
+    N holds one integer order >= 1 per eigenvalue map.  Axis j sums t over the
+    _t_grid of its positive eigenvalues.  The t-sum over the tensor grid is
+    contracted analytically per axis, which is an exact rearrangement of the
+    finite sums.
     """
-    if len(params.N) != sys.dimension:
-        raise ValueError("params.N must match system dimension")
+    orders = np.atleast_1d(N)
+    if len(orders) != sys.dimension or not np.all((orders >= 1) & (orders % 1 == 0)):
+        raise ValueError(f"N: expected one integer order >= 1 per eigenvalue map ({sys.dimension}), got {N!r}")
+    N = tuple(int(v) for v in orders)
+    spectrum = sys.eigenvalue_matrix()
+    grids = []
+    for j in range(sys.dimension):
+        pos = spectrum[:, j][spectrum[:, j] > 0]
+        if len(pos) == 0:
+            raise ATLViolation(f"eigenvalue map {j} is identically zero")
+        grids.append(_t_grid(float(pos.min()), float(pos.max())))
     c = _coefficients(c, sys)
     rows = np.flatnonzero(c)
     if not rows.size:
         return sys.grid_function(np.zeros(len(sys.weights)))
-    lam = sys.eigenvalue_matrix()[rows]  # (n_sup, d)
+    lam = spectrum[rows]  # (n_sup, d)
     if np.any(lam == 0.0):
         i, j = np.argwhere(lam == 0.0)[0]
         raise ATLViolation(
@@ -503,7 +472,7 @@ def square_function(sys: SpectralSystem, c: np.ndarray, params: SquareFunctionPa
     cvec = c[rows]
     # per-axis kernels: k_j(a, b) = sum_i w_i (t_i a)^N (t_i b)^N e^{-t_i (a+b)}
     M = np.ones((len(rows), len(rows)))
-    for j, (t, w, Nj) in enumerate(zip(params.t_nodes, params.t_weights, params.N)):
+    for j, ((t, w), Nj) in enumerate(zip(grids, N)):
         a, inv = np.unique(lam[:, j], return_inverse=True)
         P = (np.outer(a, t)) ** Nj * np.exp(-np.outer(a, t))  # (n_a, n_t)
         Kj = (P * w) @ P.T

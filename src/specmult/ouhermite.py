@@ -48,15 +48,11 @@ def hermite_vandermonde(k_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def hermite_eval(k, x) -> np.ndarray:
-    """H_k(x) for a multi-index k, at points x of shape (n, d) or (d,)."""
-    k = (int(k),) if np.isscalar(k) else tuple(int(e) for e in k)
+    """H_k(x) for a multi-index k, a sequence of d ints, at points x of shape (n, d)."""
+    k = tuple(int(e) for e in k)
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1 and len(k) == 1:
-        x = x[:, None]
-    elif x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != len(k):
-        raise ValueError(f"points have dimension {x.shape[1]}, index has length {len(k)}")
+    if x.ndim != 2 or x.shape[1] != len(k):
+        raise ValueError(f"x: expected an (n, {len(k)}) array, got shape {x.shape}")
     out = np.ones(x.shape[0])
     for axis, kj in enumerate(k):
         out *= hermite_vandermonde(kj, x[:, axis])[kj]

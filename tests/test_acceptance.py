@@ -20,7 +20,6 @@ from specmult.multipliers import (
     mellin_on_grid,
     square_constant,
     square_function,
-    square_function_params,
     worst_case_order,
 )
 from specmult.ouhermite import (
@@ -80,12 +79,11 @@ def test_01_square_function_l2_constant():
         (tensor(ou_system(1, 6), ou_system(1, 6)), (1, 2)),
     ]
     for sys_, N in cases:
-        params = square_function_params(sys_, N)
         const = square_constant(N)
         for _ in range(20):
             c = sys_.random_coefficients(rng, atl_safe=True)
             f = reconstruct(c, sys_)
-            g = square_function(sys_, c, params)
+            g = square_function(sys_, c, N)
             ref = const * f.norm_lp(2) ** 2
             worst = max(worst, abs(g.norm_lp(2) ** 2 - ref) / ref)
     elapsed = time.perf_counter() - start
@@ -123,9 +121,9 @@ def test_03_envelope_decay():
     worst_slack = math.inf
     for name in ("one", "riesz1"):
         for rho in (1, 2):
-            rep = decay_check(builtin_multiplier(name), N=[rho + 1], rho=[rho])
-            ok &= rep.slopes[0] <= -rho + 0.15 and math.isfinite(rep.constant)
-            worst_slack = min(worst_slack, (-rho + 0.15) - rep.slopes[0])
+            rep = decay_check(builtin_multiplier(name), rho + 1, rho)
+            ok &= rep.slope <= -rho + 0.15 and math.isfinite(rep.constant)
+            worst_slack = min(worst_slack, (-rho + 0.15) - rep.slope)
     elapsed = time.perf_counter() - start
     _report(
         3,

@@ -174,3 +174,20 @@ def test_every_method_and_property_is_read():
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("__") and item.name not in read
     )
     assert unread == [], f"methods and properties nothing reads: {unread}"
+
+
+def test_every_annotated_field_is_read():
+    # a field of a layer's class that neither the package, a test nor the
+    # benchmark harness reads as an attribute is dead data
+    harness = PACKAGE.parents[1] / "perfbench"
+    sources = [*PACKAGE.glob("*.py"), *Path(__file__).parent.glob("test_*.py"), *harness.glob("*.py")]
+    read = _read(sources, ast.Attribute)
+    defs, _, _ = _definitions()
+    unread = sorted(
+        f"{layer}.{node.name}.{item.target.id}"
+        for (layer, _), nodes in defs.items()
+        for node in nodes if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and item.target.id not in read
+    )
+    assert unread == [], f"fields nothing reads: {unread}"

@@ -479,6 +479,17 @@ def test_cz_estimates_model_dim_2_frozen(tmp_path, capsys):
     assert results["smooth_sup"] == pytest.approx(1.7881557608042646, rel=1e-12)
 
 
+def test_cz_estimates_default_seed_30_fails_smooth_doubling(tmp_path, capsys):
+    # a known fault, owned by ROADMAP item 12: at the default config the sampled
+    # smoothness sup jumps under pair doubling, so the 1.5x rule fails and the
+    # run exits 4; this test must fail, and go, once the CZ constants are ascended
+    out = tmp_path / "r"
+    assert main(["cz-estimates", "--seed", "30", "--out", str(out)]) == 4
+    assert "FAIL smooth_doubling_stable" in capsys.readouterr().out.splitlines()
+    invariants = json.loads((out / "summary.json").read_text())["invariants"]
+    assert [k for k, ok in invariants.items() if not ok] == ["smooth_doubling_stable"]
+
+
 def test_riesz_cross_check_frees_its_system_before_the_split(tmp_path, monkeypatch):
     # the tensor system and its held complex basis (5.1 MB at the defaults)
     # are out of scope by the time the T split runs

@@ -19,11 +19,9 @@ from specmult.multipliers import (
     DecayProfile,
     DyadicRange,
     LogGrid,
-    MarcOrder,
     MellinTailError,
     builtin_multiplier,
     decay_check,
-    default_t_grid,
     marcinkiewicz_seminorm,
     mellin_on_grid,
     phi_star,
@@ -31,13 +29,12 @@ from specmult.multipliers import (
     rotate_multiplier,
     square_constant,
     square_function,
-    square_function_params,
     worst_case_order,
 )
-from specmult.multipliers import _U_BLOCK, _axis_rows, _partial_values, _phase_blocks
+from specmult.multipliers import _U_BLOCK, _axis_rows, _partial_values, _phase_blocks, _t_grid
 from specmult.ouhermite import ou_system
 from specmult.products import torus_system
-from specmult.spectral import MultiplierSpec, _pair_rows, gauss_legendre, reconstruct, tensor
+from specmult.spectral import MultiplierSpec, SpectralSystem, _pair_rows, gauss_legendre, reconstruct, tensor
 
 MAR_RIESZ1_RHO1 = 0.6931462268866521  # frozen regression value, default dyadic range
 MAR_RIESZ2_RHO11 = 0.48045301391729195  # riesz2, max over gamma <= (1, 1), default dyadic range
@@ -52,7 +49,7 @@ def lam_exp():
 
 def max_seminorm(m, rho):
     """The marcinkiewicz report's mar_norm: the largest seminorm over gamma <= rho."""
-    return max([0.0] + [marcinkiewicz_seminorm(m, gamma) for gamma in MarcOrder(rho).gammas()])
+    return max([0.0] + [marcinkiewicz_seminorm(m, gamma) for gamma in np.ndindex(*(r + 1 for r in rho))])
 
 
 def log_gaussian():
@@ -221,7 +218,7 @@ def test_blocked_seminorm_equals_full_grid():
     cases = (("imag_decay", (4,)), ("riesz1", (2,)), ("imag", (4,)), ("log_bump", (2,)), ("riesz2", (2, 2)))
     for name, rho in cases:
         m = builtin_multiplier(name)
-        for gamma in MarcOrder(rho).gammas():
+        for gamma in np.ndindex(*(r + 1 for r in rho)):
             assert marcinkiewicz_seminorm(m, gamma, dyadic) == _full_grid_seminorm(m, gamma, dyadic), (name, gamma)
 
 
@@ -258,11 +255,6 @@ def test_axis_rows_equal_pair_rows_with_contiguous_columns():
         rows = _axis_rows(axes)
         np.testing.assert_array_equal(rows, functools.reduce(_pair_rows, [a[:, None] for a in axes]))
         assert all(rows[:, j].flags.c_contiguous for j in range(len(axes)))
-
-
-def test_marc_order_gammas_last_entry_fastest():
-    assert list(MarcOrder((2, 1)).gammas()) == list(np.ndindex(3, 2))
-    assert list(MarcOrder((0,)).gammas()) == [(0,)]
 
 
 def _log_uniform_points(n, d, seed):
@@ -331,11 +323,6 @@ def test_mar_norm_product_bounded_by_factor_norms():
     assert max_seminorm(MultiplierSpec(2, prod), (1, 1)) <= bound * (1.0 + 1e-6)
 
 
-def test_marc_order_rejects_negative():
-    with pytest.raises(ValueError, match=">= 0"):
-        MarcOrder((-1,))
-
-
 def test_dyadic_range_validation():
     with pytest.raises(ValueError, match="K must be >= 1"):
         DyadicRange(K=0)
@@ -385,7 +372,7 @@ def test_log_bump_mellin_closed_form():
 def test_decay_check_constant_multiplier():
     rep = decay_check(builtin_multiplier("one"), 2, 1)
     assert rep.slope_ok()
-    assert rep.slopes[0] <= -1.0 + 0.15
+    assert rep.slope <= -1.0 + 0.15
     # sup over t is t-independent here, S(u) = |Gamma(2 - iu)| exactly
     assert abs(rep.sup_abs[0] - abs(gamma_fn(2.0 - 2.0j))) < 1e-8
     assert rep.u_grid[0] == 2.0 and rep.u_grid[-1] == 40.0
@@ -479,7 +466,7 @@ def test_phase_matrix_memory_one_block():
 def test_decay_check_zero_multiplier():
     rep = decay_check(builtin_multiplier("zero"), 2, 1)
     assert np.all(rep.sup_abs == 0.0)
-    assert rep.slopes == (-np.inf,)
+    assert rep.slope == -np.inf
     assert rep.slope_ok()
 
 
@@ -491,6 +478,16 @@ def test_decay_check_requires_order_gap():
 def test_decay_check_one_dimensional_only():
     with pytest.raises(NotImplementedError):
         decay_check(builtin_multiplier("riesz2"), (2, 2), (1, 1))
+
+
+def test_decay_check_takes_two_numbers():
+    # d = 1 has one order pair: a list is rejected, not read at its first entry
+    one = builtin_multiplier("one")
+    for N, rho in (([3, 9], [1, 2]), ([3], [1]), (3, [1]), (np.array([3.0]), 1)):
+        with pytest.raises(ValueError, match="N, rho: expected two numbers"):
+            decay_check(one, N, rho)
+    rep = decay_check(one, 3, 1)
+    assert rep.rho == 1.0 and isinstance(rep.slope, float)
 
 
 # -- boundary rotations and order arithmetic ----------------------------------
@@ -516,6 +513,19 @@ def test_rotated_riesz_stays_bounded():
     rot = rotate_multiplier(builtin_multiplier("riesz2"), (np.pi / 6,), (-1.0,))
     pts = np.abs(np.random.default_rng(1).random((200, 2))) + 1e-3
     assert np.max(np.abs(rot(pts))) <= 1.0 + 1e-12
+
+
+def test_rotated_sector_takes_rows_only():
+    # a 1-D array is not guessed to be one point: [1, 2] would give one value and drop the 2
+    e = np.exp(0.3j)
+    rot = rotate_multiplier(builtin_multiplier("riesz1"), (0.3,), (1.0,))
+    for z in (np.array([1.0, 2.0]), np.ones((2, 2)), np.ones((1, 1, 1))):
+        with pytest.raises(ValueError, match=r"z: expected an \(n, 1\) array, got shape"):
+            rot.sector_evaluate(z)
+    z = np.array([[1.0], [2.0]])
+    np.testing.assert_allclose(rot.sector_evaluate(z), e * z[:, 0] / (1.0 + e * z[:, 0]), rtol=1e-15)
+    with pytest.raises(ValueError, match=r"z: expected an \(n, 2\) array, got shape \(2,\)"):
+        rotate_multiplier(builtin_multiplier("riesz2"), (0.3,), (1.0,)).sector_evaluate(np.array([1.0, 2.0]))
 
 
 def test_rotate_validation():
@@ -584,44 +594,43 @@ def test_square_constant_exact_on_schema_orders():
 
 
 def test_square_function_zero_coefficients(ou1):
-    params = square_function_params(ou1, 1)
-    g = square_function(ou1, np.zeros(len(ou1)), params)
+    g = square_function(ou1, np.zeros(len(ou1)), 1)
     assert np.all(g.values == 0.0)
 
 
 def test_square_function_single_eigenvector(ou1):
-    params = square_function_params(ou1, 1)
     c = 1.3 * np.eye(len(ou1))[ou1.position((5,))]
     f = reconstruct(c, ou1)
-    g = square_function(ou1, c, params)
+    g = square_function(ou1, c, 1)
     scale = np.max(np.abs(f.values))
     assert np.max(np.abs(g.values - 0.5 * np.abs(f.values))) < 1e-6 * scale
 
 
 def test_square_function_l2_identity(ou1):
-    params = square_function_params(ou1, 1)
     c = ou1.random_coefficients(np.random.default_rng(3), atl_safe=True)
-    g = square_function(ou1, c, params)
+    g = square_function(ou1, c, 1)
     assert g.norm_lp(2) ** 2 == pytest.approx(0.25 * np.linalg.norm(c) ** 2, rel=1e-6)
 
 
 def test_square_function_l2_identity_two_axes():
     s6 = ou_system(1, 6)
     sys2 = tensor(s6, s6)
-    params = square_function_params(sys2, (1, 2))
     c = sys2.random_coefficients(np.random.default_rng(4), atl_safe=True)
-    g = square_function(sys2, c, params)
+    g = square_function(sys2, c, (1, 2))
     expect = square_constant((1, 2)) * np.linalg.norm(c) ** 2
     assert g.norm_lp(2) ** 2 == pytest.approx(expect, rel=1e-6)
 
 
-def _square_function_einsum(sys, c, params):
+def _square_function_einsum(sys, c, N):
     """g_N from the per-axis t-kernels and the 3-operand contraction sum_ab C_ab B_bp B_ap."""
+    spectrum = sys.eigenvalue_matrix()
     rows = np.flatnonzero(c)
-    lam = sys.eigenvalue_matrix()[rows]
+    lam = spectrum[rows]
     cvec = c[rows]
     M = np.ones((len(rows), len(rows)))
-    for j, (t, w, Nj) in enumerate(zip(params.t_nodes, params.t_weights, params.N)):
+    for j, Nj in enumerate(N):
+        pos = spectrum[:, j][spectrum[:, j] > 0]
+        t, w = _t_grid(float(pos.min()), float(pos.max()))
         P = np.outer(lam[:, j], t) ** Nj * np.exp(-np.outer(lam[:, j], t))
         M *= (P * w) @ P.T
     B = sys.basis_matrix()[rows]
@@ -641,33 +650,41 @@ def test_square_function_matches_three_operand_einsum(ou1):
     # complex coefficients: Im C must drop out of the real-basis contraction
     ou_torus = tensor(ou_system(1, 12), torus_system(3, 32))
     for sys, N in ((ou1, (1,)), (ou_torus, (2, 2)), (ou_torus, (1, 2))):
-        params = square_function_params(sys, N)
         for seed in range(3):
             c = _complex_coefficients(sys, seed)
             assert np.any(c.imag != 0.0)
-            got = square_function(sys, c, params).values
-            np.testing.assert_allclose(got, _square_function_einsum(sys, c, params), rtol=1e-13, atol=0.0)
+            got = square_function(sys, c, N).values
+            np.testing.assert_allclose(got, _square_function_einsum(sys, c, N), rtol=1e-13, atol=0.0)
 
 
 def test_square_function_zero_eigenvalue_rejected(ou1):
-    params = square_function_params(ou1, 1)
     c = np.zeros(len(ou1))
     c[[ou1.position((0,)), ou1.position((3,))]] = 1.0
     with pytest.raises(ATLViolation, match=r"index \(0,\).*axis 0"):
-        square_function(ou1, c, params)
+        square_function(ou1, c, 1)
 
 
-def test_square_function_params_length(ou1):
-    with pytest.raises(ValueError, match="one entry per"):
-        square_function_params(ou1, (1, 1))
+def test_square_function_order_validation(ou1):
+    c = ou1.random_coefficients(np.random.default_rng(3), atl_safe=True)
+    # a fractional order is not truncated: 1.5 used to run as N = 1
+    for N in ((1, 1), (), 0, (0,), 1.5, (2.5,)):
+        with pytest.raises(ValueError, match=r"N: expected one integer order >= 1 per eigenvalue map \(1\)"):
+            square_function(ou1, c, N)
+    # a map with no positive eigenvalue has no t-range, even for f = 0
+    flat = SpectralSystem(ou1.basis_index_set, 0.0 * ou1.eigenvalue_matrix(), ou1.basis_matrix(), ou1.points, ou1.weights)
+    with pytest.raises(ATLViolation, match="eigenvalue map 0 is identically zero"):
+        square_function(flat, np.zeros(len(flat)), 1)
 
 
 def test_default_t_grid():
-    t, w = default_t_grid(1.0, 12.0)
+    t, w = _t_grid(1.0, 12.0)
+    assert len(t) == len(w) == 256
     assert t[0] == pytest.approx(1e-4 / 12.0) and t[-1] == pytest.approx(1e4)
-    assert np.all(w > 0)
-    with pytest.raises(ValueError, match="0 < lam_min"):
-        default_t_grid(0.0, 1.0)
+    np.testing.assert_allclose(np.diff(np.log(t)), math.log(t[-1] / t[0]) / 255, rtol=1e-10)
+    assert np.all(w > 0) and w[0] == w[-1] == 0.5 * w[1]
+    # built once per (lam_min, lam_max) and shared, so read-only
+    assert _t_grid(1.0, 12.0)[0] is t
+    assert not t.flags.writeable and not w.flags.writeable
 
 
 # -- builtin family ------------------------------------------------------------

@@ -45,6 +45,15 @@ def test_hermite_h1_is_sqrt2_x():
     assert np.allclose(hermite_eval((1,), x[:, None]), np.sqrt(2.0) * x, atol=1e-14)
 
 
+def test_hermite_eval_takes_rows_only():
+    # one point per row of x: a 1-D x is not guessed to be n scalars or one point
+    x = np.array([0.5, 1.0])
+    for k, bad in (((1,), x), ((1, 0), x), ((1, 0), x[:, None]), ((1,), x[None, :, None])):
+        with pytest.raises(ValueError, match=rf"x: expected an \(n, {len(k)}\) array, got shape"):
+            hermite_eval(k, bad)
+    np.testing.assert_array_equal(hermite_eval((1, 0), x[None, :]), [np.sqrt(2.0) * 0.5])
+
+
 def test_gamma_weights_are_probability():
     _, weights = hermite_basis(8)
     assert abs(weights.sum() - 1.0) < 1e-14

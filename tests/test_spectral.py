@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmult.cli import _ou16, _ou_torus, _square_system
-from specmult.multipliers import builtin_multiplier, square_function, square_function_params
+from specmult.multipliers import builtin_multiplier, square_function
 from specmult.ouhermite import hermite_eval, ou_system
 from specmult.products import torus_system
 from specmult.spectral import (
@@ -111,7 +111,7 @@ def test_wrong_length_coefficients_rejected(ou1, op):
     calls = {
         "reconstruct": lambda c: reconstruct(c, ou1),
         "apply_multiplier": lambda c: apply_multiplier(builtin_multiplier("one"), ou1, c),
-        "square_function": lambda c: square_function(ou1, c, square_function_params(ou1, 1)),
+        "square_function": lambda c: square_function(ou1, c, 1),
     }
     for n in (len(ou1) - 1, len(ou1) + 1):
         with pytest.raises(ValueError, match="coefficients in basis order"):
