@@ -246,25 +246,29 @@ def mellin_on_grid(m: MultiplierSpec, u_values: np.ndarray, grid: LogGrid = LogG
 
 
 # frequencies per phase block: the complex (block, len(s)) matrix e^{-ius}
-# is 64 MB on the default 2^14-node log grid
-_U_BLOCK = 256
-_PHASE_SLAB = 8  # frequencies per np.exp call filling a block in place
+# is at most 26 MB on the default 2^14-node log grid
+_U_BLOCK = 100
+_EXP_ZERO = 750.0  # np.exp(-x) is exactly 0.0 for every x >= ~745.2
 
 
 def _phase_blocks(u: np.ndarray, s: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, e^{-i u[rows] s}) for consecutive blocks of at most _U_BLOCK frequencies.
+    """(rows, e^{-i u[rows] s}) for consecutive near-equal blocks of at most _U_BLOCK frequencies.
 
-    Each block is filled in slabs of _PHASE_SLAB frequencies, so no
-    temporary the size of a block is built next to it.
+    Every block is a view of one buffer, refilled in place for the next, so
+    the caller uses it before advancing.  No block has a single row unless u
+    does: a 1-row product rounds differently from a multi-row one.  The
+    exponent is written into the buffer and exponentiated there, equal bit
+    for bit to np.exp(-1j * np.outer(u, s)) with no temporary beside it.
     """
-    for i in range(0, len(u), _U_BLOCK):
-        rows = slice(i, i + _U_BLOCK)
-        block = u[rows]
-        E = np.empty((len(block), len(s)), dtype=complex)
-        for j in range(0, len(block), _PHASE_SLAB):
-            slab = slice(j, j + _PHASE_SLAB)
-            np.exp(-1j * np.outer(block[slab], s), out=E[slab])
-        yield rows, E
+    if not len(u):
+        return
+    size = -(-len(u) // -(-len(u) // _U_BLOCK))
+    buf = np.empty((size, len(s)), dtype=complex)
+    for i in range(0, len(u), size):
+        rows = slice(i, i + size)
+        E = buf[: len(u[rows])]
+        np.multiply.outer(-1j * u[rows], s, out=E)
+        yield rows, np.exp(E, out=E)
 
 
 def _fourier_rows(u: np.ndarray, s: np.ndarray, wg: np.ndarray) -> np.ndarray:
@@ -302,9 +306,12 @@ def decay_check(
 
     Implemented for d = 1, so the orders N > rho are two numbers.  The sup
     over t is sampled on a log grid (the true sup runs over all t > 0;
-    smooth multipliers vary slowly in t).  The t loop runs inside each block
-    of at most _U_BLOCK frequencies, so the phase matrix never holds more
-    than one block.
+    smooth multipliers vary slowly in t).  u_grid is a 1-d array of finite
+    frequencies with at least two distinct ones in its top decade, where the
+    slope is fitted.  Each t sums only the nodes below its cut
+    t lam < _EXP_ZERO, past which every term is an exact zero, so the phase
+    matrix is built only up to the largest cut.  The t loop runs inside each
+    block of at most _U_BLOCK frequencies, and one block is held at a time.
     """
     if m.arity != 1:
         raise NotImplementedError("decay_check handles d = 1")
@@ -315,19 +322,29 @@ def decay_check(
         raise ValueError("need N > rho")
     if u_grid is None:
         u_grid = np.geomspace(2.0, 40.0, 25)
+    u_grid = np.asarray(u_grid, dtype=float)
+    if u_grid.ndim != 1 or u_grid.size < 2 or not np.isfinite(u_grid).all():
+        raise ValueError(f"u_grid: expected a 1-d array of at least 2 finite frequencies, got shape {u_grid.shape}")
+    decade = u_grid >= u_grid.max() / 10.0  # the slope is fitted on the top decade
+    if len(np.unique(u_grid[decade])) < 2:
+        raise ValueError("u_grid: the slope fit needs at least 2 distinct frequencies in its top decade")
     # reference scale lam ~ 1: same [1e-4, 1e4] span as the g_N grid
     t_samples = np.geomspace(1e-4, 1e4, 256)
     s, w = grid.nodes()
     lam = np.exp(s)
     base = m(lam[:, None])
+    cuts = np.searchsorted(lam, _EXP_ZERO / t_samples)
+    # past a cut the full sum adds tl**N * 0.0 * m(lam): an exact zero, unless
+    # m is not finite or tl**N overflows (log of the largest double: 709.78),
+    # where it is NaN, so every node is kept
+    if not (np.isfinite(base).all() and N * math.log(t_samples[-1] * lam[-1]) < 709.0):
+        cuts[:] = len(lam)
     S = np.zeros(len(u_grid))
-    for rows, E in _phase_blocks(u_grid, s):
-        for t in t_samples:
-            tl = t * lam
-            g = tl**N * np.exp(-tl) * base
-            S[rows] = np.maximum(S[rows], np.abs(E @ (w * g)))
-    u_max = float(u_grid.max())
-    decade = u_grid >= u_max / 10.0
+    for rows, E in _phase_blocks(u_grid, s[: cuts.max()]):
+        for t, k in zip(t_samples, cuts):
+            tl = t * lam[:k]
+            g = tl**N * np.exp(-tl) * base[:k]
+            S[rows] = np.maximum(S[rows], np.abs(E[:, :k] @ (w[:k] * g)))
     x = np.log1p(u_grid[decade])
     y = np.log(np.maximum(S[decade], 1e-300))
     slope = float(np.polyfit(x, y, 1)[0]) if np.any(S[decade] > 0) else -np.inf

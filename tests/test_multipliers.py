@@ -31,7 +31,7 @@ from specmult.multipliers import (
     square_function,
     worst_case_order,
 )
-from specmult.multipliers import _U_BLOCK, _axis_rows, _partial_values, _phase_blocks, _t_grid
+from specmult.multipliers import _EXP_ZERO, _U_BLOCK, _axis_rows, _partial_values, _phase_blocks, _t_grid
 from specmult.ouhermite import ou_system
 from specmult.products import torus_system
 from specmult.spectral import MultiplierSpec, SpectralSystem, _pair_rows, gauss_legendre, reconstruct, tensor
@@ -414,7 +414,7 @@ def test_decay_check_builtin_family():
 
 
 def test_decay_check_blocks_match_small_calls():
-    # 600 frequencies span three phase blocks; each 25-point call fits in one
+    # 600 frequencies span six phase blocks; each 25-point call fits in one
     m = builtin_multiplier("imag_decay")
     grid = LogGrid(n=1 << 11)
     u = np.geomspace(2.0, 40.0, 600)
@@ -436,18 +436,29 @@ def test_decay_check_memory_below_full_phase_matrix():
 
 
 def test_phase_blocks_equal_one_shot_exponential():
+    # every block is a view of one buffer refilled in place, so each is checked as it is yielded
     s = LogGrid(n=1 << 9).nodes()[0]
-    for count in (1, 7, 25, 200, 600):  # 600 crosses _U_BLOCK
+    for count in (1, 7, 25, 200, 600):  # 200 and 600 cross _U_BLOCK
         u = np.geomspace(2.0, 40.0, count)
-        blocks = list(_phase_blocks(u, s))
-        assert len(blocks) == -(-count // _U_BLOCK)
-        for rows, E in blocks:
+        for blocks, (rows, E) in enumerate(_phase_blocks(u, s), 1):
             np.testing.assert_array_equal(E, np.exp(-1j * np.outer(u[rows], s)))
+            first = E if blocks == 1 else first
+            assert np.shares_memory(E, first), count
+        assert blocks == -(-count // _U_BLOCK)
+
+
+def test_phase_blocks_have_no_single_row_block():
+    # a 1-row product rounds differently from a multi-row one, so the blocks are near-equal
+    s = np.zeros(1)
+    for count in range(2, 601):
+        sizes = [len(E) for _, E in _phase_blocks(np.arange(count, dtype=float), s)]
+        assert sum(sizes) == count and min(sizes) > 1, (count, sizes)
 
 
 def test_phase_matrix_memory_one_block():
-    # the block is filled in place: no temporary the size of a block next to it
-    u = np.geomspace(2.0, 40.0, 200)
+    # three blocks refilled in one buffer, each filled in place: the peak stays
+    # near one full-width block (decay_check's blocks are narrower, cut at t lam = _EXP_ZERO)
+    u = np.geomspace(2.0, 40.0, 3 * _U_BLOCK)
     grid = LogGrid(n=1 << 12)
     calls = (
         lambda: decay_check(builtin_multiplier("one"), 4, 3, u_grid=u, grid=grid),
@@ -460,7 +471,54 @@ def test_phase_matrix_memory_one_block():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * len(u) * grid.n * 16
+        assert peak < 1.25 * _U_BLOCK * grid.n * 16
+
+
+def _uncut_decay_sup(m, N, u, grid):
+    """decay_check's sup_abs summed over every node: one uncut phase block, E @ (w g) per t."""
+    s, w = grid.nodes()
+    lam = np.exp(s)
+    base = m(lam[:, None])
+    E = np.exp(-1j * np.outer(u, s))
+    S = np.zeros(len(u))
+    for t in np.geomspace(1e-4, 1e4, 256):
+        tl = t * lam
+        g = tl**N * np.exp(-tl) * base
+        S = np.maximum(S, np.abs(E @ (w * g)))
+    return S
+
+
+def test_decay_check_cut_is_exact():
+    # the nodes past each t's cut add exact zeros: the sums equal the uncut ones bit for bit
+    grid = LogGrid(n=1 << 12)
+    for count in (25, 101, 200):
+        u = np.geomspace(2.0, 40.0, count)
+        for name in ("one", "imag_decay", "riesz1", "log_bump", "imag"):
+            m = builtin_multiplier(name)
+            got = decay_check(m, 4, 3, u_grid=u, grid=grid).sup_abs
+            np.testing.assert_array_equal(got, _uncut_decay_sup(m, 4, u, grid), err_msg=f"{name} {count}")
+    u = np.geomspace(2.0, 40.0, 200)
+    one = builtin_multiplier("one")
+    np.testing.assert_array_equal(decay_check(one, 4, 3, u_grid=u).sup_abs, _uncut_decay_sup(one, 4, u, LogGrid()))
+    # tl**N overflows at N = 20, and m is inf past every cut: the uncut sums are NaN, and so is the report
+    inf_tail = MultiplierSpec(1, lambda lam: np.where(lam[:, 0] > 1e8, np.inf, 1.0).astype(complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, N in ((one, 20), (inf_tail, 4)):
+            want = _uncut_decay_sup(m, N, u, grid)
+            assert np.isnan(want).all()
+            np.testing.assert_array_equal(decay_check(m, N, 3, u_grid=u, grid=grid).sup_abs, want)
+
+
+def test_exp_is_exactly_zero_past_every_cut():
+    # decay_check drops the nodes past t lam = _EXP_ZERO as exact zeros; an exp
+    # returning subnormals there would change the sums, so this fails loudly
+    lam = np.exp(LogGrid().nodes()[0])
+    t_samples = decay_check(builtin_multiplier("zero"), 2, 1, grid=LogGrid(n=64)).t_samples
+    assert len(t_samples) == 256
+    for t in t_samples:
+        k = np.searchsorted(lam, _EXP_ZERO / t)
+        assert k < len(lam)
+        assert np.all(np.exp(-(t * lam[k:])) == 0.0), t
 
 
 def test_decay_check_zero_multiplier():
@@ -488,6 +546,23 @@ def test_decay_check_takes_two_numbers():
             decay_check(one, N, rho)
     rep = decay_check(one, 3, 1)
     assert rep.rho == 1.0 and isinstance(rep.slope, float)
+
+
+def test_decay_check_rejects_bad_u_grid():
+    # a NaN frequency once gave slope -inf, so slope_ok() passed; the others raised NumPy errors
+    one, grid = builtin_multiplier("one"), LogGrid(n=64)
+    bad = (
+        np.array([np.nan, 3.0]),
+        np.array([2.0, np.inf]),
+        np.array([]),
+        np.geomspace(2.0, 40.0, 6).reshape(2, 3),
+        np.array([5.0]),
+        np.array([1.0, 20.0]),  # one point in the top decade [2, 20]
+        np.array([5.0, 5.0]),
+    )
+    for u in bad:
+        with pytest.raises(ValueError, match="u_grid"):
+            decay_check(one, 2, 1, u_grid=u, grid=grid)
 
 
 # -- boundary rotations and order arithmetic ----------------------------------
