@@ -29,6 +29,8 @@ __all__ = [
     "apply_semigroup_kernel",
 ]
 
+_MAX_HERMITE_NODES = 370  # hermgauss(371) has a zero weight
+
 
 def hermite_vandermonde(k_max: int, x: np.ndarray) -> np.ndarray:
     """Values of the gamma-normalized 1-d Hermite polynomials.
@@ -63,11 +65,15 @@ def hermite_basis(k_max: int, n_nodes: int | None = None) -> tuple[np.ndarray, n
     """The Gauss-Hermite rule for degrees up to k_max on one axis: (nodes, weights).
 
     The weights are those of the Gaussian probability measure, so they sum to 1.
+    At most 370 nodes: from 371 NumPy's ``hermgauss`` underflows to a zero
+    weight, and from 372 to NaN weights.
     """
     if n_nodes is None:
         n_nodes = default_node_count(k_max)
     if n_nodes < k_max + 1:
-        raise ValueError("need at least k_max+1 Gauss-Hermite nodes")
+        raise ValueError(f"n_nodes: need at least k_max+1 = {k_max + 1} Gauss-Hermite nodes, got {n_nodes}")
+    if n_nodes > _MAX_HERMITE_NODES:
+        raise ValueError(f"n_nodes: at most {_MAX_HERMITE_NODES} Gauss-Hermite nodes, got {n_nodes}")
     nodes, w = hermgauss(n_nodes)
     return nodes, w / np.sqrt(np.pi)
 

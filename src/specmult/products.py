@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .ouhermite import _mehler_dr_raw, _mehler_gamma_dr_raw, _product_grid, _w_dr_raw, hermite_basis
 from .spectral import GridFunction, MultiplierSpec, SpectralSystem, _legendre_on, _pair_rows, _trapezoid
@@ -103,7 +102,9 @@ def kappa_one() -> KappaSpec:
 
 def kappa_imag(u: float) -> KappaSpec:
     """kappa(t) = t^{iu}/Gamma(1+iu): partial imaginary powers lam (lam+a)^{-1-iu}."""
-    g = _gamma(1.0 + 1j * u)
+    from scipy.special import gamma  # the only complex Gamma; kept off the import path
+
+    g = gamma(1.0 + 1j * u)
 
     def ev(r):
         t = -np.log(np.asarray(r, dtype=float))

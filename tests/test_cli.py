@@ -31,13 +31,23 @@ RIESZ1_SUP_OU16 = 16.0 / 17.0              # max of l/(1+l) over eigenvalues 0..
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate costs about 0.3 s to import and only di_integral uses
-    # it, so the CLI must not load it at import time
+    # importing SciPy is most of what a fresh `specmult.cli` import would
+    # cost, so the CLI loads no scipy module at all at import time; the
+    # complex Gamma of kappa_imag and di_integral's quad load it on use
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, specmult.cli; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys, specmult.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "from specmult.products import kappa_imag\n"
+        "k = kappa_imag(1.0)\n"
+        "print(repr(k.sup_norm), repr(complex(k.evaluate(0.25))))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    loaded, kappa = out.stdout.splitlines()
+    assert loaded == "[]"
+    # the values kappa_imag gave while SciPy's Gamma was imported at module level
+    assert kappa == "1.9173100715259903 (1.551185960340718+1.126898410158095j)"
 
 
 # -- config files and validation ----------------------------------------------

@@ -257,6 +257,17 @@ def test_mehler_gamma_dr_matches_mpmath_and_the_lebesgue_kernel(d):
             assert kd[k, i, j] == pytest.approx(want, rel=1e-12)
 
 
+def test_hermite_basis_rejects_node_counts_numpy_cannot_weight():
+    # hermgauss(371) gives a zero weight and hermgauss(372) NaN weights
+    nodes, weights = hermite_basis(16, 370)
+    assert len(nodes) == 370 and weights.min() > 0.0
+    for n in (371, 372, 1000):
+        with pytest.raises(ValueError, match=f"n_nodes: at most 370 Gauss-Hermite nodes, got {n}"):
+            ou_system(1, 16, n_nodes=n)
+    with pytest.raises(ValueError, match="n_nodes: need at least k_max"):
+        hermite_basis(16, 16)
+
+
 def test_gauss_hermite_nodes_are_mirrored_bit_for_bit():
     # the T split evaluates half of the x1 rows and mirrors the rest
     for n in range(2, 257):

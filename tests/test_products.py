@@ -449,14 +449,15 @@ def test_gauss_legendre_rule_is_shared_and_read_only():
 
 def test_no_rule_rebuilt_per_call(monkeypatch, euclid1, torus, kid):
     # kernel audits and the T split reuse the cached rule instead of
-    # rebuilding roots_legendre(n_r) on every call
+    # rebuilding the n_r-point rule on every call
     builds = []
+    build = spectral._legendre_rule
 
     def counting(n):
         builds.append(n)
-        return roots_legendre(n)
+        return build(n)
 
-    monkeypatch.setattr(spectral, "roots_legendre", counting)
+    monkeypatch.setattr(spectral, "_legendre_rule", counting)
     gauss_legendre.cache_clear()
     pairs = sample_product_pairs(400, 7, euclid1)
     grid = product_grid(torus, d=1, k_max=6, n_y=16)
@@ -470,7 +471,7 @@ def test_no_rule_rebuilt_per_call(monkeypatch, euclid1, torus, kid):
     gauss_legendre.cache_clear()  # drop the rules built through the patched name
     # and no other module builds a rule of its own
     package = Path(spectral.__file__).parent
-    callers = [p.name for p in package.glob("*.py") if "roots_legendre(" in p.read_text()]
+    callers = [p.name for p in package.glob("*.py") if "_legendre_rule(" in p.read_text()]
     assert callers == ["spectral.py"]
 
 

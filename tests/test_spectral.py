@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from specmult.cli import _ou16, _ou_torus, _square_system
 from specmult.multipliers import builtin_multiplier, square_function
@@ -18,6 +19,7 @@ from specmult.spectral import (
     SpectralSystem,
     apply_multiplier,
     decompose,
+    gauss_legendre,
     reconstruct,
     tensor,
 )
@@ -451,3 +453,33 @@ def test_norm_lp_nondecreasing_in_p_for_probability_weights(seed, n, ps):
     f = GridFunction(np.arange(float(n))[:, None], w / w.sum(), rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3))
     norms = [f.norm_lp(p) for p in sorted(ps) + [math.inf]]
     assert all(lo <= hi * (1.0 + 1e-12) for lo, hi in zip(norms, norms[1:]))
+
+
+# -- the Gauss-Legendre rule ----------------------------------------------------
+
+
+def test_gauss_legendre_is_scipys_rule_bit_for_bit_at_even_n():
+    for n in [*range(2, 131, 2), 256, 512, 1024]:
+        nodes, weights = gauss_legendre(n)
+        want_nodes, want_weights = roots_legendre(n)
+        assert np.array_equal(nodes, want_nodes), n
+        assert np.array_equal(weights, want_weights), n
+
+
+def test_gauss_legendre_at_odd_n_moves_only_weights():
+    # the one cause is the middle node x ~ 0 of an odd n: there SciPy takes
+    # P_n and P_{n-1} from a power series whose leading term is rounded
+    # through beta(), and the port runs the recurrence, so the middle
+    # weight differs in its last bits and, through the normalization, every
+    # weight moves by up to ~2e-12 relative; the nodes are symmetrized to
+    # the same values
+    for n in range(1, 130, 2):
+        nodes, weights = gauss_legendre(n)
+        want_nodes, want_weights = roots_legendre(n)
+        assert np.array_equal(nodes, want_nodes), n
+        np.testing.assert_allclose(weights, want_weights, rtol=5e-12, atol=0.0, err_msg=str(n))
+
+
+def test_gauss_legendre_rejects_a_non_positive_n():
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        gauss_legendre(0)
