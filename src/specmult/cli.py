@@ -596,11 +596,19 @@ def _run_cz_decompose(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
     exact = float(np.max(np.abs(f - res.good - res.bad_sum()), initial=0.0))
     mask_ok = bool(np.array_equal(res.selection_mask(), dyadic_maximal(f, system) > s))
     machine = 1e-12 * max(float(f.max()), 1.0)
-    mean_ok = all(np.all(np.abs(bad.values.mean(axis=1)) < machine) for bad in res.bads)
-    band_ok = all(
-        np.all(bad.averages > s / system.doubling_constant - 1e-12)
-        and np.all(bad.averages <= system.doubling_constant * s + 1e-12)
-        for bad in res.bads
+    # bad parts on cubes of one length stack into one array; a row's mean
+    # does not depend on the rows stacked with it
+    by_length: dict[int, list[np.ndarray]] = {}
+    for bad in res.bads:
+        by_length.setdefault(bad.values.shape[1], []).append(bad.values)
+    mean_ok = all(
+        bool(np.all(np.abs(np.concatenate(parts).mean(axis=1)) < machine))
+        for parts in by_length.values()
+    )
+    averages = np.concatenate([np.empty(0)] + [bad.averages for bad in res.bads])
+    band_ok = bool(
+        np.all(averages > s / system.doubling_constant - 1e-12)
+        and np.all(averages <= system.doubling_constant * s + 1e-12)
     )
     rows = [
         [bad.cube.level, bad.cube.lo, bad.cube.hi, len(bad.fibers)] for bad in res.bads

@@ -451,6 +451,28 @@ def _t_grid(lam_min: float, lam_max: float) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
+@functools.lru_cache(maxsize=8)
+def _t_kernel(lam: bytes, bounds: tuple[tuple[float, float], ...], N: tuple[int, ...]) -> np.ndarray:
+    """The t-kernel of g_N on the supported eigenvalue rows, an (n_sup, n_sup) array.
+
+    ``lam`` is the float64 bytes of the (n_sup, d) supported rows, axis j
+    sums t over ``_t_grid(*bounds[j])``, and M(a, b) is the product over
+    axes of k_j(a, b) = sum_i w_i (t_i a)^N_j (t_i b)^N_j e^{-t_i (a+b)}.
+    It does not depend on the coefficients, so a trial loop over one
+    support builds it once; shared by every caller, so it is read-only.
+    """
+    lam = np.frombuffer(lam).reshape(-1, len(N))
+    M = np.ones((len(lam), len(lam)))
+    for j, (bound, Nj) in enumerate(zip(bounds, N)):
+        t, w = _t_grid(*bound)
+        a, inv = np.unique(lam[:, j], return_inverse=True)
+        P = (np.outer(a, t)) ** Nj * np.exp(-np.outer(a, t))  # (n_a, n_t)
+        Kj = (P * w) @ P.T
+        M *= Kj[np.ix_(inv, inv)]
+    M.flags.writeable = False
+    return M
+
+
 def square_constant(N) -> float:
     """prod_j Gamma(2 N_j) / 4^{N_j}: the exact L^2 factor of g_N."""
     return float(math.prod(math.gamma(2 * n) / 4.0**n for n in np.atleast_1d(N).tolist()))
@@ -462,19 +484,19 @@ def square_function(sys: SpectralSystem, c: np.ndarray, N) -> GridFunction:
     N holds one integer order >= 1 per eigenvalue map.  Axis j sums t over the
     _t_grid of its positive eigenvalues.  The t-sum over the tensor grid is
     contracted analytically per axis, which is an exact rearrangement of the
-    finite sums.
+    finite sums; the resulting t-kernel is cached per supported spectrum and N.
     """
     orders = np.atleast_1d(N)
     if len(orders) != sys.dimension or not np.all((orders >= 1) & (orders % 1 == 0)):
         raise ValueError(f"N: expected one integer order >= 1 per eigenvalue map ({sys.dimension}), got {N!r}")
     N = tuple(int(v) for v in orders)
-    spectrum = sys.eigenvalue_matrix()
-    grids = []
+    spectrum = sys._lam
+    bounds = []
     for j in range(sys.dimension):
         pos = spectrum[:, j][spectrum[:, j] > 0]
         if len(pos) == 0:
             raise ATLViolation(f"eigenvalue map {j} is identically zero")
-        grids.append(_t_grid(float(pos.min()), float(pos.max())))
+        bounds.append((float(pos.min()), float(pos.max())))
     c = _coefficients(c, sys)
     rows = np.flatnonzero(c)
     if not rows.size:
@@ -487,13 +509,7 @@ def square_function(sys: SpectralSystem, c: np.ndarray, N) -> GridFunction:
             f"sits on a zero eigenvalue (axis {int(j)})"
         )
     cvec = c[rows]
-    # per-axis kernels: k_j(a, b) = sum_i w_i (t_i a)^N (t_i b)^N e^{-t_i (a+b)}
-    M = np.ones((len(rows), len(rows)))
-    for j, ((t, w), Nj) in enumerate(zip(grids, N)):
-        a, inv = np.unique(lam[:, j], return_inverse=True)
-        P = (np.outer(a, t)) ** Nj * np.exp(-np.outer(a, t))  # (n_a, n_t)
-        Kj = (P * w) @ P.T
-        M *= Kj[np.ix_(inv, inv)]
+    M = _t_kernel(lam.tobytes(), tuple(bounds), N)
     B = sys.basis_matrix()[rows]
     C = (cvec[:, None] * np.conj(cvec)[None, :]) * M
     # B is real, so only Re C reaches the real part of sum_ab C_ab B_bp B_ap

@@ -168,12 +168,12 @@ class GridFunction:
             raise ValueError("values must be one per grid point")
 
     def norm_lp(self, p: float) -> float:
-        """L^p norm with respect to the grid measure (p = inf allowed)."""
+        """L^p norm with respect to the grid measure, for p in (0, inf]."""
+        if not 0 < p <= np.inf:  # NaN fails too
+            raise ValueError(f"p: expected a real in (0, inf], got {p!r}")
         a = np.abs(self.values)
-        if np.isinf(p):
+        if p == np.inf:
             return float(a.max(initial=0.0))
-        if p <= 0:
-            raise ValueError("p must be positive")
         with np.errstate(over="ignore", under="ignore"):  # handled below
             total = self.weights @ a**p
         if np.finfo(float).tiny <= total < np.inf:
@@ -233,6 +233,8 @@ class SpectralSystem:
     basis : (n, n_points) array
         Values of the basis elements on the quadrature grid.
     points, weights : quadrature rule for the underlying measure
+        Checked once here and kept as read-only copies, so the rule cannot
+        change afterwards and ``grid_function`` need not check it again.
 
     ``atl`` ("away from the low end") is true when no index carries an
     all-zero eigenvalue vector; it is read off the spectrum.
@@ -268,7 +270,9 @@ class SpectralSystem:
         self.dimension = lam.shape[1]
         self.atl = bool(np.all(lam.max(axis=1) > 0))
 
-        self.points, self.weights = _quadrature_rule(points, weights)
+        self.points, self.weights = (np.array(a) for a in _quadrature_rule(points, weights))
+        self.points.flags.writeable = False
+        self.weights.flags.writeable = False
         self._basis = np.asarray(basis, dtype=float)
         if self._basis.shape != (n, len(self.weights)):
             raise ValueError("basis matrix has wrong shape")
@@ -308,7 +312,19 @@ class SpectralSystem:
         return float(np.abs(gram - np.eye(len(self))).max())
 
     def grid_function(self, values: np.ndarray) -> GridFunction:
-        return GridFunction(self.points, self.weights, values)
+        """values, one per grid point, as a GridFunction on the system's rule.
+
+        The rule was checked and frozen at construction, so only the shape
+        of ``values`` is checked here.
+        """
+        values = np.asarray(values)
+        if values.shape != self.weights.shape:
+            raise ValueError("values must be one per grid point")
+        f = object.__new__(GridFunction)
+        object.__setattr__(f, "points", self.points)
+        object.__setattr__(f, "weights", self.weights)
+        object.__setattr__(f, "values", values)
+        return f
 
     def random_coefficients(self, rng: np.random.Generator, *, atl_safe: bool = False) -> np.ndarray:
         """i.i.d. standard-normal coefficients in basis order, as a complex array.
@@ -349,7 +365,7 @@ def reconstruct(c: np.ndarray, sys: SpectralSystem) -> GridFunction:
     runs for ``c @ basis_matrix()``, without casting the basis per call.
     """
     values = _coefficients(c, sys) @ sys._complex_basis
-    if np.max(np.abs(values.imag), initial=0.0) == 0.0:
+    if not values.imag.any():
         values = values.real
     return sys.grid_function(values)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from specmult.cli import (
     run,
     spectral_sup_norm,
 )
+from specmult.dyadic import cz_decompose
 from specmult.multipliers import builtin_multiplier
 from specmult.spectral import EvaluationError
 
@@ -362,6 +364,52 @@ def test_main_cz_scaled_threshold_not_finite_exit(tmp_path, capsys, seed):
     assert main(args + ["--override", "threshold=1e308"]) == 2
     assert capsys.readouterr().err.startswith("usage error: threshold: expected at most ")
     assert not any(tmp_path.iterdir())
+
+
+def _cz_with_one_bad_changed(monkeypatch, index, change):
+    """Patch cli.cz_decompose so that bad part ``index`` goes through ``change(bad, s, system)``."""
+    def patched(f, s, system):
+        res = cz_decompose(f, s, system)
+        bads = list(res.bads)
+        bads[index] = change(bads[index], s, system)
+        return dataclasses.replace(res, bads=tuple(bads))
+
+    monkeypatch.setattr(cli, "cz_decompose", patched)
+
+
+@pytest.mark.parametrize("index", [0, -1])
+def test_cz_decompose_invariants_see_one_bad_part(tmp_path, monkeypatch, index):
+    # the invariants are checked over all bad parts at once; each must
+    # still fail when a single part breaks it, on the first or the last cube
+    args = ["cz-decompose", "--seed", "0", "--override", "fixture=random"]
+    changes = {
+        "bad_means_zero": lambda bad, s, system: dataclasses.replace(bad, values=bad.values + 1e-3),
+        "selected_averages_in_band": lambda bad, s, system: dataclasses.replace(
+            bad, averages=np.where(np.arange(len(bad.fibers)) == 0, 3.0 * s, bad.averages)
+        ),
+    }
+    for name, change in changes.items():
+        out = tmp_path / name
+        _cz_with_one_bad_changed(monkeypatch, index, change)
+        assert main(args + ["--out", str(out)]) == 4
+        invariants = json.loads((out / "summary.json").read_text())["invariants"]
+        assert invariants[name] is False
+        assert invariants[({*changes} - {name}).pop()] is True
+    # an average just below the band's floor, on the other side
+    low = lambda bad, s, system: dataclasses.replace(bad, averages=bad.averages - bad.averages + 0.49 * s)
+    _cz_with_one_bad_changed(monkeypatch, index, low)
+    assert main(args + ["--out", str(tmp_path / "low")]) == 4
+    assert json.loads((tmp_path / "low" / "summary.json").read_text())["invariants"]["selected_averages_in_band"] is False
+
+
+def test_cz_decompose_invariants_hold_without_bad_parts(tmp_path):
+    out = tmp_path / "r"
+    args = ["cz-decompose", "--seed", "0", "--override", "fixture=random", "--override", "threshold=100"]
+    assert main(args + ["--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["results"]["bad_cubes"] == []
+    assert summary["invariants"]["bad_means_zero"] is True
+    assert summary["invariants"]["selected_averages_in_band"] is True
 
 
 def test_square_systems_built_once():

@@ -31,7 +31,9 @@ from specmult.multipliers import (
     square_function,
     worst_case_order,
 )
-from specmult.multipliers import _EXP_ZERO, _U_BLOCK, _axis_rows, _partial_values, _phase_blocks, _t_grid
+from specmult import multipliers
+from specmult.cli import build_config, run
+from specmult.multipliers import _EXP_ZERO, _U_BLOCK, _axis_rows, _partial_values, _phase_blocks, _t_grid, _t_kernel
 from specmult.ouhermite import ou_system
 from specmult.products import torus_system
 from specmult.spectral import MultiplierSpec, SpectralSystem, _pair_rows, gauss_legendre, reconstruct, tensor
@@ -749,6 +751,84 @@ def test_square_function_order_validation(ou1):
     flat = SpectralSystem(ou1.basis_index_set, 0.0 * ou1.eigenvalue_matrix(), ou1.basis_matrix(), ou1.points, ou1.weights)
     with pytest.raises(ATLViolation, match="eigenvalue map 0 is identically zero"):
         square_function(flat, np.zeros(len(flat)), 1)
+
+
+def _square_function_loop(sys, c, N):
+    """(M, g_N) as square_function built them with the t-kernel rebuilt on every call."""
+    spectrum = sys.eigenvalue_matrix()
+    grids = []
+    for j in range(sys.dimension):
+        pos = spectrum[:, j][spectrum[:, j] > 0]
+        grids.append(_t_grid(float(pos.min()), float(pos.max())))
+    rows = np.flatnonzero(c)
+    lam = spectrum[rows]
+    cvec = np.asarray(c, dtype=complex)[rows]
+    M = np.ones((len(rows), len(rows)))
+    for j, ((t, w), Nj) in enumerate(zip(grids, N)):
+        a, inv = np.unique(lam[:, j], return_inverse=True)
+        P = (np.outer(a, t)) ** Nj * np.exp(-np.outer(a, t))
+        Kj = (P * w) @ P.T
+        M *= Kj[np.ix_(inv, inv)]
+    B = sys.basis_matrix()[rows]
+    C = (cvec[:, None] * np.conj(cvec)[None, :]) * M
+    g2 = np.einsum("ap,ap->p", C.real @ B, B)
+    return M, np.sqrt(np.clip(g2, 0.0, None))
+
+
+def test_cached_t_kernel_equals_per_call_loop(ou1, monkeypatch):
+    kernels = []
+
+    def recording(*key):
+        kernels.append(_t_kernel(*key))
+        return kernels[-1]
+
+    monkeypatch.setattr(multipliers, "_t_kernel", recording)
+    ou_torus = tensor(ou_system(1, 12), torus_system(3, 32))
+    for sys, N in ((ou1, (1,)), (ou1, (3,)), (ou_torus, (2, 2)), (ou_torus, (1, 2))):
+        for seed in range(2):
+            c = _complex_coefficients(sys, seed)
+            c[seed::3] = 0.0  # a support that is not every ATL-safe row
+            M, g = _square_function_loop(sys, c, N)
+            np.testing.assert_array_equal(square_function(sys, c, N).values, g)
+            np.testing.assert_array_equal(kernels[-1], M)
+            # shared by every caller of that support, so read-only
+            assert not kernels[-1].flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                kernels[-1][0, 0] = 0.0
+    # one supported spectrum inside two systems: the t-grids, and so M, differ
+    kernel_of = {}
+    for sys in (ou1, ou_system(1, 16)):
+        c = np.zeros(len(sys), dtype=complex)
+        c[[sys.position((k,)) for k in range(1, 13)]] = 1.0
+        M, g = _square_function_loop(sys, c, (1,))
+        np.testing.assert_array_equal(square_function(sys, c, (1,)).values, g)
+        np.testing.assert_array_equal(kernels[-1], M)
+        kernel_of[len(sys)] = kernels[-1]
+    assert not np.array_equal(kernel_of[13], kernel_of[17])
+
+
+def test_t_kernel_built_once_per_support_and_order(tmp_path, monkeypatch):
+    # every build sums axis j over _t_grid, once per axis; a trial loop
+    # over one support and one N builds the kernel once
+    grids = []
+
+    def counting(lam_min, lam_max):
+        grids.append((lam_min, lam_max))
+        return _t_grid(lam_min, lam_max)
+
+    monkeypatch.setattr(multipliers, "_t_grid", counting)
+    _t_kernel.cache_clear()
+    config = {"k_max": "40", "trials": "200"}
+    run(build_config("square-function", overrides=config, seed=0, out=str(tmp_path / "a")))
+    assert len(grids) == 1 and _t_kernel.cache_info().misses == 1
+    assert _t_kernel.cache_info().hits == 199
+    run(build_config("square-function", overrides=config, seed=1, out=str(tmp_path / "b")))
+    assert len(grids) == 1
+    run(build_config("square-function", overrides={**config, "n_order": "2"}, seed=0, out=str(tmp_path / "c")))
+    assert len(grids) == 2
+    run(build_config("square-function", overrides={"n_order": "2,2", "trials": "50"}, seed=0, out=str(tmp_path / "d")))
+    assert len(grids) == 4 and _t_kernel.cache_info().misses == 3
+    _t_kernel.cache_clear()  # drop the kernels built through the patched name
 
 
 def test_default_t_grid():

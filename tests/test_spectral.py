@@ -62,6 +62,38 @@ def test_norm_lp_large_p_tends_to_sup(scale, p):
     assert f.norm_lp(p) == pytest.approx(sup, rel=2.0 * np.log(4.0) / p)
 
 
+def test_norm_lp_rejects_p_outside_zero_to_inf():
+    # NaN used to give NaN, and -inf the sup norm, since np.isinf(-inf) holds
+    f = GridFunction([[0.0], [1.0]], [0.5, 0.5], [3.0, -1.0])
+    for p in (math.nan, -math.inf, 0.0, -2.0):
+        with pytest.raises(ValueError, match=r"p: expected a real in \(0, inf\]"):
+            f.norm_lp(p)
+    assert f.norm_lp(math.inf) == 3.0
+
+
+def test_system_rule_is_frozen(ou1):
+    # checked once at construction, so the rule may not change afterwards
+    for a in (ou1.points, ou1.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    # the system keeps its own copy: the caller's arrays stay writable
+    points, weights = ou1.points.copy(), ou1.weights.copy()
+    sys_ = SpectralSystem(ou1.basis_index_set, ou1.eigenvalue_matrix(), ou1.basis_matrix(), points, weights)
+    weights[0] = -1.0
+    assert sys_.weights[0] == ou1.weights[0] > 0
+    # grid_function checks only the values against the frozen rule
+    for bad in (np.zeros(len(weights) + 1), np.zeros((1, len(weights))), 1.0):
+        with pytest.raises(ValueError, match="values must be one per grid point"):
+            sys_.grid_function(bad)
+    values = np.arange(len(weights), dtype=float)
+    f = sys_.grid_function(values)
+    assert f.points is sys_.points and f.weights is sys_.weights and f.values is values
+    g = GridFunction(sys_.points, sys_.weights, values)
+    for name in ("points", "weights", "values"):
+        np.testing.assert_array_equal(getattr(f, name), getattr(g, name))
+    assert f.norm_lp(3.0) == g.norm_lp(3.0)
+
+
 def test_norm_lp_zero_and_infinite_functions():
     f = GridFunction(np.zeros((3, 1)), np.ones(3), np.zeros(3))
     assert f.norm_lp(1e6) == 0.0 and f.norm_lp(2.0) == 0.0
