@@ -83,10 +83,11 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     Golub-Welsch with one Newton step, ported from SciPy's
     ``roots_legendre``: bit-identical to it for every even n, and for odd n
     equal in the nodes with weights within 2e-12 relative (the middle node
-    runs the recurrence, not SciPy's power series).  SciPy's n = 512
-    weights carry a 1.5e-9 relative error; it is kept on purpose, so that
-    every gated value stays where it is until a more accurate rule and a
-    re-record of those values land together.
+    runs the recurrence, not SciPy's power series).  It inherits SciPy's
+    loss of accuracy at large n: the n = 512 weights carry a 1.5e-9
+    relative error, and the dense eigensolve costs O(n^3).  No kernel
+    quadrature takes that size by default; m_kappa's compact-support path
+    and callers that pass a large n_r still do (ROADMAP item 9).
 
     Built once per n on first use and shared by every caller, so both
     arrays are read-only; map them to an interval with new arrays.

@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from specmult import products, spectral
+from specmult import cli, products, spectral
 from specmult.ouhermite import _mehler_dr_raw, _mehler_gamma_dr_raw, _w_dr_raw, lebesgue_weights, ou_system
 from specmult.products import (
     _ball_volume_rows,
@@ -358,12 +360,12 @@ def test_ktilde_translation_invariance(euclid1, kid):
     assert a == b
 
 
-_LEGENDRE_512 = roots_legendre(512)  # the reference rule, independent of the cache
+_LEGENDRE = roots_legendre(products._N_R)  # the reference rule, independent of the cache
 
 
 def _r_rule(kappa):
     lo, hi = kappa.support
-    xi, w = _LEGENDRE_512
+    xi, w = _LEGENDRE
     return 0.5 * (hi - lo) * xi + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
@@ -464,10 +466,10 @@ def test_no_rule_rebuilt_per_call(monkeypatch, euclid1, torus, kid):
     f = grid.function(np.ones(grid.shape[0] * grid.shape[1]))
     cz_growth_check(pairs[:2], kid, euclid1)
     apply_T_split(f, kid, torus, grid)
-    assert builds == [512]
+    assert builds == [products._N_R]
     cz_growth_check(pairs, kid, euclid1)
     apply_T_split(f, kid, torus, grid)
-    assert builds == [512]
+    assert builds == [products._N_R]
     gauss_legendre.cache_clear()  # drop the rules built through the patched name
     # and no other module builds a rule of its own
     package = Path(spectral.__file__).parent
@@ -480,6 +482,92 @@ def test_ktilde_growth_frozen(euclid1, kid):
     e = _eta_pointwise(euclid1, x, y)
     got = abs(kernel_Ktilde(x, y, kid, euclid1)) * _volume_pointwise(euclid1, x, e) / kid.sup_norm
     assert got == pytest.approx(KTILDE_GROWTH_R1, rel=1e-12)
+
+
+def _heat_kernel_mp(model, t, z2):
+    """p_t at the offset z2 in mpmath precision: the Gaussian on R^m; on the
+    torus its images for t < 0.5 and its Fourier series for t >= 0.5."""
+    if not model.torus:
+        q = sum(v * v for v in z2)
+        return (4 * mpmath.pi * t) ** (-mpmath.mpf(len(z2)) / 2) * mpmath.exp(-q / (4 * t))
+    (z,) = z2
+    if t < 0.5:
+        return sum(mpmath.exp(-((z + j) ** 2) / (4 * t)) for j in range(-12, 13)) / mpmath.sqrt(4 * mpmath.pi * t)
+    k2 = 4 * mpmath.pi**2 * t
+    return 1 + 2 * sum(mpmath.exp(-k2 * k * k) * mpmath.cos(2 * mpmath.pi * k * z) for k in range(1, 4))
+
+
+def _ktilde_mp(x, y, kappa, model):
+    """Ktilde(x, y) for an indicator kappa (1 on its support) by mpmath.quad
+    at 30 digits.  The integrand is divided by its largest sampled value, so
+    the quadrature's tolerance is relative even where Ktilde is tiny."""
+    (x1, x2), (y1, y2) = _split(model, x), _split(model, y)
+    with mpmath.workdps(30):
+        z1 = [mpmath.mpf(a) - mpmath.mpf(b) for a, b in zip(x1, y1)]
+        z2 = [mpmath.mpf(a) - mpmath.mpf(b) for a, b in zip(x2, y2)]
+        d, q = len(z1), sum(v * v for v in z1)
+
+        def integrand(r):
+            s = 1 - r * r
+            dw = mpmath.pi ** (-mpmath.mpf(d) / 2) * r * s ** (-mpmath.mpf(d) / 2 - 1) * mpmath.exp(-q / s) * (d - 2 * q / s)
+            return dw * _heat_kernel_mp(model, -mpmath.log(r), z2)
+
+        lo, hi = (mpmath.mpf(v) for v in kappa.support)
+        scale = max(abs(integrand(r)) for r in mpmath.linspace(lo, hi, 33))
+        return complex(scale * mpmath.quad(lambda r: integrand(r) / scale, mpmath.linspace(lo, hi, 9)))
+
+
+# the audits' own support, and three that reach toward r = 0 or r = 1
+@pytest.mark.parametrize("support", [(0.1, 0.9), (0.05, 0.99), (0.5, 0.999), (0.01, 0.5)], ids=str)
+def test_ktilde_default_rule_matches_mpmath(support):
+    # the default r-rule against a 30-digit quadrature, on each model's draw
+    # as cz-estimates makes it at its default config and seed 0 (400 pairs,
+    # x1 in R^1): the pairs farthest apart in x1 and in x2, and the pair
+    # nearest the diagonal.  That last pair is left out on [0.5, 0.999]: the singular
+    # point r = 1 of dW_r/dr and of the heat kernel lies 1e-3 past the
+    # support, and near the diagonal no rule of up to 512 nodes meets 1e-13
+    # there (96 nodes: 2e-6, 512 nodes: 7e-12), so such a kernel needs an n_r
+    # of its own
+    kappa = kappa_indicator(*support)
+    for model in (euclidean_heat_model(1), euclidean_heat_model(2), torus_heat_model()):
+        pairs = sample_product_pairs(400, 0, model, d=1)
+        x, y = pairs[:, 0], pairs[:, 1]
+        picks = {int(np.argmax(np.abs(x[:, 0] - y[:, 0]))), int(np.argmax(model.zeta(x[:, 1:], y[:, 1:])))}
+        if support[1] < 0.999:
+            picks.add(int(np.argmin(_eta_rows(model, x, y))))
+        for i in sorted(picks):
+            got = kernel_Ktilde(x[i], y[i], kappa, model)
+            assert got == pytest.approx(_ktilde_mp(x[i], y[i], kappa, model), rel=1e-13, abs=0.0), (model.name, i)
+
+
+@pytest.mark.parametrize("n_r", [True, 2.5, 0, -3])
+def test_kernel_quadratures_reject_an_n_r_that_is_not_a_positive_integer(euclid1, torus, kid, n_r):
+    pairs = sample_product_pairs(4, 1, euclid1)
+    grid = product_grid(torus, d=1, k_max=6, n_y=16)
+    f = grid.function(np.ones(grid.shape[0] * grid.shape[1]))
+    calls = [
+        lambda: kernel_Ktilde(pairs[0, 0], pairs[0, 1], kid, euclid1, n_r=n_r),
+        lambda: cz_growth_check(pairs, kid, euclid1, n_r=n_r),
+        lambda: cz_smooth_check(sample_product_triples(4, 1, euclid1), kid, euclid1, n_r=n_r),
+        lambda: apply_T_split(f, kid, torus, grid, n_r=n_r),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"n_r must be a positive integer, got {n_r!r}")):
+            call()
+    # a NumPy integer is an integer
+    x, y = pairs[0]
+    assert kernel_Ktilde(x, y, kid, euclid1, n_r=np.int64(products._N_R)) == kernel_Ktilde(x, y, kid, euclid1)
+
+
+def test_every_n_r_defaults_to_the_shared_rule_size():
+    # read from the signatures, so a literal default cannot come back in one function only
+    defaults = {}
+    for name in products.__all__:
+        params = inspect.signature(getattr(products, name)).parameters
+        if "n_r" in params:
+            defaults[name] = params["n_r"].default
+    names = ["kernel_Ktilde", "apply_T_split", "cz_growth_check", "cz_smooth_check"]
+    assert defaults == dict.fromkeys(names, products._N_R)
 
 
 # -- T split on the product grid -----------------------------------------------
@@ -623,6 +711,16 @@ def test_t_split_sums_one_x1_pair_per_symmetry_class(torus, kid, monkeypatch, k_
     assert sorted(pairs) == [(i, j) for i in range(n_x) for j in range(i, n_x - i)]
     assert len(pairs) == n_pairs
     assert sum(entries) == n_pairs * n_r  # 2,129,920 at the default grid
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"n_x": "256", "k_max": "24", "n_max": "8", "n_y": "128"}], ids=["default", "schema_max"]
+)
+def test_t_split_default_rule_matches_the_spectral_side(overrides):
+    # riesz-cross-check's kernel path on the default r-rule against its
+    # spectral side, at the default grid and at the largest the schema admits
+    results, _, _ = cli._run_riesz_cross_check(cli.build_config("riesz-cross-check", overrides=overrides, seed=0))
+    assert results["max_relative_error"] <= 1e-14
 
 
 def test_t_split_rejects_non_torus_input(torus, euclid1, kid):
