@@ -1,8 +1,8 @@
 """Product-space machinery on R^d x Y: Laplace-transform-type multipliers
 m_kappa, kernels of T = m_kappa(L, A) and of the comparison operator built
 from W_r, the local region N_s with the local/global operator split, the
-Mehler-vs-convolution difference integral D_I, and empirical growth and
-smoothness audits of the comparison kernel.
+difference integral D_I, the total variation of M_r - W_r in r, and
+empirical growth and smoothness audits of the comparison kernel.
 
 Y is one of two shipped heat-kernel models: Euclidean R^m (m in {1, 2}) with
 an exact Gaussian kernel, or the unit-circumference torus with the wrapped
@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ouhermite import _mehler_dr_raw, _mehler_gamma_dr_raw, _product_grid, _w_dr_raw, hermite_basis
+from .ouhermite import _mehler_dr_raw, _mehler_gamma_dr_raw, _mehler_kernel_raw, _product_grid, _w_dr_raw, hermite_basis
 from .spectral import GridFunction, MultiplierSpec, SpectralSystem, _legendre_on, _pair_rows, _trapezoid
 
 __all__ = [
@@ -614,47 +614,50 @@ def apply_T_split(
 # -- the difference integral of the local-part analysis ----------------------
 
 
-def _di_integrand(r: float, x1: np.ndarray, y1: np.ndarray) -> float:
-    s = 1.0 - r * r
-    if s <= 0.0:
-        return 0.0
-    md = _mehler_dr_raw(np.float64(r), x1[None], y1[None])[0]
-    return float(abs(md - _w_dr_raw(np.float64(r), x1 - y1)))
+# D_I finds the sign changes of its integrand on an r-grid, all cells then
+# bisected at once: _DI_UNIFORM nodes on [0, 1/2) with r = 0 included (sampled
+# pairs have roots near r = 0.0013), then _DI_TAIL geometric in 1 - r down to
+# 1e-16.  Phi is stationary at a root, so a root error e moves D_I by O(e^2).
+_DI_UNIFORM, _DI_TAIL, _DI_BISECTIONS = 64, 256, 60
 
 
 def di_integral(x1, y1) -> float:
     """D_I = int_0^1 |dM_r/dr(x1,y1) - dW_r/dr(x1-y1)| dr on the region N_2.
 
-    Split at 1/2 and at r* = max(1/2, 1 - |x1|^2), where the two kernels
-    change regime.
+    x1, y1: two 1-d arrays of one length.  D_I is the total variation of
+    Phi(r) = M_r(x1, y1) - W_r(x1 - y1) on [0, 1]: sum |Phi(r_{i+1}) - Phi(r_i)|
+    over r_0 = 0, the sign changes of Phi' and r = 1, where Phi = 0 as x1 != y1.
     """
-    from scipy.integrate import quad
-
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    y1 = np.atleast_1d(np.asarray(y1, dtype=float))
+    x1, y1 = np.asarray(x1, dtype=float), np.asarray(y1, dtype=float)
+    if x1.ndim != 1 or x1.shape != y1.shape:
+        raise ValueError(f"x1, y1: need two 1-d arrays of one length, got shapes {x1.shape} and {y1.shape}")
     if np.array_equal(x1, y1):
         raise ValueError("x1 must differ from y1")
     if not in_local_region(x1, y1, 2.0):
         raise ValueError("(x1, y1) lies outside the local region N_2")
-    rstar = max(0.5, 1.0 - float(x1 @ x1))
-    total = 0.0
-    cuts = [0.0, 0.5] + ([rstar] if rstar > 0.5 else []) + [1.0]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, _ = quad(_di_integrand, lo, hi, args=(x1, y1), limit=200)
-        total += val
-    return total
+
+    def phi_dr(r):  # Phi'(r) at an array of r in [0, 1)
+        return _mehler_dr_raw(r, x1[None], y1[None]) - _w_dr_raw(r, x1 - y1)
+
+    grid = np.append(np.linspace(0.0, 0.5, _DI_UNIFORM, endpoint=False), 1.0 - np.geomspace(0.5, 1e-16, _DI_TAIL))
+    sign = np.sign(phi_dr(grid))
+    cells = np.flatnonzero(sign[:-1] != sign[1:])
+    lo, h = grid[cells], np.diff(grid)[cells]
+    for _ in range(_DI_BISECTIONS):
+        h = 0.5 * h
+        lo = np.where(np.sign(phi_dr(lo + h)) == sign[cells], lo + h, lo)  # the root lies right of lo + h
+    r = np.append(0.0, lo)
+    # Phi = M_r (1 - W_r / M_r) with W_r / M_r = exp(|x1|^2 - 2 x1.y1 / (1 + r)), free of cancellation
+    phi = np.append(-_mehler_kernel_raw(r, x1, y1) * np.expm1(2.0 * (x1 @ y1) / (1.0 + r) - x1 @ x1), 0.0)
+    return float(np.sum(np.abs(np.diff(phi))))
 
 
 def di_bound_ratio(x1, y1, c0: float = 4.0) -> float:
     """D_I divided by the target bound (1+|x1|)/|x1-y1|^{d-1} (log form for d=1)."""
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    y1 = np.atleast_1d(np.asarray(y1, dtype=float))
-    d = len(x1)
-    D = di_integral(x1, y1)
-    nx = float(np.linalg.norm(x1))
-    dist = float(np.linalg.norm(x1 - y1))
-    if d > 1:
-        return D * dist ** (d - 1) / (1.0 + nx)
+    D = di_integral(x1, y1)  # which rejects any pair but two 1-d arrays of one length
+    nx, dist = float(np.linalg.norm(x1)), float(np.linalg.norm(np.subtract(x1, y1)))
+    if len(x1) > 1:
+        return D * dist ** (len(x1) - 1) / (1.0 + nx)
     if nx == 0.0:
         raise ValueError("the d=1 bound needs x1 != 0")
     arg = c0 / (nx * dist)
@@ -667,11 +670,8 @@ def smallest_log_constant(samples) -> float:
     """Least C0 making D_I <= (1+|x1|) log(C0/(|x1||x1-y1|)) on the sample (d=1)."""
     best = 0.0
     for x1, y1 in samples:
-        x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-        y1 = np.atleast_1d(np.asarray(y1, dtype=float))
         D = di_integral(x1, y1)
-        nx = float(np.linalg.norm(x1))
-        dist = float(np.linalg.norm(x1 - y1))
+        nx, dist = float(np.linalg.norm(x1)), float(np.linalg.norm(np.subtract(x1, y1)))
         best = max(best, nx * dist * math.exp(D / (1.0 + nx)))
     return best
 

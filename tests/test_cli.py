@@ -34,20 +34,24 @@ RIESZ1_SUP_OU16 = 16.0 / 17.0              # max of l/(1+l) over eigenvalues 0..
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # importing SciPy is most of what a fresh `specmult.cli` import would
-    # cost, so the CLI loads no scipy module at all at import time; the
-    # complex Gamma of kappa_imag and di_integral's quad load it on use
+    # cost, so the CLI loads no scipy module at all at import time, and
+    # di_integral loads none when it runs; only the complex Gamma of
+    # kappa_imag loads SciPy, on use
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, specmult.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-        "from specmult.products import kappa_imag\n"
+        "def scipy_modules(): return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(scipy_modules())\n"
+        "from specmult.products import di_integral, kappa_imag\n"
+        "di_integral([0.5, 0.0], [0.6, 0.0])\n"
+        "print(scipy_modules())\n"
         "k = kappa_imag(1.0)\n"
         "print(repr(k.sup_norm), repr(complex(k.evaluate(0.25))))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded, kappa = out.stdout.splitlines()
-    assert loaded == "[]"
+    loaded, after_di, kappa = out.stdout.splitlines()
+    assert loaded == after_di == "[]"
     # the values kappa_imag gave while SciPy's Gamma was imported at module level
     assert kappa == "1.9173100715259903 (1.551185960340718+1.126898410158095j)"
 

@@ -43,11 +43,12 @@ from specmult.spectral import apply_multiplier, gauss_legendre, reconstruct, ten
 
 # frozen regression values (seeded samplers, default quadrature)
 KTILDE_GROWTH_R1 = 0.1654779510228895      # x=(0,0), y=(1,1), chi_[0.1,0.9], R x R
-DI_HALF = 1.1371932191883833               # D_I((0.5,0), (0.6,0))
-DI_RATIO_HALF = 0.07581288127922554
-DI_RATIO_SUP_D2 = 0.2262665443277085       # 100 pairs, seed 321
-DI_LOG_C0 = 1.0866187186463334             # 40 pairs, seed 99, d=1
-DI_RATIO_SUP_D1 = 0.27395070930048215      # same sample, C0=4
+# the D_I values come from the 30-digit oracle of test_di_matches_mpmath_oracle
+DI_HALF = 1.1371932196464576               # D_I((0.5,0), (0.6,0))
+DI_RATIO_HALF = 0.07581288130976382
+DI_RATIO_SUP_D2 = 0.22626654432876597      # 100 pairs, seed 321
+DI_LOG_C0 = 1.086618718663151              # 40 pairs, seed 99, d=1
+DI_RATIO_SUP_D1 = 0.27395070930910476      # same sample, C0=4
 CZ_GROWTH_SUP = 0.5209168935166102         # 200 pairs, seed 7
 CZ_SMOOTH_SUP = 2.6104116782059372         # 200 triples, seed 8
 
@@ -796,8 +797,8 @@ def test_kernel_path_matches_spectral_path(torus, kid):
 
 
 def test_di_frozen_values():
-    assert di_integral([0.5, 0.0], [0.6, 0.0]) == pytest.approx(DI_HALF, rel=1e-9)
-    assert di_bound_ratio([0.5, 0.0], [0.6, 0.0]) == pytest.approx(DI_RATIO_HALF, rel=1e-9)
+    assert di_integral([0.5, 0.0], [0.6, 0.0]) == pytest.approx(DI_HALF, rel=1e-12)
+    assert di_bound_ratio([0.5, 0.0], [0.6, 0.0]) == pytest.approx(DI_RATIO_HALF, rel=1e-12)
 
 
 def test_di_domain_errors():
@@ -807,18 +808,93 @@ def test_di_domain_errors():
         di_integral([3.0, 0.0], [4.0, 0.0])
 
 
+# pairs whose lengths differ, or that are not 1-d, would broadcast in the kernels
+@pytest.mark.parametrize(
+    "x1, y1", [([0.5], [0.6, 0.0]), ([0.6, 0.0], [0.5]), ([[0.5]], [[0.6]]), (0.5, 0.6)],
+    ids=["short_x1", "short_y1", "2d", "scalars"],
+)
+@pytest.mark.parametrize(
+    "fn", [di_integral, di_bound_ratio, lambda x1, y1: smallest_log_constant([(x1, y1)])],
+    ids=["di_integral", "di_bound_ratio", "smallest_log_constant"],
+)
+def test_di_rejects_a_pair_that_is_not_two_1d_arrays_of_one_length(fn, x1, y1):
+    with pytest.raises(ValueError, match=r"x1, y1: need two 1-d arrays of one length"):
+        fn(x1, y1)
+
+
+def _di_dr_mp(r, x, y):
+    """dM_r/dr(x, y) - dW_r/dr(x - y) in mpmath, from the r-derivative of
+    the logarithm of each Gaussian, M_r(x, y) = W_r(r x - y)."""
+    s = 1 - r * r
+    if s <= 0:  # a tanh-sinh node that rounds to r = 1
+        return mpmath.mpf(0)
+    d = len(x)
+    u = [r * a - b for a, b in zip(x, y)]
+    Q = sum(v * v for v in u)
+    q = sum((a - b) ** 2 for a, b in zip(x, y))
+    c = mpmath.pi ** (-mpmath.mpf(d) / 2) * s ** (-mpmath.mpf(d) / 2 - 1)
+    dm = c * mpmath.exp(-Q / s) * (d * r - 2 * sum(v * a for v, a in zip(u, x)) - 2 * r * Q / s)
+    dw = c * mpmath.exp(-q / s) * (d * r - 2 * r * q / s)
+    return dm - dw
+
+
+def _di_mp(x1, y1):
+    """D_I by mpmath.quad of |dM_r/dr - dW_r/dr| at 30 digits, split at the
+    integrand's roots (mpmath.findroot on the sign changes of a scan uniform
+    on [0, 1/2) and geometric in 1 - r down to 5e-21) and at 1 - 10^-k."""
+    with mpmath.workdps(30):
+        x, y = [mpmath.mpf(float(v)) for v in x1], [mpmath.mpf(float(v)) for v in y1]
+
+        def f(r):
+            return _di_dr_mp(r, x, y)
+
+        scan = [mpmath.mpf(k) / 100 for k in range(50)]
+        scan += [1 - mpmath.mpf(10) ** (-mpmath.mpf(k) / 10) / 2 for k in range(201)]
+        sign = [mpmath.sign(f(r)) for r in scan]
+        roots = [
+            mpmath.findroot(f, (a, b), solver="anderson", verify=False) if sa * sb < 0 else (a if sa == 0 else b)
+            for a, b, sa, sb in zip(scan, scan[1:], sign, sign[1:])
+            if sa != sb
+        ]
+        cuts = [mpmath.mpf(0), mpmath.mpf(1)] + roots + [1 - mpmath.mpf(10) ** -k for k in range(3, 19, 3)]
+        return float(mpmath.quad(lambda r: abs(f(r)), sorted(set(cuts))))
+
+
+# (x1, y1, rel): sampled pairs, one near the boundary of N_2 (0.99 of the
+# cutoff), small |x1| in d = 1 and 3, and a near-diagonal pair.  Its
+# features sit at 1 - r ~ 1e-8, where a double r carries about 8 digits:
+# it meets the oracle to 3e-13, and the error grows as the pair nears the
+# diagonal (1.3e-9 at |x1 - y1| = 1e-6)
+_DI_ORACLE_PAIRS = [
+    (*sample_local_pairs(65, 321, d=2)[64], 1e-12),
+    (*sample_local_pairs(13, 99, d=1)[12], 1e-12),
+    ([0.6, -0.2], [1.16, 0.22], 1e-12),
+    ([1e-3], [0.3], 1e-12),
+    ([1e-3, 0.0, 0.0], [0.2, 0.1, -0.2], 1e-12),
+    ([0.5], [0.5001], 1e-11),
+]
+
+
+def test_di_matches_mpmath_oracle():
+    for x1, y1, rel in _DI_ORACLE_PAIRS:
+        assert di_integral(x1, y1) == pytest.approx(_di_mp(x1, y1), rel=rel, abs=0.0), (x1, y1)
+    # x1 = 0: M_r(0, y1) = W_r(-y1), so D_I = 0
+    assert _di_mp([0.0, 0.0], [0.3, 0.1]) == 0.0
+    assert di_integral([0.0, 0.0], [0.3, 0.1]) == pytest.approx(0.0, abs=1e-15)
+
+
 def test_di_ratio_bounded_on_sample_d2():
     pairs = sample_local_pairs(100, 321, d=2)
     sup = max(di_bound_ratio(x1, y1) for x1, y1 in pairs)
-    assert sup == pytest.approx(DI_RATIO_SUP_D2, rel=1e-9)
+    assert sup == pytest.approx(DI_RATIO_SUP_D2, rel=1e-12)
     assert sup < 1.0
 
 
 def test_di_log_bound_d1():
     pairs = sample_local_pairs(40, 99, d=1)
-    assert smallest_log_constant(pairs) == pytest.approx(DI_LOG_C0, rel=1e-9)
+    assert smallest_log_constant(pairs) == pytest.approx(DI_LOG_C0, rel=1e-12)
     sup = max(di_bound_ratio(x1, y1, c0=4.0) for x1, y1 in pairs)
-    assert sup == pytest.approx(DI_RATIO_SUP_D1, rel=1e-9)
+    assert sup == pytest.approx(DI_RATIO_SUP_D1, rel=1e-12)
     assert sup <= 1.0
 
 
