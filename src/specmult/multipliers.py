@@ -37,7 +37,6 @@ from .spectral import (
 __all__ = [
     "DyadicRange",
     "DecayProfile",
-    "LogGrid",
     "DecayReport",
     "MellinTailError",
     "ATLViolation",
@@ -211,18 +210,14 @@ def marcinkiewicz_seminorm(
 
 
 _S_MAX = 30.0  # the log grid spans s = log lam in [-_S_MAX, _S_MAX]
+_LOG_NODES = 1 << 14  # its uniform trapezoid nodes
 _TAIL_TOL = 1e-9  # largest integrand mass allowed in the outer 5% of that window
 
 
-@dataclass(frozen=True)
-class LogGrid:
-    """Uniform trapezoid grid of n nodes in s = log lam on [-_S_MAX, _S_MAX]."""
-
-    n: int = 1 << 14
-
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        s = np.linspace(-_S_MAX, _S_MAX, self.n)
-        return s, _trapezoid(self.n, s[1] - s[0])
+def _log_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoid rule of _LOG_NODES uniform nodes in s = log lam on [-_S_MAX, _S_MAX]: (s, weights)."""
+    s = np.linspace(-_S_MAX, _S_MAX, _LOG_NODES)
+    return s, _trapezoid(_LOG_NODES, s[1] - s[0])
 
 
 def _check_tails(g: np.ndarray, s: np.ndarray, w: np.ndarray, what: str):
@@ -235,18 +230,18 @@ def _check_tails(g: np.ndarray, s: np.ndarray, w: np.ndarray, what: str):
         )
 
 
-def mellin_on_grid(m: MultiplierSpec, u_values: np.ndarray, grid: LogGrid = LogGrid()) -> np.ndarray:
-    """Vectorized 1-d Mellin transform on many frequencies."""
+def mellin_on_grid(m: MultiplierSpec, u_values: np.ndarray) -> np.ndarray:
+    """Vectorized 1-d Mellin transform on many frequencies, on the log grid."""
     if m.arity != 1:
         raise ValueError("mellin_on_grid handles d = 1")
-    s, w = grid.nodes()
+    s, w = _log_grid()
     g = m(np.exp(s)[:, None])
     _check_tails(g, s, w, "mellin integrand")
     return _fourier_rows(np.asarray(u_values, dtype=float), s, w * g)
 
 
 # frequencies per phase block: the complex (block, len(s)) matrix e^{-ius}
-# is at most 26 MB on the default 2^14-node log grid
+# is at most 26 MB on the 2^14-node log grid
 _U_BLOCK = 100
 _EXP_ZERO = 750.0  # np.exp(-x) is exactly 0.0 for every x >= ~745.2
 
@@ -300,7 +295,6 @@ def decay_check(
     N: float,
     rho: float,
     u_grid: np.ndarray | None = None,
-    grid: LogGrid = LogGrid(),
 ) -> DecayReport:
     """Envelope decay of sup_t |Mellin(m_{N,t})(u)| against (1+|u|)^{-rho}.
 
@@ -330,7 +324,7 @@ def decay_check(
         raise ValueError("u_grid: the slope fit needs at least 2 distinct frequencies in its top decade")
     # reference scale lam ~ 1: same [1e-4, 1e4] span as the g_N grid
     t_samples = np.geomspace(1e-4, 1e4, 256)
-    s, w = grid.nodes()
+    s, w = _log_grid()
     lam = np.exp(s)
     base = m(lam[:, None])
     cuts = np.searchsorted(lam, _EXP_ZERO / t_samples)

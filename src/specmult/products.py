@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ouhermite import _mehler_dr_raw, _mehler_gamma_dr_raw, _mehler_kernel_raw, _product_grid, _w_dr_raw, hermite_basis
-from .spectral import GridFunction, MultiplierSpec, SpectralSystem, _legendre_on, _pair_rows, _trapezoid
+from .spectral import GridFunction, MultiplierSpec, SpectralSystem, _legendre_on, _pair_rows
 
 __all__ = [
     "KappaSpec",
@@ -65,7 +65,9 @@ class KappaSpec:
 
     ``support`` = (r_lo, r_hi); (0, 1) marks full support, which is fine for
     m_kappa but rejected by the kernel quadratures (they need a compact
-    r-interval).  ``closed_form`` short-circuits m_kappa when recognized.
+    r-interval).  ``closed_form(lam, a)`` is m_kappa in closed form:
+    m_kappa and multiplier_from_kappa need it, the kernel quadratures read
+    only ``evaluate``.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -125,7 +127,7 @@ def kappa_imag(u: float) -> KappaSpec:
 def kappa_indicator(lo: float = 0.1, hi: float = 0.9) -> KappaSpec:
     """kappa = indicator of [lo, hi] in r; exact closed form for m_kappa."""
     if not 0.0 < lo < hi < 1.0:
-        raise ValueError("need 0 < lo < hi < 1")
+        raise ValueError(f"lo, hi: need 0 < lo < hi < 1, got lo={lo}, hi={hi}")
 
     def closed(lam, a):
         lam = np.asarray(lam, dtype=float)
@@ -141,9 +143,6 @@ def kappa_indicator(lo: float = 0.1, hi: float = 0.9) -> KappaSpec:
     return KappaSpec(evaluate=ev, support=(lo, hi), sup_norm=1.0, closed_form=closed, name=f"chi[{lo},{hi}]")
 
 
-_LAPLACE_N = 8192
-
-
 def _check_spectral_points(lam, a) -> None:
     """Reject negative spectral points and the indeterminate origin (arrays or scalars)."""
     if np.any((lam < 0) | (a < 0)):
@@ -152,50 +151,35 @@ def _check_spectral_points(lam, a) -> None:
         raise ValueError("m_kappa(0, 0) is indeterminate (the a > 0 convention does not apply)")
 
 
-def m_kappa(lam: float, a: float, kappa: KappaSpec, force_numeric: bool = False) -> complex:
+def _closed_form(kappa: KappaSpec) -> Callable:
+    if kappa.closed_form is None:
+        raise ValueError(f"closed_form: m_kappa needs kappa's closed form, and {kappa.name or 'kappa'} has none")
+    return kappa.closed_form
+
+
+def m_kappa(lam: float, a: float, kappa: KappaSpec) -> complex:
     """m_kappa(lam, a) = lam int_0^inf e^{-(lam+a)t} kappa(t) dt, kappa in t.
 
-    lam = a = 0 is indeterminate and rejected; lam = 0 with a > 0 gives 0.
-    The numeric path integrates in log t for full-support profiles (both
-    endpoints are then tame) and by Gauss-Legendre in t on compact supports.
-    Its log-t window ends at t = 46 / (lam + a), so for small lam + a the
-    nodes reach r = e^{-t} = 0; a profile that is not finite there (such as
-    kappa_imag) raises a ValueError instead of returning NaN.
+    Evaluated through kappa's closed form; a kappa without one raises a
+    ValueError.  lam = a = 0 is indeterminate and rejected; lam = 0 with
+    a > 0 gives 0.
     """
+    closed = _closed_form(kappa)
     _check_spectral_points(lam, a)
     if lam == 0.0:
         return 0.0 + 0.0j
-    if kappa.closed_form is not None and not force_numeric:
-        return complex(kappa.closed_form(lam, a))
-    c = lam + a
-    with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite sum is rejected below
-        if kappa.compact:
-            t, w = _legendre_on(-math.log(kappa.support[1]), -math.log(kappa.support[0]), 512)
-            total = lam * np.sum(w * np.exp(-c * t) * kappa(np.exp(-t)))
-        else:
-            v = np.linspace(-46.0, math.log(46.0 / c), _LAPLACE_N)
-            w = _trapezoid(_LAPLACE_N, v[1] - v[0])
-            t = np.exp(v)
-            total = lam * np.sum(w * np.exp(-c * t) * kappa(np.exp(-t)) * t)
-    if not np.isfinite(total):
-        raise ValueError(f"numeric m_kappa({kappa.name}) is not finite at lam + a = {c:g}")
-    return complex(total)
+    return complex(closed(lam, a))
 
 
-def multiplier_from_kappa(kappa: KappaSpec, force_numeric: bool = False) -> MultiplierSpec:
-    """The two-variable multiplier (lam, a) -> m_kappa(lam, a).
-
-    A closed form is evaluated on all rows at once; the numeric path calls
-    m_kappa row by row.
-    """
+def multiplier_from_kappa(kappa: KappaSpec) -> MultiplierSpec:
+    """The two-variable multiplier (lam, a) -> m_kappa(lam, a), kappa's closed form on all rows at once."""
+    closed = _closed_form(kappa)
 
     def evaluate(lam):
         lam = np.atleast_2d(np.asarray(lam, dtype=float))
-        if kappa.closed_form is None or force_numeric:
-            return np.array([m_kappa(float(l), float(a), kappa, True) for l, a in lam], dtype=complex)
         l, a = lam[:, 0], lam[:, 1]
         _check_spectral_points(l, a)
-        return np.where(l == 0.0, 0j, kappa.closed_form(l, a))
+        return np.where(l == 0.0, 0j, closed(l, a))
 
     return MultiplierSpec(arity=2, evaluate=evaluate, name=f"m[{kappa.name}]")
 
@@ -334,7 +318,10 @@ def torus_system(n_max: int, n_grid: int | None = None) -> SpectralSystem:
     if n_grid is None:
         n_grid = max(8 * n_max, 32)
     if n_grid < 2 * n_max + 2:
-        raise ValueError("grid too coarse for the requested band")
+        raise ValueError(
+            f"n_grid: grid too coarse for the requested band, need n_grid >= 2*n_max + 2 = {2 * n_max + 2}, "
+            f"got {n_grid}"
+        )
     pts, w = _torus_grid(n_grid)
     n = np.arange(1, n_max + 1)
     arg = 2.0 * math.pi * n[:, None] * pts[:, 0]
@@ -377,15 +364,22 @@ def _ball_volume_rows(model: HeatKernelModel, x: np.ndarray, R: np.ndarray) -> n
 
 
 def _check_cutoff(s: float) -> None:
-    if s <= 0:
-        raise ValueError("s must be positive")
+    if not s > 0:  # NaN included
+        raise ValueError(f"s must be positive, got {s}")
+
+
+def _point_pair(x1, y1) -> tuple[np.ndarray, np.ndarray]:
+    """x1 and y1 as two 1-d float arrays of one length; any other pair would broadcast."""
+    x1, y1 = np.asarray(x1, dtype=float), np.asarray(y1, dtype=float)
+    if x1.ndim != 1 or x1.shape != y1.shape:
+        raise ValueError(f"x1, y1: need two 1-d arrays of one length, got shapes {x1.shape} and {y1.shape}")
+    return x1, y1
 
 
 def in_local_region(x1, y1, s: float) -> bool:
-    """|x1 - y1| <= s / (1 + |x1| + |y1|), boundary included."""
+    """|x1 - y1| <= s / (1 + |x1| + |y1|), boundary included; x1, y1 are two 1-d arrays of one length."""
     _check_cutoff(s)
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    y1 = np.atleast_1d(np.asarray(y1, dtype=float))
+    x1, y1 = _point_pair(x1, y1)
     return bool(
         np.linalg.norm(x1 - y1) <= s / (1.0 + np.linalg.norm(x1) + np.linalg.norm(y1))
     )
@@ -475,10 +469,12 @@ def _ktilde_rows(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int) -> np
 def kernel_Ktilde(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int = _N_R) -> complex:
     """Ktilde(x, y) = int kappa(r) dW_r/dr(x1 - y1) p_{-log r}(x2, y2) dr, the comparison kernel.
 
-    x and y are product points, each one row (x1, x2) with x2 in the last model.dim entries.
+    x and y are product points, two 1-d arrays (x1, x2) of one length with x2 in the last model.dim entries.
     """
-    x, y = (np.asarray(p, dtype=float).reshape(1, -1) for p in (x, y))
-    return complex(_ktilde_rows(x, y, kappa, model, n_r)[0])
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"x, y: need two 1-d product points of one length, got shapes {x.shape} and {y.shape}")
+    return complex(_ktilde_rows(x[None], y[None], kappa, model, n_r)[0])
 
 
 def local_mask(grid: ProductGrid, s: float = 2.0) -> np.ndarray:
@@ -502,20 +498,18 @@ def _heat_spectrum(model: HeatKernelModel, y: np.ndarray, t: np.ndarray) -> np.n
 
 
 def apply_T_split(
-    f: GridFunction | Sequence[GridFunction],
+    f: Sequence[GridFunction],
     kappa: KappaSpec,
     model: HeatKernelModel,
     grid: ProductGrid,
     s: float = 2.0,
-    base_mask: np.ndarray | None = None,
     n_r: int = _N_R,
-) -> tuple[GridFunction, GridFunction] | list[tuple[GridFunction, GridFunction]]:
-    """(T_loc f, T_glob f) with the rough cutoff chi_{N_s}(x1, y1).
+) -> list[tuple[GridFunction, GridFunction]]:
+    """[(T_loc f_k, T_glob f_k)] for each f_k of the sequence f, with the rough cutoff chi_{N_s}(x1, y1).
 
     T integrates K(x, y) f(y) dmu(y2) dy1 on the product grid; the local part
     keeps pairs with (x1, y1) in N_s, the global part is the exact quadrature
-    complement.  ``base_mask`` restricts the kernel itself to a pair set (used
-    to verify idempotence of the cutoff).
+    complement.  B below is built once for the whole sequence.
 
     Only the torus model on its own uniform y-grid (the one ``product_grid``
     builds for it) is accepted; any other model or ``grid.y_points`` raises a
@@ -536,16 +530,14 @@ def apply_T_split(
     the representatives i <= j, i + j <= n1 - 1 only, one real product over
     the real and imaginary r-weights, and each sum is written at the four
     places of its class in the full complex (n_f, n1, n1) B.
-    ``base_mask``, the gamma weights and the local cutoff multiply B in place.
+    The gamma weights and the local cutoff multiply B in place.
     Then T_full^ = B_xi G^ and T_loc^ = (B_xi chi_{N_s}) G^, with G^ the DFT
-    along y of f times the y-weights, one complex product of B_xi with the
+    along y of f_k times the y-weights, one complex product of B_xi with the
     columns of G^ at xi and -xi, and one inverse DFT gives both parts.
-
-    ``f`` may also be a sequence of functions on the grid: B is built once
-    for the whole stack, and a list of (T_loc f, T_glob f) pairs comes back.
     """
-    single = isinstance(f, GridFunction)
-    fs = [f] if single else list(f)
+    if isinstance(f, GridFunction):
+        raise ValueError("f: need a sequence of functions on the grid, got one GridFunction")
+    fs = list(f)
     if not fs:
         raise ValueError("f: need at least one function on the grid")
     n1, n2 = grid.shape
@@ -561,11 +553,6 @@ def apply_T_split(
         raise ValueError("grid.x1_points: the T split needs nodes mirrored about 0, x1[::-1] == -x1")
     # B.w^Leb = K.w^gamma: the kernel against gamma takes the gamma weights
     weights = np.broadcast_to(grid.x1_gamma_weights, (n1, n1))
-    if base_mask is not None:
-        base = np.asarray(base_mask, dtype=bool)
-        if base.shape != (n1, n1):
-            raise ValueError(f"base_mask: expected shape {(n1, n1)}, got {base.shape}")
-        weights = weights * base
     mask = local_mask(grid, s)
     r, w = _r_quadrature(kappa, n_r)
     # B_xi = B_{-xi}: the frequencies 0..n2 // 2 carry every kernel
@@ -604,11 +591,10 @@ def apply_T_split(
     T_full = np.fft.ifft(T_full, axis=-1)
     T_loc = np.fft.ifft(T_loc, axis=-1)
     pts, wts = grid.points(), grid.weights()  # shared by every returned function
-    splits = [
+    return [
         (GridFunction(pts, wts, loc.reshape(-1)), GridFunction(pts, wts, (full - loc).reshape(-1)))
         for loc, full in zip(T_loc, T_full)
     ]
-    return splits[0] if single else splits
 
 
 # -- the difference integral of the local-part analysis ----------------------
@@ -628,9 +614,7 @@ def di_integral(x1, y1) -> float:
     Phi(r) = M_r(x1, y1) - W_r(x1 - y1) on [0, 1]: sum |Phi(r_{i+1}) - Phi(r_i)|
     over r_0 = 0, the sign changes of Phi' and r = 1, where Phi = 0 as x1 != y1.
     """
-    x1, y1 = np.asarray(x1, dtype=float), np.asarray(y1, dtype=float)
-    if x1.ndim != 1 or x1.shape != y1.shape:
-        raise ValueError(f"x1, y1: need two 1-d arrays of one length, got shapes {x1.shape} and {y1.shape}")
+    x1, y1 = _point_pair(x1, y1)
     if np.array_equal(x1, y1):
         raise ValueError("x1 must differ from y1")
     if not in_local_region(x1, y1, 2.0):

@@ -85,9 +85,9 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     equal in the nodes with weights within 2e-12 relative (the middle node
     runs the recurrence, not SciPy's power series).  It inherits SciPy's
     loss of accuracy at large n: the n = 512 weights carry a 1.5e-9
-    relative error, and the dense eigensolve costs O(n^3).  No kernel
-    quadrature takes that size by default; m_kappa's compact-support path
-    and callers that pass a large n_r still do (ROADMAP item 9).
+    relative error, and the dense eigensolve costs O(n^3).  No package
+    path takes that size by default; a caller that passes a large n_r to
+    a kernel quadrature still does (ROADMAP item 9).
 
     Built once per n on first use and shared by every caller, so both
     arrays are read-only; map them to an interval with new arrays.
@@ -139,7 +139,7 @@ class EvaluationError(ValueError):
 
 
 class CapacityError(ValueError):
-    """A constructed basis would exceed the configured size cap."""
+    """A constructed basis would exceed the size cap."""
 
 
 @dataclass(frozen=True)
@@ -399,15 +399,20 @@ def apply_multiplier(m: MultiplierSpec, sys: SpectralSystem, c: np.ndarray) -> n
     return out
 
 
-def tensor(sys_a: SpectralSystem, sys_b: SpectralSystem, max_basis: int = 100_000) -> SpectralSystem:
+# the largest tensor basis, in elements
+_MAX_BASIS = 100_000
+
+
+def tensor(sys_a: SpectralSystem, sys_b: SpectralSystem) -> SpectralSystem:
     """Tensor product of two systems on the product grid.
 
     Indices concatenate, eigenvalue columns concatenate (dimension adds),
     the basis is the Kronecker product, the quadrature is the product rule.
+    A basis of more than _MAX_BASIS elements raises a CapacityError.
     """
     na, nb = len(sys_a), len(sys_b)
-    if na * nb > max_basis:
-        raise CapacityError(f"tensor basis would have {na * nb} > {max_basis} elements")
+    if na * nb > _MAX_BASIS:
+        raise CapacityError(f"tensor basis would have {na * nb} > {_MAX_BASIS} elements")
     return SpectralSystem(
         _pair_rows(sys_a.basis_index_set, sys_b.basis_index_set),
         _pair_rows(sys_a.eigenvalue_matrix(), sys_b.eigenvalue_matrix()),

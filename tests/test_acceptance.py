@@ -250,7 +250,7 @@ def test_06_riesz_identity_and_kernel_path():
         c = sys_.random_coefficients(rng)
         f = reconstruct(c, sys_)
         g_spec = reconstruct(apply_multiplier(m_ker, sys_, c), sys_)
-        loc, glob = apply_T_split(f, kappa, model, grid)
+        ((loc, glob),) = apply_T_split([f], kappa, model, grid)
         rel = grid.function(loc.values + glob.values - g_spec.values).norm_lp(2) / f.norm_lp(2)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start

@@ -6,7 +6,9 @@ mentions, through the sibling imports (``from .spectral import ...``) to
 the module that defines it.  A reached class brings its whole body.  Each
 name a layer lists in ``__all__`` must be reached, or be a key of
 ``_UNREACHED`` with the reason it stays; a listed name that the walk does
-reach must leave the list.
+reach must leave the list.  In the same way, each defaulted parameter of a
+public function is passed by some package call, or is a key of
+``_UNPASSED`` with the reason it stays.
 """
 import ast
 import inspect
@@ -40,9 +42,26 @@ _UNREACHED = {
     "lebesgue_weights": "oracle: test_mehler_unit_lebesgue_mass",
     "mellin_on_grid": "oracle: test_decay_check_sup_is_max_of_direct_mellin_sums",
     "kernel_Ktilde": "BENCHMARK.json per-layer metric",
+    "m_kappa": "BENCHMARK.json per-layer metric",
     # the Laplace-transform multipliers of the abstract
     "kappa_one": "ROADMAP item 11",
     "kappa_imag": "ROADMAP item 11",
+}
+
+# defaulted parameters of public functions that no package call passes, as
+# "function.parameter": an option that only tests set is a constant instead
+_UNPASSED = {
+    "apply_T_split.s": "ROADMAP item 3",
+    "apply_T_split.n_r": "ROADMAP item 3",
+    "kernel_Ktilde.n_r": "ROADMAP item 3",
+    "cz_growth_check.n_r": "ROADMAP item 3",
+    "cz_smooth_check.n_r": "ROADMAP item 3",
+    "di_bound_ratio.c0": "ROADMAP item 3",
+    "sample_local_pairs.d": "ROADMAP item 3",
+    "builtin_multiplier.u": "ROADMAP item 2",
+    "marcinkiewicz_seminorm.dyadic": "benchmark tracer: perfbench/tracer.py binds it by name",
+    "marcinkiewicz_seminorm.n_gl": "benchmark tracer: perfbench/tracer.py binds it by name",
+    "main.argv": "entry point",
 }
 
 
@@ -191,3 +210,56 @@ def test_every_annotated_field_is_read():
         if isinstance(item, ast.AnnAssign) and item.target.id not in read
     )
     assert unread == [], f"fields nothing reads: {unread}"
+
+
+def _defaulted() -> dict:
+    """name -> (positional parameters, defaulted parameters) of every public function."""
+    defs, _, exported = _definitions()
+    out = {}
+    for layer, names in exported.items():
+        for name in names:
+            for node in defs[(layer, name)]:
+                if isinstance(node, ast.FunctionDef):
+                    a = node.args
+                    positional = [p.arg for p in a.posonlyargs + a.args]
+                    defaulted = positional[len(positional) - len(a.defaults):] + [
+                        p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+                    ]
+                    out[name] = (positional, defaulted)
+    return out
+
+
+def _passed(signatures) -> set:
+    """(function, parameter) for each parameter some package call passes, by keyword or position."""
+    passed = set()
+    for path in PACKAGE.glob("*.py"):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in signatures:
+                continue
+            positional, defaulted = signatures[name]
+            for i, arg in enumerate(call.args):
+                # a starred argument may reach every positional parameter from here on
+                reach = positional[i:] if isinstance(arg, ast.Starred) else positional[i : i + 1]
+                passed.update((name, p) for p in reach)
+            for kw in call.keywords:
+                # a ** splat may pass any keyword
+                passed.update((name, p) for p in defaulted if kw.arg is None or kw.arg == p)
+    return passed
+
+
+def test_no_library_option_only_tests_set():
+    signatures = _defaulted()
+    passed = _passed(signatures)
+    unpassed = {
+        f"{name}.{p}" for name, (_, defaulted) in signatures.items() for p in defaulted if (name, p) not in passed
+    }
+    stray = sorted(unpassed - set(_UNPASSED))
+    assert stray == [], f"options no package call passes, so only tests set them: {stray}"
+    wired = sorted(set(_UNPASSED) - unpassed)
+    assert wired == [], f"passed by a package call now, drop them from _UNPASSED: {wired}"
+    prefixes = ("ROADMAP item ", "benchmark tracer: ", "entry point")
+    assert all(reason.startswith(prefixes) for reason in _UNPASSED.values())

@@ -18,7 +18,6 @@ from specmult.multipliers import (
     ATLViolation,
     DecayProfile,
     DyadicRange,
-    LogGrid,
     MellinTailError,
     builtin_multiplier,
     decay_check,
@@ -391,18 +390,18 @@ def test_decay_check_constant_multiplier():
         np.testing.assert_allclose(got[rows], exact[rows], rtol=1e-8, atol=0.0)
 
 
-def test_decay_check_sup_is_max_of_direct_mellin_sums():
+def test_decay_check_sup_is_max_of_direct_mellin_sums(monkeypatch):
     # S(u) is the max over the t samples of |Mellin(m_{N,t})(u)|, each a direct
     # trapezoid sum by mellin_on_grid: the oracle for any faster decay_check
-    grid = LogGrid(n=1 << 11)
+    monkeypatch.setattr(multipliers, "_LOG_NODES", 1 << 11)
     u = np.geomspace(2.0, 40.0, 25)
     for name, N in (("one", 2), ("imag_decay", 3)):
         m = builtin_multiplier(name)
-        rep = decay_check(m, N, N - 1, u_grid=u, grid=grid)
+        rep = decay_check(m, N, N - 1, u_grid=u)
         direct = np.zeros(len(u))
         for t in rep.t_samples:
             m_nt = MultiplierSpec(1, lambda lam, t=t: (t * lam[:, 0]) ** N * np.exp(-t * lam[:, 0]) * m(lam))
-            direct = np.maximum(direct, np.abs(mellin_on_grid(m_nt, u, grid)))
+            direct = np.maximum(direct, np.abs(mellin_on_grid(m_nt, u)))
         rows = rep.sup_abs >= 1e-6 * rep.sup_abs.max()
         assert rows.sum() >= 10, name
         np.testing.assert_allclose(rep.sup_abs[rows], direct[rows], rtol=1e-12, atol=0.0, err_msg=name)
@@ -415,31 +414,32 @@ def test_decay_check_builtin_family():
         assert np.isfinite(rep.constant), name
 
 
-def test_decay_check_blocks_match_small_calls():
+def test_decay_check_blocks_match_small_calls(monkeypatch):
     # 600 frequencies span six phase blocks; each 25-point call fits in one
     m = builtin_multiplier("imag_decay")
-    grid = LogGrid(n=1 << 11)
+    monkeypatch.setattr(multipliers, "_LOG_NODES", 1 << 11)
     u = np.geomspace(2.0, 40.0, 600)
-    whole = decay_check(m, 2, 1, u_grid=u, grid=grid).sup_abs
-    parts = np.concatenate([decay_check(m, 2, 1, u_grid=u[i : i + 25], grid=grid).sup_abs for i in range(0, 600, 25)])
+    whole = decay_check(m, 2, 1, u_grid=u).sup_abs
+    parts = np.concatenate([decay_check(m, 2, 1, u_grid=u[i : i + 25]).sup_abs for i in range(0, 600, 25)])
     np.testing.assert_allclose(whole, parts, rtol=1e-14, atol=0.0)
 
 
-def test_decay_check_memory_below_full_phase_matrix():
+def test_decay_check_memory_below_full_phase_matrix(monkeypatch):
     u = np.geomspace(2.0, 40.0, 2000)
-    grid = LogGrid(n=1 << 9)
+    monkeypatch.setattr(multipliers, "_LOG_NODES", 1 << 9)
     tracemalloc.start()
     try:
-        decay_check(builtin_multiplier("imag_decay"), 2, 1, u_grid=u, grid=grid)
+        decay_check(builtin_multiplier("imag_decay"), 2, 1, u_grid=u)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < len(u) * grid.n * 16  # one complex (u, s) phase matrix
+    assert peak < len(u) * multipliers._LOG_NODES * 16  # one complex (u, s) phase matrix
 
 
-def test_phase_blocks_equal_one_shot_exponential():
+def test_phase_blocks_equal_one_shot_exponential(monkeypatch):
     # every block is a view of one buffer refilled in place, so each is checked as it is yielded
-    s = LogGrid(n=1 << 9).nodes()[0]
+    monkeypatch.setattr(multipliers, "_LOG_NODES", 1 << 9)
+    s = multipliers._log_grid()[0]
     for count in (1, 7, 25, 200, 600):  # 200 and 600 cross _U_BLOCK
         u = np.geomspace(2.0, 40.0, count)
         for blocks, (rows, E) in enumerate(_phase_blocks(u, s), 1):
@@ -457,14 +457,14 @@ def test_phase_blocks_have_no_single_row_block():
         assert sum(sizes) == count and min(sizes) > 1, (count, sizes)
 
 
-def test_phase_matrix_memory_one_block():
+def test_phase_matrix_memory_one_block(monkeypatch):
     # three blocks refilled in one buffer, each filled in place: the peak stays
     # near one full-width block (decay_check's blocks are narrower, cut at t lam = _EXP_ZERO)
     u = np.geomspace(2.0, 40.0, 3 * _U_BLOCK)
-    grid = LogGrid(n=1 << 12)
+    monkeypatch.setattr(multipliers, "_LOG_NODES", 1 << 12)
     calls = (
-        lambda: decay_check(builtin_multiplier("one"), 4, 3, u_grid=u, grid=grid),
-        lambda: mellin_on_grid(builtin_multiplier("log_bump"), u, grid),
+        lambda: decay_check(builtin_multiplier("one"), 4, 3, u_grid=u),
+        lambda: mellin_on_grid(builtin_multiplier("log_bump"), u),
     )
     for call in calls:
         tracemalloc.start()
@@ -473,12 +473,12 @@ def test_phase_matrix_memory_one_block():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * _U_BLOCK * grid.n * 16
+        assert peak < 1.25 * _U_BLOCK * multipliers._LOG_NODES * 16
 
 
-def _uncut_decay_sup(m, N, u, grid):
+def _uncut_decay_sup(m, N, u):
     """decay_check's sup_abs summed over every node: one uncut phase block, E @ (w g) per t."""
-    s, w = grid.nodes()
+    s, w = multipliers._log_grid()
     lam = np.exp(s)
     base = m(lam[:, None])
     E = np.exp(-1j * np.outer(u, s))
@@ -490,32 +490,33 @@ def _uncut_decay_sup(m, N, u, grid):
     return S
 
 
-def test_decay_check_cut_is_exact():
+def test_decay_check_cut_is_exact(monkeypatch):
     # the nodes past each t's cut add exact zeros: the sums equal the uncut ones bit for bit
-    grid = LogGrid(n=1 << 12)
+    u = np.geomspace(2.0, 40.0, 200)
+    one = builtin_multiplier("one")
+    np.testing.assert_array_equal(decay_check(one, 4, 3, u_grid=u).sup_abs, _uncut_decay_sup(one, 4, u))
+    monkeypatch.setattr(multipliers, "_LOG_NODES", 1 << 12)
     for count in (25, 101, 200):
         u = np.geomspace(2.0, 40.0, count)
         for name in ("one", "imag_decay", "riesz1", "log_bump", "imag"):
             m = builtin_multiplier(name)
-            got = decay_check(m, 4, 3, u_grid=u, grid=grid).sup_abs
-            np.testing.assert_array_equal(got, _uncut_decay_sup(m, 4, u, grid), err_msg=f"{name} {count}")
-    u = np.geomspace(2.0, 40.0, 200)
-    one = builtin_multiplier("one")
-    np.testing.assert_array_equal(decay_check(one, 4, 3, u_grid=u).sup_abs, _uncut_decay_sup(one, 4, u, LogGrid()))
+            got = decay_check(m, 4, 3, u_grid=u).sup_abs
+            np.testing.assert_array_equal(got, _uncut_decay_sup(m, 4, u), err_msg=f"{name} {count}")
     # tl**N overflows at N = 20, and m is inf past every cut: the uncut sums are NaN, and so is the report
     inf_tail = MultiplierSpec(1, lambda lam: np.where(lam[:, 0] > 1e8, np.inf, 1.0).astype(complex))
     with np.errstate(over="ignore", invalid="ignore"):
         for m, N in ((one, 20), (inf_tail, 4)):
-            want = _uncut_decay_sup(m, N, u, grid)
+            want = _uncut_decay_sup(m, N, u)
             assert np.isnan(want).all()
-            np.testing.assert_array_equal(decay_check(m, N, 3, u_grid=u, grid=grid).sup_abs, want)
+            np.testing.assert_array_equal(decay_check(m, N, 3, u_grid=u).sup_abs, want)
 
 
-def test_exp_is_exactly_zero_past_every_cut():
+def test_exp_is_exactly_zero_past_every_cut(monkeypatch):
     # decay_check drops the nodes past t lam = _EXP_ZERO as exact zeros; an exp
     # returning subnormals there would change the sums, so this fails loudly
-    lam = np.exp(LogGrid().nodes()[0])
-    t_samples = decay_check(builtin_multiplier("zero"), 2, 1, grid=LogGrid(n=64)).t_samples
+    lam = np.exp(multipliers._log_grid()[0])
+    monkeypatch.setattr(multipliers, "_LOG_NODES", 64)
+    t_samples = decay_check(builtin_multiplier("zero"), 2, 1).t_samples
     assert len(t_samples) == 256
     for t in t_samples:
         k = np.searchsorted(lam, _EXP_ZERO / t)
@@ -550,9 +551,10 @@ def test_decay_check_takes_two_numbers():
     assert rep.rho == 1.0 and isinstance(rep.slope, float)
 
 
-def test_decay_check_rejects_bad_u_grid():
+def test_decay_check_rejects_bad_u_grid(monkeypatch):
     # a NaN frequency once gave slope -inf, so slope_ok() passed; the others raised NumPy errors
-    one, grid = builtin_multiplier("one"), LogGrid(n=64)
+    one = builtin_multiplier("one")
+    monkeypatch.setattr(multipliers, "_LOG_NODES", 64)
     bad = (
         np.array([np.nan, 3.0]),
         np.array([2.0, np.inf]),
@@ -564,7 +566,7 @@ def test_decay_check_rejects_bad_u_grid():
     )
     for u in bad:
         with pytest.raises(ValueError, match="u_grid"):
-            decay_check(one, 2, 1, u_grid=u, grid=grid)
+            decay_check(one, 2, 1, u_grid=u)
 
 
 # -- boundary rotations and order arithmetic ----------------------------------

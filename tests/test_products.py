@@ -84,20 +84,10 @@ def test_m_kappa_riesz_closed_form():
     assert m_kappa(1.0, 1.0, kappa_one()) == 0.5
 
 
-def test_m_kappa_riesz_numeric_sweep():
-    # numeric Laplace path against lam/(lam+a) across the quadrant
-    k = kappa_one()
-    for lam in np.linspace(0.0, 10.0, 11):
-        for a in np.linspace(0.5, 10.0, 5):
-            got = m_kappa(float(lam), float(a), k, force_numeric=True)
-            assert abs(got - lam / (lam + a)) < 1e-12
-
-
 def test_m_kappa_imaginary_power():
     k = kappa_imag(1.0)
     expect = 0.5 * np.exp(-1j * math.log(2.0))
     assert abs(m_kappa(1.0, 1.0, k) - expect) < 1e-15
-    assert abs(m_kappa(1.0, 1.0, k, force_numeric=True) - expect) < 1e-10
 
 
 def test_m_kappa_indicator():
@@ -105,43 +95,39 @@ def test_m_kappa_indicator():
     c = 3.0
     expect = 2.0 * (0.9**c - 0.1**c) / c
     assert m_kappa(2.0, 1.0, k) == pytest.approx(expect, rel=1e-15)
-    assert abs(m_kappa(2.0, 1.0, k, force_numeric=True) - expect) < 1e-12
 
 
-# m_kappa = lam int_0^inf e^{-ct} kappa(t) dt with c = lam + a, in closed form
-# at mpmath precision: the Gamma(1+iu) of kappa_imag cancels against its
-# Laplace transform, and chi[lo, hi] in r is t in [-log hi, -log lo]
+def _kappa_imag_mp(u):
+    g = mpmath.gamma(1 + 1j * u)
+    return lambda t: t ** (1j * u) / g
+
+
+# each closed form against its defining integral: kappa in t and the t-interval it lives on,
+# built inside the 30-digit context; chi[lo, hi] in r is the indicator of t in [-log hi, -log lo]
 _LAPLACE_MP = [
-    (kappa_one(), lambda lam, c: lam / c, 1e-12),
-    (kappa_imag(0.5), lambda lam, c: lam * mpmath.power(c, -1 - 0.5j), 1e-12),
-    (kappa_imag(2.0), lambda lam, c: lam * mpmath.power(c, -1 - 2j), 1e-12),
-    (kappa_indicator(0.1, 0.9), lambda lam, c: lam * (mpmath.mpf(0.9) ** c - mpmath.mpf(0.1) ** c) / c, 1e-10),
+    (kappa_one(), lambda: (lambda t: 1, [0, mpmath.inf])),
+    (kappa_imag(0.5), lambda: (_kappa_imag_mp(0.5), [0, mpmath.inf])),
+    (kappa_imag(2.0), lambda: (_kappa_imag_mp(2.0), [0, mpmath.inf])),
+    (kappa_indicator(0.1, 0.9), lambda: (lambda t: 1, [-mpmath.log(mpmath.mpf(0.9)), -mpmath.log(mpmath.mpf(0.1))])),
 ]
 
 
-@pytest.mark.parametrize("kappa, exact, rel", _LAPLACE_MP, ids=[k.name for k, _, _ in _LAPLACE_MP])
-def test_m_kappa_numeric_matches_mpmath(kappa, exact, rel):
-    # both numeric paths: the log-t trapezoid (full support), Gauss-Legendre (compact)
+@pytest.mark.parametrize("kappa, kappa_mp", _LAPLACE_MP, ids=[k.name for k, _ in _LAPLACE_MP])
+def test_m_kappa_numeric_matches_mpmath(kappa, kappa_mp):
+    # m_kappa = lam int_0^inf e^{-(lam + a)t} kappa(t) dt by a 30-digit mpmath.quad,
+    # the half-line split at 1/(lam + a), where e^{-(lam + a)t} has fallen by 1/e
     for lam in (0.07, 0.5, 1.0, 3.0, 40.0, 400.0):
         for a in (0.0, 0.3, 2.0, 39.48):
             with mpmath.workdps(30):
-                want = complex(exact(mpmath.mpf(lam), mpmath.mpf(lam) + mpmath.mpf(a)))
-            assert abs(m_kappa(lam, a, kappa, force_numeric=True) - want) <= rel * abs(want), (lam, a)
-
-
-def test_m_kappa_numeric_rejects_window_past_r_zero():
-    # the log-t window ends at t = 46/(lam + a); past t ~ 745 the node r = e^{-t}
-    # is 0, where kappa_imag is not finite (a RuntimeWarning fails under the
-    # suite's warning filter)
-    with pytest.raises(ValueError, match=r"lam \+ a = 0\.06"):
-        m_kappa(0.06, 0.0, kappa_imag(1.0), force_numeric=True)
-    # kappa_one is finite at r = 0, so the same window stays usable
-    assert abs(m_kappa(0.01, 0.0, kappa_one(), force_numeric=True) - 1.0) < 1e-12
+                f, (lo, hi) = kappa_mp()
+                c = mpmath.mpf(lam) + mpmath.mpf(a)
+                cuts = [lo, hi] if hi != mpmath.inf else [lo, 1 / c, hi]
+                want = complex(mpmath.mpf(lam) * mpmath.quad(lambda t: mpmath.exp(-c * t) * f(t), cuts))
+            assert abs(m_kappa(lam, a, kappa) - want) <= 1e-14 * abs(want), (lam, a)
 
 
 def test_m_kappa_zero_eigenvalue_convention():
     assert m_kappa(0.0, 2.0, kappa_one()) == 0.0
-    assert m_kappa(0.0, 2.0, kappa_one(), force_numeric=True) == 0.0
 
 
 def test_m_kappa_indeterminate_origin():
@@ -182,10 +168,13 @@ def test_multiplier_from_kappa_rows_match_m_kappa(kappa):
         multiplier_from_kappa(kappa)(np.array([[-1.0, 1.0]]))
 
 
-def test_multiplier_from_kappa_numeric_rows(kid):
-    lam = np.array([[0.0, 2.0], [2.0, 1.0], [5.0, 0.5]])
-    got = multiplier_from_kappa(kid, force_numeric=True)(lam)
-    assert np.array_equal(got, [m_kappa(float(l), float(a), kid, True) for l, a in lam])
+def test_m_kappa_needs_a_closed_form(kid):
+    # the kernel side reads only kappa's values, the spectral side only its closed form
+    bare = dataclasses.replace(kid, closed_form=None)
+    with pytest.raises(ValueError, match="closed_form"):
+        m_kappa(2.0, 1.0, bare)
+    with pytest.raises(ValueError, match="closed_form"):
+        multiplier_from_kappa(bare)
 
 
 def test_kappa_spec_validation():
@@ -193,7 +182,7 @@ def test_kappa_spec_validation():
         KappaSpec(evaluate=lambda r: r, support=(0.5, 0.2), sup_norm=1.0)
     with pytest.raises(ValueError, match="sup_norm"):
         KappaSpec(evaluate=lambda r: r, support=(0.1, 0.9), sup_norm=-1.0)
-    with pytest.raises(ValueError, match="0 < lo < hi < 1"):
+    with pytest.raises(ValueError, match=r"lo, hi: need 0 < lo < hi < 1, got lo=0.0, hi=0.9"):
         kappa_indicator(0.0, 0.9)
 
 
@@ -285,7 +274,7 @@ def test_euclidean_model_dimension():
 def test_torus_system_validation():
     with pytest.raises(ValueError, match="n_max"):
         torus_system(0)
-    with pytest.raises(ValueError, match="too coarse"):
+    with pytest.raises(ValueError, match=r"n_grid: grid too coarse .* n_grid >= 2\*n_max \+ 2 = 10, got 8"):
         torus_system(4, 8)
 
 
@@ -303,8 +292,9 @@ def test_local_region_symmetry():
     for _ in range(50):
         x1, y1 = rng.normal(0, 1.5, 2), rng.normal(0, 1.5, 2)
         assert in_local_region(x1, y1, 2.0) == in_local_region(y1, x1, 2.0)
-    with pytest.raises(ValueError, match="positive"):
-        in_local_region([0.0], [0.0], 0.0)
+    for s in (0.0, math.nan):
+        with pytest.raises(ValueError, match="s must be positive"):
+            in_local_region([0.0], [0.0], s)
 
 
 def test_eta_metric(euclid1):
@@ -333,6 +323,16 @@ def test_kernel_requires_compact_support(euclid1):
     x, y = [0.0, 0.0], [1.0, 1.0]
     with pytest.raises(ValueError, match="compact support"):
         kernel_Ktilde(x, y, kappa_one(), euclid1)
+
+
+# points whose lengths differ, or that are not 1-d, would broadcast in the kernel
+@pytest.mark.parametrize(
+    "x, y", [([0.5, 0.3], [0.5, 0.1, 0.3]), ([0.5, 0.1, 0.3], [0.5, 0.3]), ([[0.5], [0.3]], [[0.5], [0.3]])],
+    ids=["short_x", "short_y", "2d"],
+)
+def test_kernel_rejects_a_pair_that_is_not_two_product_points(euclid1, kid, x, y):
+    with pytest.raises(ValueError, match=r"x, y: need two 1-d product points of one length"):
+        kernel_Ktilde(x, y, kid, euclid1)
 
 
 def test_kernel_linear_in_kappa(euclid1, kid):
@@ -466,10 +466,10 @@ def test_no_rule_rebuilt_per_call(monkeypatch, euclid1, torus, kid):
     grid = product_grid(torus, d=1, k_max=6, n_y=16)
     f = grid.function(np.ones(grid.shape[0] * grid.shape[1]))
     cz_growth_check(pairs[:2], kid, euclid1)
-    apply_T_split(f, kid, torus, grid)
+    apply_T_split([f], kid, torus, grid)
     assert builds == [products._N_R]
     cz_growth_check(pairs, kid, euclid1)
-    apply_T_split(f, kid, torus, grid)
+    apply_T_split([f], kid, torus, grid)
     assert builds == [products._N_R]
     gauss_legendre.cache_clear()  # drop the rules built through the patched name
     # and no other module builds a rule of its own
@@ -550,7 +550,7 @@ def test_kernel_quadratures_reject_an_n_r_that_is_not_a_positive_integer(euclid1
         lambda: kernel_Ktilde(pairs[0, 0], pairs[0, 1], kid, euclid1, n_r=n_r),
         lambda: cz_growth_check(pairs, kid, euclid1, n_r=n_r),
         lambda: cz_smooth_check(sample_product_triples(4, 1, euclid1), kid, euclid1, n_r=n_r),
-        lambda: apply_T_split(f, kid, torus, grid, n_r=n_r),
+        lambda: apply_T_split([f], kid, torus, grid, n_r=n_r),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(f"n_r must be a positive integer, got {n_r!r}")):
@@ -575,19 +575,15 @@ def test_every_n_r_defaults_to_the_shared_rule_size():
 
 
 def test_t_split_additivity_and_idempotence(torus, kid):
+    # the idempotence of the cutoff is checked by the with_base cases of the r-node loop tests
     grid = product_grid(torus, d=1, k_max=6, n_y=16)
     rng = np.random.default_rng(9)
     f = grid.function(rng.standard_normal(grid.shape[0] * grid.shape[1]))
-    loc, glob = apply_T_split(f, kid, torus, grid, n_r=128)
+    ((loc, glob),) = apply_T_split([f], kid, torus, grid, n_r=128)
     # a huge region cap makes every pair local: the full operator
-    full, rest = apply_T_split(f, kid, torus, grid, s=1e9, n_r=128)
+    ((full, rest),) = apply_T_split([f], kid, torus, grid, s=1e9, n_r=128)
     assert np.all(rest.values == 0.0)
     assert np.allclose(loc.values + glob.values, full.values, rtol=1e-12, atol=1e-14)
-    # masking the kernel by chi_{N_2} and cutting again changes nothing
-    mask = local_mask(grid, 2.0)
-    loc2, glob2 = apply_T_split(f, kid, torus, grid, base_mask=mask, n_r=128)
-    assert np.array_equal(loc2.values, loc.values)
-    assert np.all(glob2.values == 0.0)
 
 
 def test_t_split_stack_matches_single_calls(torus, kid):
@@ -598,7 +594,7 @@ def test_t_split_stack_matches_single_calls(torus, kid):
     stacked = apply_T_split(fs, kid, torus, grid, n_r=128)
     assert len(stacked) == 3
     for f, (loc, glob) in zip(fs, stacked):
-        loc1, glob1 = apply_T_split(f, kid, torus, grid, n_r=128)
+        ((loc1, glob1),) = apply_T_split([f], kid, torus, grid, n_r=128)
         assert np.array_equal(loc.values, loc1.values)
         assert np.array_equal(glob.values, glob1.values)
 
@@ -608,18 +604,16 @@ def test_t_split_grid_mismatch(torus, kid):
     bad = grid.function(np.zeros(grid.shape[0] * grid.shape[1]))
     small = product_grid(torus, d=1, k_max=6, n_y=8)
     with pytest.raises(ValueError, match="product grid"):
-        apply_T_split(bad, kid, torus, small)
+        apply_T_split([bad], kid, torus, small)
 
 
-def _split_by_r_nodes(f, kappa, model, grid, s=2.0, base_mask=None, n_r=512):
-    """Reference T split: the r-quadrature summed node by node over dense
-    Mehler-derivative and heat-kernel matrices, with no use of the circulant
-    structure or the FFT."""
+def _split_by_r_nodes(f, kappa, model, grid, mask, n_r):
+    """Reference T split, the local part cut by the x1-pair mask: the
+    r-quadrature summed node by node over dense Mehler-derivative and
+    heat-kernel matrices, with no use of the circulant structure or the FFT."""
     n1, n2 = grid.shape
     F = f.values.reshape(n1, n2)
     x1, y2 = grid.x1_points, grid.y_points
-    mask = local_mask(grid, s)
-    base = np.ones((n1, n1), dtype=bool) if base_mask is None else base_mask
     leb = lebesgue_weights(x1, grid.x1_gamma_weights)
     r, w = _r_quadrature(kappa, n_r)
     T_full = np.zeros(F.shape, dtype=complex)
@@ -628,7 +622,7 @@ def _split_by_r_nodes(f, kappa, model, grid, s=2.0, base_mask=None, n_r=512):
         md = _mehler_dr_raw(float(ri), x1[:, None, :], x1[None, :, :])
         pk = model.kernel(-math.log(ri), y2[:, None, :], y2[None, :, :])
         right = F @ (pk * grid.y_weights[None, :]).T
-        A = md * base * leb[None, :]
+        A = md * leb[None, :]
         T_full += ki * (A @ right)
         T_loc += ki * ((A * mask) @ right)
     return T_loc.reshape(-1), (T_full - T_loc).reshape(-1), np.max(np.abs(T_full))
@@ -681,10 +675,15 @@ def _check_split_against_r_nodes(model, kappa, grid, s, with_base, seed):
     rng = np.random.default_rng(seed)
     n = grid.shape[0] * grid.shape[1]
     f = grid.function(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    base = local_mask(grid, 0.5) if with_base else None
+    mask = local_mask(grid, s)
+    if with_base:
+        # the reference cuts its kernel at N_{1/2} before N_s, which contains it:
+        # cutting twice changes nothing, so that is the split at s = 1/2
+        mask &= local_mask(grid, 0.5)
+        s = 0.5
     # 100 r-nodes keep the node-by-node reference short
-    loc, glob = apply_T_split(f, kappa, model, grid, s=s, base_mask=base, n_r=100)
-    want_loc, want_glob, scale = _split_by_r_nodes(f, kappa, model, grid, s=s, base_mask=base, n_r=100)
+    ((loc, glob),) = apply_T_split([f], kappa, model, grid, s=s, n_r=100)
+    want_loc, want_glob, scale = _split_by_r_nodes(f, kappa, model, grid, mask, n_r=100)
     assert scale > 0.0
     assert np.max(np.abs(loc.values - want_loc)) <= 1e-12 * scale
     assert np.max(np.abs(glob.values - want_glob)) <= 1e-12 * scale
@@ -708,7 +707,7 @@ def test_t_split_sums_one_x1_pair_per_symmetry_class(torus, kid, monkeypatch, k_
         return out
 
     monkeypatch.setattr(products, "_mehler_gamma_dr_raw", recording)
-    apply_T_split(grid.function(np.ones(n_x * n_y)), kid, torus, grid, n_r=n_r)
+    apply_T_split([grid.function(np.ones(n_x * n_y))], kid, torus, grid, n_r=n_r)
     assert sorted(pairs) == [(i, j) for i in range(n_x) for j in range(i, n_x - i)]
     assert len(pairs) == n_pairs
     assert sum(entries) == n_pairs * n_r  # 2,129,920 at the default grid
@@ -728,12 +727,12 @@ def test_t_split_rejects_non_torus_input(torus, euclid1, kid):
     grid = product_grid(torus, d=1, k_max=6, n_y=16)
     f = grid.function(np.ones(grid.shape[0] * grid.shape[1]))
     with pytest.raises(ValueError, match=r"model: .*euclidean\(m=1\)"):
-        apply_T_split(f, kid, euclid1, grid)
+        apply_T_split([f], kid, euclid1, grid)
     # the torus model on y-points other than its own uniform grid
     for y in (grid.y_points + 0.5 / 16, product_grid(euclid1, d=1, k_max=6, n_y=16).y_points):
         shifted = dataclasses.replace(grid, y_points=y)
         with pytest.raises(ValueError, match="grid.y_points"):
-            apply_T_split(shifted.function(f.values), kid, torus, shifted)
+            apply_T_split([shifted.function(f.values)], kid, torus, shifted)
 
 
 def test_t_split_rejects_unmirrored_x1_points(torus, kid):
@@ -742,22 +741,22 @@ def test_t_split_rejects_unmirrored_x1_points(torus, kid):
     shifted = dataclasses.replace(grid, x1_points=grid.x1_points + 0.01)
     f = shifted.function(np.ones(grid.shape[0] * grid.shape[1]))
     with pytest.raises(ValueError, match="grid.x1_points"):
-        apply_T_split(f, kid, torus, shifted)
+        apply_T_split([f], kid, torus, shifted)
 
 
 def test_t_split_rejects_bad_arguments(torus, kid):
     grid = product_grid(torus, d=1, k_max=6, n_y=16)
-    n1 = grid.shape[0]
-    f = grid.function(np.ones(n1 * grid.shape[1]))
-    for s in (0.0, -1.0):
+    f = grid.function(np.ones(grid.shape[0] * grid.shape[1]))
+    # a NaN s once put every pair in the global part
+    for s in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="s must be positive"):
             local_mask(grid, s)
         with pytest.raises(ValueError, match="s must be positive"):
-            apply_T_split(f, kid, torus, grid, s=s)
-    with pytest.raises(ValueError, match=r"base_mask: expected shape \(48, 48\), got \(48, 47\)"):
-        apply_T_split(f, kid, torus, grid, base_mask=np.ones((n1, n1 - 1), dtype=bool))
+            apply_T_split([f], kid, torus, grid, s=s)
     with pytest.raises(ValueError, match="f: need at least one function"):
         apply_T_split([], kid, torus, grid)
+    with pytest.raises(ValueError, match="f: need a sequence of functions"):
+        apply_T_split(f, kid, torus, grid)
 
 
 @pytest.mark.parametrize("k_max, n_y, n_x", [(12, 32, 128), (24, 128, 256)], ids=["default", "schema_edge"])
@@ -788,7 +787,7 @@ def test_kernel_path_matches_spectral_path(torus, kid):
     c = sys2.random_coefficients(np.random.default_rng(11))
     f = reconstruct(c, sys2)
     g_spec = reconstruct(apply_multiplier(mker, sys2, c), sys2)
-    loc, glob = apply_T_split(f, kid, torus, grid)
+    ((loc, glob),) = apply_T_split([f], kid, torus, grid)
     rel = grid.function(loc.values + glob.values - g_spec.values).norm_lp(2) / f.norm_lp(2)
     assert rel < 1e-5
 
@@ -814,8 +813,14 @@ def test_di_domain_errors():
     ids=["short_x1", "short_y1", "2d", "scalars"],
 )
 @pytest.mark.parametrize(
-    "fn", [di_integral, di_bound_ratio, lambda x1, y1: smallest_log_constant([(x1, y1)])],
-    ids=["di_integral", "di_bound_ratio", "smallest_log_constant"],
+    "fn",
+    [
+        di_integral,
+        di_bound_ratio,
+        lambda x1, y1: smallest_log_constant([(x1, y1)]),
+        lambda x1, y1: in_local_region(x1, y1, 2.0),
+    ],
+    ids=["di_integral", "di_bound_ratio", "smallest_log_constant", "in_local_region"],
 )
 def test_di_rejects_a_pair_that_is_not_two_1d_arrays_of_one_length(fn, x1, y1):
     with pytest.raises(ValueError, match=r"x1, y1: need two 1-d arrays of one length"):

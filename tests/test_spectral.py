@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
+from specmult import spectral
 from specmult.cli import _ou16, _ou_torus, _square_system
 from specmult.multipliers import builtin_multiplier, square_function
 from specmult.ouhermite import hermite_eval, ou_system
@@ -298,9 +299,10 @@ def test_tensor_ou_ou_counting():
     assert t.orthonormality_defect() < TAU_ORTH
 
 
-def test_tensor_capacity_error():
+def test_tensor_capacity_error(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_BASIS", 10)
     with pytest.raises(CapacityError, match="36 > 10"):
-        tensor(ou_system(1, 5), ou_system(1, 5), max_basis=10)
+        tensor(ou_system(1, 5), ou_system(1, 5))
 
 
 def test_tensor_parseval_product_function():
