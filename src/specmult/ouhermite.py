@@ -133,48 +133,55 @@ def _check_r(r: float) -> None:
         raise ValueError(f"r must lie strictly in (0,1), got {r}")
 
 
-def _mehler_kernel_raw(r, x1, y1):
-    """M_r(x1, y1) = W_r(r x1 - y1) with broadcasting; the trailing axis is the space axis."""
-    r = np.asarray(r, dtype=float)
-    return _w_raw(r, r[..., None] * x1 - y1 if r.ndim else r * x1 - y1)
+def _mehler_kernel_raw(omega, x1, y1):
+    """M_r(x1, y1) = W_r(r x1 - y1) at omega = 1 - r, with broadcasting; the
+    trailing axis is the space axis.  r x1 - y1 is formed as (x1 - y1) - omega x1,
+    which keeps its digits near the diagonal as r nears 1."""
+    omega = np.asarray(omega, dtype=float)
+    return _w_raw(omega, (x1 - y1) - (omega[..., None] * x1 if omega.ndim else omega * x1))
 
 
-def _mehler_dr_raw(r, x1, y1):
+def _mehler_dr_raw(r, omega, x1, y1):
     """Exact r-derivative dM_r/dr(x1, y1) = pi^{-d/2} e^{-|y1|^2} dK_r/dr(x1, y1).
 
     Broadcast as _mehler_gamma_dr_raw, with at least one point axis in
     front of the space axis.
     """
     d = np.broadcast_shapes(np.shape(x1), np.shape(y1))[-1]
-    return np.pi ** (-d / 2.0) * np.exp(-np.sum(y1 * y1, axis=-1)) * _mehler_gamma_dr_raw(r, x1, y1)
+    return np.pi ** (-d / 2.0) * np.exp(-np.sum(y1 * y1, axis=-1)) * _mehler_gamma_dr_raw(r, omega, x1, y1)
 
 
-def _mehler_gamma_dr_raw(r, x1, y1):
+def _mehler_gamma_dr_raw(r, omega, x1, y1):
     """Exact r-derivative dK_r/dr(x1, y1) of the Mehler kernel against gamma.
 
+    r and omega = 1 - r are given together, each to full relative accuracy:
+    no factor 1 - r is formed from r, so the value keeps its digits as r
+    nears 1, where the kernel's features sit at 1 - r ~ |x1 - y1|^2.
+
     K_r = pi^{d/2} e^{|y1|^2} M_r = s^{-d/2} exp(-r (r (|x1|^2 + |y1|^2) - 2 x1.y1) / s),
-    s = 1 - r^2, is the kernel of r^L against gamma.  r^L is self-adjoint
-    there, so K_r is symmetric; it is also even under (x1, y1) -> (-x1, -y1).
-    With D = |x1 - y1|^2 and Q = x1 . y1 its exponent is
+    s = 1 - r^2 = omega (2 - omega), is the kernel of r^L against gamma.  r^L
+    is self-adjoint there, so K_r is symmetric; it is also even under
+    (x1, y1) -> (-x1, -y1).  With D = |x1 - y1|^2 and Q = x1 . y1 its exponent is
     -r^2 D / s + 2 r Q / (1 + r), at most (|x1|^2 + |y1|^2) / 2, and
 
-        dK_r/dr = s^{-d/2-1} [d r - 2 r D / s + 2 (1 - r) Q / (1 + r)] exp(...).
+        dK_r/dr = s^{-d/2-1} [d r - 2 r D / s + 2 omega Q / (1 + r)] exp(...).
 
     In D and Q no two large terms cancel, as they would in |x1|^2 + |y1|^2
     against 2 Q far from the origin, and both are symmetric and even bit for
     bit, so the result is too.  The trailing axis of the points is the space
-    axis, and r broadcasts against the point axes in front of it, of which
-    there must be at least one.  The T split
-    passes its r-nodes as a column, r[:, None], against one row of x1 and y1
-    per point pair, and gets an (n_r, pairs) array; the r-only factors are
-    formed on the column before they meet the pair axis.
+    axis, and r and omega broadcast against the point axes in front of it, of
+    which there must be at least one.  The T split passes its r-nodes as a
+    column, r[:, None], against one row of x1 and y1 per point pair, and gets
+    an (nodes, pairs) array; the r-only factors are formed on the column
+    before they meet the pair axis.
     """
     r = np.asarray(r, dtype=float)
+    omega = np.asarray(omega, dtype=float)
     z = x1 - y1
     d = z.shape[-1]
     D = np.sum(z * z, axis=-1)
     Q = np.sum(x1 * y1, axis=-1)
-    s = 1.0 - r * r
+    s = omega * (2.0 - omega)
     # np.power even for a scalar r, whose s ** would take the C library's pow:
     # it can differ from NumPy's vectorized pow in the last bit, and a value
     # must not depend on whether its r-node came alone or in a block
@@ -182,7 +189,7 @@ def _mehler_gamma_dr_raw(r, x1, y1):
     e = (2.0 * r / (1.0 + r)) * Q
     e -= (r * r / s) * D
     np.exp(e, out=e)
-    k = (c * 2.0 * (1.0 - r) / (1.0 + r)) * Q
+    k = (c * 2.0 * omega / (1.0 + r)) * Q
     k -= (c * 2.0 * r / s) * D
     k += c * d * r
     k *= e
@@ -199,30 +206,31 @@ def mehler_kernel(r: float, x1, y1):
     """
     _check_r(r)
     x1, y1 = (np.atleast_1d(np.asarray(p, dtype=float)) for p in (x1, y1))
-    out = _mehler_kernel_raw(np.asarray(r), x1, y1)
+    out = _mehler_kernel_raw(np.asarray(1.0 - r), x1, y1)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _w_raw(r, z):
-    """Comparison kernel W_r(z) = pi^{-d/2} (1-r^2)^{-d/2} exp(-|z|^2/(1-r^2)).
+def _w_raw(omega, z):
+    """Comparison kernel W_r(z) = pi^{-d/2} s^{-d/2} exp(-|z|^2/s) at omega = 1 - r.
 
-    The trailing axis of z is the space axis.
+    s = 1 - r^2 = omega (2 - omega).  The trailing axis of z is the space axis.
     """
-    r = np.asarray(r, dtype=float)
+    omega = np.asarray(omega, dtype=float)
     z = np.asarray(z, dtype=float)
     d = z.shape[-1]
     q = np.sum(z**2, axis=-1)
-    s = 1.0 - r * r
+    s = omega * (2.0 - omega)
     return np.pi ** (-d / 2.0) * s ** (-d / 2.0) * np.exp(-q / s)
 
 
-def _w_dr_raw(r, z):
-    """Exact r-derivative dW_r/dr(z), broadcast like _w_raw."""
+def _w_dr_raw(r, omega, z):
+    """Exact r-derivative dW_r/dr(z) at r and omega = 1 - r, broadcast like _w_raw."""
     r = np.asarray(r, dtype=float)
+    omega = np.asarray(omega, dtype=float)
     z = np.asarray(z, dtype=float)
     d = z.shape[-1]
     q = np.sum(z**2, axis=-1)
-    s = 1.0 - r * r
+    s = omega * (2.0 - omega)
     # np.power for the same reason as in _mehler_gamma_dr_raw
     return np.pi ** (-d / 2.0) * r * np.power(s, -d / 2.0 - 1.0) * np.exp(-q / s) * (d - 2.0 * q / s)
 
@@ -238,5 +246,5 @@ def apply_semigroup_kernel(r: float, f: GridFunction) -> GridFunction:
     """
     _check_r(r)
     leb = lebesgue_weights(f.points, f.weights)
-    K = _mehler_kernel_raw(np.asarray(r), f.points[:, None, :], f.points[None, :, :])
+    K = _mehler_kernel_raw(np.asarray(1.0 - r), f.points[:, None, :], f.points[None, :, :])
     return f.with_values(K @ (leb * f.values))

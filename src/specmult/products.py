@@ -12,7 +12,10 @@ in the r = e^{-t} variable, so multipliers become integrals
     m_kappa(lam, a) = int_0^1 d/dr(r^lam) r^a kappa(r) dr,
 
 and the kernel of T is int_0^1 dM_r/dr (x1,y1) p_{-log r}(x2,y2) kappa(r) dr
-with the y1-integral against Lebesgue measure and y2 against mu.
+with the y1-integral against Lebesgue measure and y2 against mu.  Its
+features sit at 1 - r ~ eta^2 for a pair eta apart, so every kernel takes
+one r-rule, Gauss-Legendre in logit r, and carries omega = 1 - r next to r:
+no integrand forms 1 - r from r.  D_I runs in omega for the same reason.
 """
 from __future__ import annotations
 
@@ -56,6 +59,12 @@ __all__ = [
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
 
+def _check_x1_dim(d) -> None:
+    """Reject an x1 dimension other than 1, 2 or 3, those with a unit-ball volume."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d not in _UNIT_BALL_VOLUME:
+        raise ValueError(f"d: the x1 dimension must be 1, 2 or 3, got {d!r}")
+
+
 # -- kappa profiles and Laplace-transform-type multipliers -------------------
 
 
@@ -80,8 +89,8 @@ class KappaSpec:
         lo, hi = self.support
         if not 0.0 <= lo < hi <= 1.0:
             raise ValueError(f"support must satisfy 0 <= lo < hi <= 1, got {self.support}")
-        if self.sup_norm < 0:
-            raise ValueError("sup_norm must be >= 0")
+        if not 0.0 <= self.sup_norm < math.inf:  # NaN included
+            raise ValueError(f"sup_norm must be finite and >= 0, got {self.sup_norm}")
 
     def __call__(self, r):
         return np.asarray(self.evaluate(np.asarray(r, dtype=float)), dtype=complex)
@@ -347,6 +356,10 @@ def torus_system(n_max: int, n_grid: int | None = None) -> SpectralSystem:
 
 def _columns(model: HeatKernelModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The x1 and x2 columns of the product points x."""
+    if x.shape[-1] - model.dim not in _UNIT_BALL_VOLUME:
+        raise ValueError(
+            f"points: need rows of d + {model.dim} floats, x1 in R^d with d in 1..3, got rows of {x.shape[-1]}"
+        )
     return x[..., :-model.dim], x[..., -model.dim:]
 
 
@@ -410,6 +423,7 @@ class ProductGrid:
 
 def product_grid(model: HeatKernelModel, d: int = 1, k_max: int = 12, n_y: int = 32,
                  n_x: int | None = None) -> ProductGrid:
+    _check_x1_dim(d)
     x1, gw = _product_grid(*hermite_basis(k_max, n_x), d)
     y_pts, y_w = model.grid(n_y)
     return ProductGrid(x1, gw, y_pts, y_w)
@@ -418,35 +432,43 @@ def product_grid(model: HeatKernelModel, d: int = 1, k_max: int = 12, n_y: int =
 # -- kernels -----------------------------------------------------------------
 
 
-# Gauss-Legendre nodes of the kernel r-quadratures.  The r-integrand is
-# analytic on a Bernstein ellipse around kappa's support, so the rule
-# converges geometrically: at 96 nodes it meets a 30-digit oracle to 1e-13
-# relative on the sampled pairs (tests/test_products.py).  Near the diagonal,
-# on a support that reaches toward r = 1, the integrand is close to its
-# singular point r = 1 and needs more nodes; pass n_r there.
+# Gauss-Legendre nodes of _r_quadrature, the one r-rule of every kernel.  At
+# 96 nodes it meets a 30-digit oracle to 1e-13 relative on the sampled pairs
+# and near the diagonal, and to 2e-13 with hi up to 1 - 1e-6; twice as many
+# move no kernel value by 1e-12 (tests/test_products.py).
 _N_R = 96
 
 
-def _r_quadrature(kappa: KappaSpec, n_r: int) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(n_r, bool) or not isinstance(n_r, (int, np.integer)) or n_r < 1:
-        raise ValueError(f"n_r must be a positive integer, got {n_r!r}")
+def _r_quadrature(kappa: KappaSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The r-rule on kappa's support as (r, omega, w): omega = 1 - r and dr = r omega dv.
+
+    Gauss-Legendre in v = logit r = log(r / (1 - r)) on [logit lo, logit hi],
+    r = 1 / (1 + e^{-v}) and omega = 1 / (1 + e^{v}), each to full relative
+    accuracy.  A kernel's r-integrand has its features at 1 - r ~ eta^2 for a
+    pair eta apart, next to its singular point r = 1; in v they spread over a
+    few units, and an integrand that takes omega in place of 1 - r keeps its
+    digits there.
+    """
     if not kappa.compact:
         raise ValueError("kernel quadrature needs kappa with compact support inside (0, 1)")
-    return _legendre_on(*kappa.support, n_r)
+    v, w = _legendre_on(*(math.log(p / (1.0 - p)) for p in kappa.support), _N_R)
+    r = 1.0 / (1.0 + np.exp(-v))
+    omega = 1.0 / (1.0 + np.exp(v))
+    return r, omega, w * r * omega
 
 
 # the batched kernel quadratures take point pairs in blocks against all r-nodes
-# at once: each (pairs, n_r) float temporary of a block holds at most
+# at once: each (pairs, _N_R) float temporary of a block holds at most
 # _BLOCK_BYTES, whatever the sample or grid size
 _BLOCK_BYTES = 1 << 18
 
 
-def _pair_blocks(n_pairs: int, n_r: int) -> list[slice]:
-    step = max(1, _BLOCK_BYTES // (8 * n_r))
+def _pair_blocks(n_pairs: int) -> list[slice]:
+    step = max(1, _BLOCK_BYTES // (8 * _N_R))
     return [slice(lo, lo + step) for lo in range(0, n_pairs, step)]
 
 
-def _ktilde_rows(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int) -> np.ndarray:
+def _ktilde_rows(x, y, kappa: KappaSpec, model: HeatKernelModel) -> np.ndarray:
     """The comparison kernel Ktilde at the point pairs (x, y), one pair per row.
 
     The r-integrand is kappa(r) dW_r/dr(x1 - y1) p_{-log r}(x2, y2).
@@ -455,18 +477,18 @@ def _ktilde_rows(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int) -> np
     quadrature, so batched and one-pair values agree bit for bit.
     """
     (x1, x2), (y1, y2) = _columns(model, x), _columns(model, y)
-    r, w = _r_quadrature(kappa, n_r)
-    t = -np.log(r)
+    r, omega, w = _r_quadrature(kappa)
+    t = -np.log1p(-omega)  # -log r
     weight = w * kappa(r)
     out = np.empty(len(x1), dtype=complex)
-    for blk in _pair_blocks(len(x1), n_r):
-        factor = _w_dr_raw(r, x1[blk, None, :] - y1[blk, None, :])
+    for blk in _pair_blocks(len(x1)):
+        factor = _w_dr_raw(r, omega, x1[blk, None, :] - y1[blk, None, :])
         pk = model.kernel(t, x2[blk, None, :], y2[blk, None, :])
         out[blk] = np.sum(weight * factor * pk, axis=-1)
     return out
 
 
-def kernel_Ktilde(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int = _N_R) -> complex:
+def kernel_Ktilde(x, y, kappa: KappaSpec, model: HeatKernelModel) -> complex:
     """Ktilde(x, y) = int kappa(r) dW_r/dr(x1 - y1) p_{-log r}(x2, y2) dr, the comparison kernel.
 
     x and y are product points, two 1-d arrays (x1, x2) of one length with x2 in the last model.dim entries.
@@ -474,7 +496,7 @@ def kernel_Ktilde(x, y, kappa: KappaSpec, model: HeatKernelModel, n_r: int = _N_
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError(f"x, y: need two 1-d product points of one length, got shapes {x.shape} and {y.shape}")
-    return complex(_ktilde_rows(x[None], y[None], kappa, model, n_r)[0])
+    return complex(_ktilde_rows(x[None], y[None], kappa, model)[0])
 
 
 def local_mask(grid: ProductGrid, s: float = 2.0) -> np.ndarray:
@@ -503,7 +525,6 @@ def apply_T_split(
     model: HeatKernelModel,
     grid: ProductGrid,
     s: float = 2.0,
-    n_r: int = _N_R,
 ) -> list[tuple[GridFunction, GridFunction]]:
     """[(T_loc f_k, T_glob f_k)] for each f_k of the sequence f, with the rough cutoff chi_{N_s}(x1, y1).
 
@@ -554,11 +575,11 @@ def apply_T_split(
     # B.w^Leb = K.w^gamma: the kernel against gamma takes the gamma weights
     weights = np.broadcast_to(grid.x1_gamma_weights, (n1, n1))
     mask = local_mask(grid, s)
-    r, w = _r_quadrature(kappa, n_r)
+    r, omega, w = _r_quadrature(kappa)
     # B_xi = B_{-xi}: the frequencies 0..n2 // 2 carry every kernel
     n_f = n2 // 2 + 1
     neg = -np.arange(n_f) % n2
-    coef = _heat_spectrum(model, grid.y_points, -np.log(r)) * (kappa(r) * w)
+    coef = _heat_spectrum(model, grid.y_points, -np.log1p(-omega)) * (kappa(r) * w)
     coef = np.concatenate([coef.real, coef.imag])  # the complex r-sum as one real product
     F = np.stack([g.values.reshape(n1, n2) for g in fs])
     G = np.fft.fft(F * grid.y_weights, axis=-1)
@@ -573,9 +594,9 @@ def apply_T_split(
     keep = a + b <= n1 - 1
     a, b = a[keep], b[keep]
     B = np.empty((n1, n_f, n1), dtype=complex)
-    for blk in _pair_blocks(len(a), n_r):
+    for blk in _pair_blocks(len(a)):
         i, j = a[blk], b[blk]
-        sums = coef @ _mehler_gamma_dr_raw(r[:, None], x1[i], x1[j])
+        sums = coef @ _mehler_gamma_dr_raw(r[:, None], omega[:, None], x1[i], x1[j])
         sums = (sums[:n_f] + 1j * sums[n_f:]).T
         for p, q in ((i, j), (j, i), (n1 - 1 - i, n1 - 1 - j), (n1 - 1 - j, n1 - 1 - i)):
             B[p, :, q] = sums
@@ -600,10 +621,11 @@ def apply_T_split(
 # -- the difference integral of the local-part analysis ----------------------
 
 
-# D_I finds the sign changes of its integrand on an r-grid, all cells then
-# bisected at once: _DI_UNIFORM nodes on [0, 1/2) with r = 0 included (sampled
-# pairs have roots near r = 0.0013), then _DI_TAIL geometric in 1 - r down to
-# 1e-16.  Phi is stationary at a root, so a root error e moves D_I by O(e^2).
+# D_I finds the sign changes of its integrand on a grid in omega = 1 - r, all
+# cells then bisected at once: _DI_UNIFORM nodes on (1/2, 1] with r = 0
+# included (sampled pairs have roots near r = 0.0013), then _DI_TAIL geometric
+# in omega down to 1e-16.  Phi is stationary at a root, so a root error e
+# moves D_I by O(e^2).
 _DI_UNIFORM, _DI_TAIL, _DI_BISECTIONS = 64, 256, 60
 
 
@@ -613,26 +635,32 @@ def di_integral(x1, y1) -> float:
     x1, y1: two 1-d arrays of one length.  D_I is the total variation of
     Phi(r) = M_r(x1, y1) - W_r(x1 - y1) on [0, 1]: sum |Phi(r_{i+1}) - Phi(r_i)|
     over r_0 = 0, the sign changes of Phi' and r = 1, where Phi = 0 as x1 != y1.
+    Near the diagonal those sign changes sit at 1 - r ~ |x1 - y1|^2, so the
+    grid, the bisection and Phi all run in omega = 1 - r, never in r.
     """
     x1, y1 = _point_pair(x1, y1)
     if np.array_equal(x1, y1):
         raise ValueError("x1 must differ from y1")
     if not in_local_region(x1, y1, 2.0):
         raise ValueError("(x1, y1) lies outside the local region N_2")
+    z = x1 - y1
 
-    def phi_dr(r):  # Phi'(r) at an array of r in [0, 1)
-        return _mehler_dr_raw(r, x1[None], y1[None]) - _w_dr_raw(r, x1 - y1)
+    def phi_dr(omega):  # Phi'(r) at an array of omega = 1 - r in (0, 1]
+        r = 1.0 - omega
+        return _mehler_dr_raw(r, omega, x1[None], y1[None]) - _w_dr_raw(r, omega, z)
 
-    grid = np.append(np.linspace(0.0, 0.5, _DI_UNIFORM, endpoint=False), 1.0 - np.geomspace(0.5, 1e-16, _DI_TAIL))
+    grid = np.append(np.linspace(1.0, 0.5, _DI_UNIFORM, endpoint=False), np.geomspace(0.5, 1e-16, _DI_TAIL))
     sign = np.sign(phi_dr(grid))
     cells = np.flatnonzero(sign[:-1] != sign[1:])
     lo, h = grid[cells], np.diff(grid)[cells]
     for _ in range(_DI_BISECTIONS):
         h = 0.5 * h
-        lo = np.where(np.sign(phi_dr(lo + h)) == sign[cells], lo + h, lo)  # the root lies right of lo + h
-    r = np.append(0.0, lo)
-    # Phi = M_r (1 - W_r / M_r) with W_r / M_r = exp(|x1|^2 - 2 x1.y1 / (1 + r)), free of cancellation
-    phi = np.append(-_mehler_kernel_raw(r, x1, y1) * np.expm1(2.0 * (x1 @ y1) / (1.0 + r) - x1 @ x1), 0.0)
+        lo = np.where(np.sign(phi_dr(lo + h)) == sign[cells], lo + h, lo)  # the root lies past lo + h
+    omega = np.append(1.0, lo)
+    # Phi = M_r (1 - W_r / M_r), W_r / M_r = exp(2 x1.y1 / (1 + r) - |x1|^2)
+    # = exp((omega |x1|^2 - 2 x1.z) / (2 - omega)), free of cancellation
+    ratio = (omega * (x1 @ x1) - 2.0 * (x1 @ z)) / (2.0 - omega)
+    phi = np.append(-_mehler_kernel_raw(omega, x1, y1) * np.expm1(ratio), 0.0)
     return float(np.sum(np.abs(np.diff(phi))))
 
 
@@ -685,7 +713,7 @@ def _report(vals: np.ndarray, n_filtered: int, kind: str, kappa: KappaSpec) -> C
     )
 
 
-def cz_growth_check(pairs, kappa: KappaSpec, model: HeatKernelModel, n_r: int = _N_R) -> CZEstimateReport:
+def cz_growth_check(pairs, kappa: KappaSpec, model: HeatKernelModel) -> CZEstimateReport:
     """sup over pairs of |Ktilde(x,y)| (Lambda x mu)(B(x, eta(x,y))) / sup|kappa|.
 
     pairs is an (n, 2, d + model.dim) array, as sample_product_pairs draws it.
@@ -696,13 +724,13 @@ def cz_growth_check(pairs, kappa: KappaSpec, model: HeatKernelModel, n_r: int = 
     e = _eta_rows(model, x, y)
     keep = e != 0.0
     x, y, e = x[keep], y[keep], e[keep]
-    K = _ktilde_rows(x, y, kappa, model, n_r)
+    K = _ktilde_rows(x, y, kappa, model)
     # hypot rounds like Python's abs(complex); NumPy's complex abs can differ in the last bit
     vals = np.hypot(K.real, K.imag) * _ball_volume_rows(model, x, e)
     return _report(vals, len(keep) - len(vals), "growth", kappa)
 
 
-def cz_smooth_check(triples, kappa: KappaSpec, model: HeatKernelModel, n_r: int = _N_R) -> CZEstimateReport:
+def cz_smooth_check(triples, kappa: KappaSpec, model: HeatKernelModel) -> CZEstimateReport:
     """Smoothness audit on triples (x, y, y') with 2 eta(y,y') <= eta(x,y).
 
     triples is an (n, 3, d + model.dim) array, as sample_product_triples draws it.
@@ -712,7 +740,7 @@ def cz_smooth_check(triples, kappa: KappaSpec, model: HeatKernelModel, n_r: int 
     e_yy = _eta_rows(model, y, yp)
     keep = (e_yy != 0.0) & ~(2.0 * e_yy > e_xy)
     x, y, yp, e_xy, e_yy = x[keep], y[keep], yp[keep], e_xy[keep], e_yy[keep]
-    diff = _ktilde_rows(x, y, kappa, model, n_r) - _ktilde_rows(x, yp, kappa, model, n_r)
+    diff = _ktilde_rows(x, y, kappa, model) - _ktilde_rows(x, yp, kappa, model)
     vals = np.hypot(diff.real, diff.imag) * (e_xy / e_yy) * _ball_volume_rows(model, x, e_xy)
     return _report(vals, len(keep) - len(vals), "smooth", kappa)
 
@@ -741,6 +769,7 @@ def _draw_pair(rng: np.random.Generator, model: HeatKernelModel, d: int, out: np
 
 def sample_product_pairs(n: int, seed: int, model: HeatKernelModel, d: int = 1) -> np.ndarray:
     """Random (x, y) pairs on R^d x Y for the growth audit, as an (n, 2, d + model.dim) array."""
+    _check_x1_dim(d)
     out = np.empty((n, 2, d + model.dim))
     for rng, pair in zip(_child_rngs(seed, n), out):
         _draw_pair(rng, model, d, pair)
@@ -749,6 +778,7 @@ def sample_product_pairs(n: int, seed: int, model: HeatKernelModel, d: int = 1) 
 
 def sample_product_triples(n: int, seed: int, model: HeatKernelModel, d: int = 1) -> np.ndarray:
     """Random (x, y, y') triples with y' a small perturbation of y, as an (n, 3, d + model.dim) array."""
+    _check_x1_dim(d)
     out = np.empty((n, 3, d + model.dim))
     v = np.empty(n)
     u = np.empty((n, d + model.dim))
@@ -769,6 +799,7 @@ def sample_product_triples(n: int, seed: int, model: HeatKernelModel, d: int = 1
 
 def sample_local_pairs(n: int, seed: int, d: int = 2):
     """Random (x1, y1) in N_2 with x1 != y1 (and x1 != 0), for D_I checks."""
+    _check_x1_dim(d)
     out = []
     for rng in _child_rngs(seed, n):
         x1 = rng.normal(0.0, 1.0, d)

@@ -193,12 +193,12 @@ def test_05_ou_semigroup_suite():
             mehler_kernel(r + h, x1, y1)
             - mehler_kernel(r - h, x1, y1)
         ) / (2 * h)
-        exact = float(_mehler_dr_raw(r, np.array([[[x1]]]), np.array([[[y1]]]))[0, 0])
+        exact = float(_mehler_dr_raw(r, 1 - r, np.array([[[x1]]]), np.array([[[y1]]]))[0, 0])
         fd_err = max(fd_err, abs(exact - fd) / abs(fd))
     for r, z in [(0.5, 0.4), (0.25, -1.0), (0.75, 0.05)]:
         z = np.array([z])
-        fd = (float(_w_raw(r + h, z)) - float(_w_raw(r - h, z))) / (2 * h)
-        fd_err = max(fd_err, abs(float(_w_dr_raw(r, z)) - fd) / abs(fd))
+        fd = (float(_w_raw(1 - (r + h), z)) - float(_w_raw(1 - (r - h), z))) / (2 * h)
+        fd_err = max(fd_err, abs(float(_w_dr_raw(r, 1 - r, z)) - fd) / abs(fd))
 
     rng = np.random.default_rng(11)
     contractive = True

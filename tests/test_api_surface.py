@@ -52,10 +52,6 @@ _UNREACHED = {
 # "function.parameter": an option that only tests set is a constant instead
 _UNPASSED = {
     "apply_T_split.s": "ROADMAP item 3",
-    "apply_T_split.n_r": "ROADMAP item 3",
-    "kernel_Ktilde.n_r": "ROADMAP item 3",
-    "cz_growth_check.n_r": "ROADMAP item 3",
-    "cz_smooth_check.n_r": "ROADMAP item 3",
     "di_bound_ratio.c0": "ROADMAP item 3",
     "sample_local_pairs.d": "ROADMAP item 3",
     "builtin_multiplier.u": "ROADMAP item 2",

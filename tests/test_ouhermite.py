@@ -121,7 +121,7 @@ def _pair(x1, y1):
 def test_mehler_dr_matches_finite_difference():
     h = 1e-5
     for r, x1, y1 in [(0.5, 0.3, -0.7), (0.2, 1.1, 0.9), (0.8, -0.4, 0.1)]:
-        exact = float(_mehler_dr_raw(r, *_pair(x1, y1))[0, 0])
+        exact = float(_mehler_dr_raw(r, 1 - r, *_pair(x1, y1))[0, 0])
         fd = (
             mehler_kernel(r + h, x1, y1)
             - mehler_kernel(r - h, x1, y1)
@@ -132,7 +132,7 @@ def test_mehler_dr_matches_finite_difference():
 def test_mehler_dr_at_origin_closed_form():
     for r in (0.2, 0.5, 0.9):
         expected = math.pi**-0.5 * r * (1 - r * r) ** -1.5
-        assert abs(float(_mehler_dr_raw(r, *_pair(0.0, 0.0))[0, 0]) - expected) < 1e-13
+        assert abs(float(_mehler_dr_raw(r, 1 - r, *_pair(0.0, 0.0))[0, 0]) - expected) < 1e-13
 
 
 def test_mehler_dr_growth_constant_finite():
@@ -143,7 +143,7 @@ def test_mehler_dr_growth_constant_finite():
     xs = np.linspace(-3, 3, 13)
     worst = 0.0
     for r in rs:
-        vals = np.abs(_mehler_dr_raw(r, xs[:, None, None], xs[None, :, None]))
+        vals = np.abs(_mehler_dr_raw(r, 1 - r, xs[:, None, None], xs[None, :, None]))
         worst = max(worst, float(np.max(vals / (1.0 + np.abs(xs[:, None])))))
     assert math.isfinite(worst) and worst > 0
 
@@ -191,8 +191,8 @@ def test_mehler_dr_and_w_dr_match_mpmath(r):
     # entry (i, j) belongs to the pair (x_i, x_j)
     for x1, y1 in _ORACLE_PAIRS:
         x = np.array([x1, y1], dtype=float)
-        md = _mehler_dr_raw(r, x[:, None, :], x[None, :, :])
-        wd = _w_dr_raw(r, x[:, None, :] - x[None, :, :])
+        md = _mehler_dr_raw(r, 1 - r, x[:, None, :], x[None, :, :])
+        wd = _w_dr_raw(r, 1 - r, x[:, None, :] - x[None, :, :])
         assert md.shape == wd.shape == (2, 2)
         dm, dw = _oracle_derivatives(r, x1, y1)
         assert md[0, 1] == pytest.approx(dm, rel=1e-12)
@@ -210,8 +210,8 @@ def test_kernel_derivatives_on_r_nodes_match_mpmath():
         pairs = [(x1, y1) for x1, y1 in _ORACLE_PAIRS if len(x1) == d]
         x = np.array([x1 for x1, _ in pairs], dtype=float)[:, None, :]
         y = np.array([y1 for _, y1 in pairs], dtype=float)[:, None, :]
-        md = _mehler_dr_raw(r, x, y)
-        wd = _w_dr_raw(r, x - y)
+        md = _mehler_dr_raw(r, 1 - r, x, y)
+        wd = _w_dr_raw(r, 1 - r, x - y)
         assert md.shape == wd.shape == (len(pairs), len(r))
         for p, (x1, y1) in enumerate(pairs):
             for k, rk in enumerate(_ORACLE_R):
@@ -239,13 +239,13 @@ def test_mehler_gamma_dr_matches_mpmath_and_the_lebesgue_kernel(d):
     pairs = [(x1, y1) for x1, y1 in _GAMMA_ORACLE_PAIRS if len(x1) == d]
     x = np.array([v for pair in pairs for v in pair], dtype=float)
     r = np.array(_ORACLE_R)
-    kd = _mehler_gamma_dr_raw(r[:, None, None], x[:, None, :], x[None, :, :])
+    kd = _mehler_gamma_dr_raw(r[:, None, None], 1 - r[:, None, None], x[:, None, :], x[None, :, :])
     assert kd.shape == (len(r), len(x), len(x))
     # symmetric and even bit for bit
     assert np.array_equal(kd, kd.transpose(0, 2, 1))
-    assert np.array_equal(_mehler_gamma_dr_raw(r[:, None, None], -x[:, None, :], -x[None, :, :]), kd)
+    assert np.array_equal(_mehler_gamma_dr_raw(r[:, None, None], 1 - r[:, None, None], -x[:, None, :], -x[None, :, :]), kd)
     # pi^{d/2} e^{|y|^2} dM_r/dr with y the column point
-    md = _mehler_dr_raw(r[:, None, None], x[:, None, :], x[None, :, :])
+    md = _mehler_dr_raw(r[:, None, None], 1 - r[:, None, None], x[:, None, :], x[None, :, :])
     lebesgue = np.pi ** (d / 2) * np.exp(np.sum(x * x, axis=1)) * md
     np.testing.assert_allclose(kd, lebesgue, rtol=1e-12, atol=0)
     for p in range(len(pairs)):
@@ -281,36 +281,36 @@ def test_mehler_dr_on_an_r_block_is_per_node_and_even(d):
     # points gives entry (k, i, j) for r-node k and the pair (x_i, x_j)
     x = ou_system(d, 4, 9).points
     r = np.linspace(0.05, 0.95, 7)
-    block = _mehler_dr_raw(r[:, None, None], x[:5, None, :], x[None, :, :])
+    block = _mehler_dr_raw(r[:, None, None], 1 - r[:, None, None], x[:5, None, :], x[None, :, :])
     assert block.shape == (len(r), 5, len(x))
     for k, rk in enumerate(r):
-        assert np.array_equal(block[k], _mehler_dr_raw(float(rk), x[:5, None, :], x[None, :, :]))
-    full = _mehler_dr_raw(r[:, None, None], x[:, None, :], x[None, :, :])
-    assert np.array_equal(_mehler_dr_raw(r[:, None, None], -x[:, None, :], -x[None, :, :]), full)
+        assert np.array_equal(block[k], _mehler_dr_raw(float(rk), 1 - float(rk), x[:5, None, :], x[None, :, :]))
+    full = _mehler_dr_raw(r[:, None, None], 1 - r[:, None, None], x[:, None, :], x[None, :, :])
+    assert np.array_equal(_mehler_dr_raw(r[:, None, None], 1 - r[:, None, None], -x[:, None, :], -x[None, :, :]), full)
     # x[::-1] == -x on the product grid, so row n-1-i is row i reversed
     assert np.array_equal(full[:, ::-1, ::-1], full)
     # dW_r/dr as the batched Ktilde quadrature calls it, on differences x_i - x_j
     z = x[:, None, :] - x[None, :, :]
-    block = _w_dr_raw(r[:, None, None], z[:5])
+    block = _w_dr_raw(r[:, None, None], 1 - r[:, None, None], z[:5])
     assert block.shape == (len(r), 5, len(x))
     for k, rk in enumerate(r):
-        assert np.array_equal(block[k], _w_dr_raw(float(rk), z[:5]))
-    full = _w_dr_raw(r[:, None, None], z)
-    assert np.array_equal(_w_dr_raw(r[:, None, None], -z), full)
+        assert np.array_equal(block[k], _w_dr_raw(float(rk), 1 - float(rk), z[:5]))
+    full = _w_dr_raw(r[:, None, None], 1 - r[:, None, None], z)
+    assert np.array_equal(_w_dr_raw(r[:, None, None], 1 - r[:, None, None], -z), full)
     assert np.array_equal(full[:, ::-1, ::-1], full)
 
 
 def test_w_kernel_matches_mehler_at_origin():
     for r in (0.3, 0.6):
-        assert float(_w_raw(r, np.zeros(1))) == mehler_kernel(r, 0.0, 0.0)
+        assert float(_w_raw(1 - r, np.zeros(1))) == mehler_kernel(r, 0.0, 0.0)
 
 
 def test_w_dr_matches_finite_difference():
     h = 1e-5
     for r, z in [(0.5, 0.4), (0.25, -1.0), (0.75, 0.05)]:
         z = np.array([z])
-        exact = float(_w_dr_raw(r, z))
-        fd = (float(_w_raw(r + h, z)) - float(_w_raw(r - h, z))) / (2 * h)
+        exact = float(_w_dr_raw(r, 1 - r, z))
+        fd = (float(_w_raw(1 - (r + h), z)) - float(_w_raw(1 - (r - h), z))) / (2 * h)
         assert abs(exact - fd) / abs(fd) < 1e-6
 
 
@@ -320,7 +320,7 @@ def test_w_dr_integral_bounded_by_inverse_power():
     # int_0^1 |dW_r/dr| dr <~ |z|^{-d}; the ratio must stay bounded
     ratios = []
     for z in np.geomspace(0.05, 2.0, 12):
-        total, _ = quad(lambda r: abs(float(_w_dr_raw(r, np.array([z])))), 0.0, 1.0, limit=200)
+        total, _ = quad(lambda r: abs(float(_w_dr_raw(r, 1 - r, np.array([z])))), 0.0, 1.0, limit=200)
         ratios.append(total * z)
     assert max(ratios) < 10.0
 

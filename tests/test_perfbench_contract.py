@@ -93,8 +93,8 @@ def test_tracer_counters_bind_and_count(tracer_module):
         seminorm = multipliers.marcinkiewicz_seminorm(
             multipliers.builtin_multiplier("riesz2"), (1, 1), multipliers.DyadicRange(1, 0), 4
         )
-        growth = products.cz_growth_check(np.concatenate([pairs, [[x, x]]]), kappa, model, 16)
-        smooth = products.cz_smooth_check(np.concatenate([triples, [[x, y, y]]]), kappa, model, 16)
+        growth = products.cz_growth_check(np.concatenate([pairs, [[x, x]]]), kappa, model)
+        smooth = products.cz_smooth_check(np.concatenate([triples, [[x, y, y]]]), kappa, model)
         values = multipliers.builtin_multiplier("riesz1")(np.ones((5, 1)))
     finally:
         tracer.uninstall()

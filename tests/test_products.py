@@ -1,5 +1,5 @@
+import ast
 import dataclasses
-import inspect
 import math
 import re
 import tracemalloc
@@ -180,8 +180,12 @@ def test_m_kappa_needs_a_closed_form(kid):
 def test_kappa_spec_validation():
     with pytest.raises(ValueError, match="support"):
         KappaSpec(evaluate=lambda r: r, support=(0.5, 0.2), sup_norm=1.0)
-    with pytest.raises(ValueError, match="sup_norm"):
-        KappaSpec(evaluate=lambda r: r, support=(0.1, 0.9), sup_norm=-1.0)
+    for sup_norm in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"sup_norm must be finite and >= 0, got {sup_norm}"):
+            KappaSpec(evaluate=lambda r: r, support=(0.1, 0.9), sup_norm=sup_norm)
+    # a NaN u gives a NaN Gamma(1 + iu), and with it a NaN sup_norm
+    with pytest.raises(ValueError, match="sup_norm must be finite and >= 0, got nan"):
+        kappa_imag(math.nan)
     with pytest.raises(ValueError, match=r"lo, hi: need 0 < lo < hi < 1, got lo=0.0, hi=0.9"):
         kappa_indicator(0.0, 0.9)
 
@@ -305,6 +309,36 @@ def test_eta_metric(euclid1):
     assert _eta_rows(euclid1, y, x).tolist() == [1.0]
 
 
+@pytest.mark.parametrize("d", [0, 4, -1, True, 2.0])
+def test_x1_dimension_outside_1_to_3_is_rejected(euclid1, torus, d):
+    # d = 0 once sent sample_local_pairs into an endless redraw of x1 = 0 and
+    # made product_grid a d = 1 grid; d = 4 reached _UNIT_BALL_VOLUME as a KeyError
+    calls = [
+        lambda: product_grid(torus, d=d),
+        lambda: sample_product_pairs(3, 0, euclid1, d=d),
+        lambda: sample_product_triples(3, 0, euclid1, d=d),
+        lambda: sample_local_pairs(2, 0, d=d),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"d: the x1 dimension must be 1, 2 or 3, got {d!r}")):
+            call()
+
+
+@pytest.mark.parametrize("n_x1", [0, 4])
+def test_points_without_1_to_3_x1_columns_are_rejected(euclid1, kid, n_x1):
+    # product points of R^d x R with d = 0 or 4: rows of 1 or 5 floats
+    x, y = np.full(n_x1 + 1, 0.5), np.full(n_x1 + 1, 0.3)
+    message = re.escape(f"points: need rows of d + 1 floats, x1 in R^d with d in 1..3, got rows of {n_x1 + 1}")
+    calls = [
+        lambda: kernel_Ktilde(x, y, kid, euclid1),
+        lambda: cz_growth_check(np.stack([x, y])[None], kid, euclid1),
+        lambda: cz_smooth_check(np.stack([x, y, y])[None], kid, euclid1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_ball_volume_product(euclid1):
     # |B_R(x1)| * mu(B_R(x2)) = 2R * 2R in R^1 x R^1
     x = np.array([[0.0, 0.0]])
@@ -365,9 +399,13 @@ _LEGENDRE = roots_legendre(products._N_R)  # the reference rule, independent of 
 
 
 def _r_rule(kappa):
-    lo, hi = kappa.support
+    """The logit r-rule written out: Gauss-Legendre in v = log(r / (1 - r)),
+    r = 1 / (1 + e^{-v}), omega = 1 - r = 1 / (1 + e^{v}), dr = r omega dv."""
+    a, b = (math.log(p / (1.0 - p)) for p in kappa.support)
     xi, w = _LEGENDRE
-    return 0.5 * (hi - lo) * xi + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+    v = 0.5 * (b - a) * xi + 0.5 * (b + a)
+    r, omega = 1.0 / (1.0 + np.exp(-v)), 1.0 / (1.0 + np.exp(v))
+    return r, omega, 0.5 * (b - a) * w * r * omega
 
 
 def _split(model, x):
@@ -378,9 +416,9 @@ def _split(model, x):
 def _ktilde_pointwise(x, y, kappa, model):
     """The comparison kernel of one pair, its r-quadrature written out."""
     (x1, x2), (y1, y2) = _split(model, x), _split(model, y)
-    r, w = _r_rule(kappa)
-    pk = model.kernel(-np.log(r), x2, y2)
-    return complex(np.sum(w * kappa(r) * _w_dr_raw(r, x1 - y1) * pk))
+    r, omega, w = _r_rule(kappa)
+    pk = model.kernel(-np.log1p(-omega), x2, y2)
+    return complex(np.sum(w * kappa(r) * _w_dr_raw(r, omega, x1 - y1) * pk))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -452,7 +490,7 @@ def test_gauss_legendre_rule_is_shared_and_read_only():
 
 def test_no_rule_rebuilt_per_call(monkeypatch, euclid1, torus, kid):
     # kernel audits and the T split reuse the cached rule instead of
-    # rebuilding the n_r-point rule on every call
+    # rebuilding the _N_R-point rule on every call
     builds = []
     build = spectral._legendre_rule
 
@@ -476,6 +514,18 @@ def test_no_rule_rebuilt_per_call(monkeypatch, euclid1, torus, kid):
     package = Path(spectral.__file__).parent
     callers = [p.name for p in package.glob("*.py") if "_legendre_rule(" in p.read_text()]
     assert callers == ["spectral.py"]
+    # nor does products map a rule onto an interval anywhere but in _r_quadrature,
+    # so a second r-rule cannot come back beside the logit one
+    tree = ast.parse((package / "products.py").read_text())
+    (rule,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_r_quadrature"]
+
+    def maps(node):
+        return [
+            call for call in ast.walk(node)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("_legendre_on", "gauss_legendre")
+        ]
+
+    assert len(maps(tree)) == len(maps(rule)) == 1
 
 
 def test_ktilde_growth_frozen(euclid1, kid):
@@ -493,7 +543,8 @@ def _heat_kernel_mp(model, t, z2):
         return (4 * mpmath.pi * t) ** (-mpmath.mpf(len(z2)) / 2) * mpmath.exp(-q / (4 * t))
     (z,) = z2
     if t < 0.5:
-        return sum(mpmath.exp(-((z + j) ** 2) / (4 * t)) for j in range(-12, 13)) / mpmath.sqrt(4 * mpmath.pi * t)
+        n = 2 + int(mpmath.sqrt(300 * t))  # for |z| < 1 an image past n adds less than e^-75 of the largest
+        return sum(mpmath.exp(-((z + j) ** 2) / (4 * t)) for j in range(-n, n + 1)) / mpmath.sqrt(4 * mpmath.pi * t)
     k2 = 4 * mpmath.pi**2 * t
     return 1 + 2 * sum(mpmath.exp(-k2 * k * k) * mpmath.cos(2 * mpmath.pi * k * z) for k in range(1, 4))
 
@@ -518,57 +569,53 @@ def _ktilde_mp(x, y, kappa, model):
         return complex(scale * mpmath.quad(lambda r: integrand(r) / scale, mpmath.linspace(lo, hi, 9)))
 
 
-# the audits' own support, and three that reach toward r = 0 or r = 1
-@pytest.mark.parametrize("support", [(0.1, 0.9), (0.05, 0.99), (0.5, 0.999), (0.01, 0.5)], ids=str)
-def test_ktilde_default_rule_matches_mpmath(support):
+# near-diagonal pairs made by hand: x = (0.5, 0.3) against y offset by 1e-2 or
+# 1e-3 in x1 or in x2, whose kernels have their features at 1 - r ~ 1e-4, 1e-6
+_NEAR_PAIRS = [
+    (np.array([0.5, 0.3]), np.array([0.5, 0.3]) + offset)
+    for offset in ([1e-2, 0.0], [1e-3, 0.0], [0.0, 1e-2], [0.0, 1e-3])
+]
+
+
+# the audits' own support, three that reach toward r = 0 or r = 1, and two
+# whose hi is within 1e-5 and 1e-6 of the singular point r = 1 (measured worst
+# 1.3e-13 and 1.5e-13: the residue of the rule's weights, ROADMAP item 9)
+_ORACLE_SUPPORTS = [
+    ((0.1, 0.9), 1e-13), ((0.05, 0.99), 1e-13), ((0.5, 0.999), 1e-13), ((0.01, 0.5), 1e-13),
+    ((0.5, 1.0 - 1e-5), 2e-13), ((0.05, 1.0 - 1e-6), 2e-13),
+]
+
+
+@pytest.mark.parametrize("support, rel", [pytest.param(*case, id=str(case[0])) for case in _ORACLE_SUPPORTS])
+def test_ktilde_default_rule_matches_mpmath(support, rel):
     # the default r-rule against a 30-digit quadrature, on each model's draw
     # as cz-estimates makes it at its default config and seed 0 (400 pairs,
     # x1 in R^1): the pairs farthest apart in x1 and in x2, and the pair
-    # nearest the diagonal.  That last pair is left out on [0.5, 0.999]: the singular
-    # point r = 1 of dW_r/dr and of the heat kernel lies 1e-3 past the
-    # support, and near the diagonal no rule of up to 512 nodes meets 1e-13
-    # there (96 nodes: 2e-6, 512 nodes: 7e-12), so such a kernel needs an n_r
-    # of its own
+    # nearest the diagonal; and on the hand-made near pairs
     kappa = kappa_indicator(*support)
     for model in (euclidean_heat_model(1), euclidean_heat_model(2), torus_heat_model()):
         pairs = sample_product_pairs(400, 0, model, d=1)
         x, y = pairs[:, 0], pairs[:, 1]
         picks = {int(np.argmax(np.abs(x[:, 0] - y[:, 0]))), int(np.argmax(model.zeta(x[:, 1:], y[:, 1:])))}
-        if support[1] < 0.999:
-            picks.add(int(np.argmin(_eta_rows(model, x, y))))
-        for i in sorted(picks):
-            got = kernel_Ktilde(x[i], y[i], kappa, model)
-            assert got == pytest.approx(_ktilde_mp(x[i], y[i], kappa, model), rel=1e-13, abs=0.0), (model.name, i)
+        picks.add(int(np.argmin(_eta_rows(model, x, y))))
+        near = _NEAR_PAIRS if model.dim == 1 else []
+        for xi, yi in [(x[i], y[i]) for i in sorted(picks)] + near:
+            got = kernel_Ktilde(xi, yi, kappa, model)
+            assert got == pytest.approx(_ktilde_mp(xi, yi, kappa, model), rel=rel, abs=0.0), (model.name, xi, yi)
 
 
-@pytest.mark.parametrize("n_r", [True, 2.5, 0, -3])
-def test_kernel_quadratures_reject_an_n_r_that_is_not_a_positive_integer(euclid1, torus, kid, n_r):
-    pairs = sample_product_pairs(4, 1, euclid1)
-    grid = product_grid(torus, d=1, k_max=6, n_y=16)
-    f = grid.function(np.ones(grid.shape[0] * grid.shape[1]))
-    calls = [
-        lambda: kernel_Ktilde(pairs[0, 0], pairs[0, 1], kid, euclid1, n_r=n_r),
-        lambda: cz_growth_check(pairs, kid, euclid1, n_r=n_r),
-        lambda: cz_smooth_check(sample_product_triples(4, 1, euclid1), kid, euclid1, n_r=n_r),
-        lambda: apply_T_split([f], kid, torus, grid, n_r=n_r),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match=re.escape(f"n_r must be a positive integer, got {n_r!r}")):
-            call()
-    # a NumPy integer is an integer
-    x, y = pairs[0]
-    assert kernel_Ktilde(x, y, kid, euclid1, n_r=np.int64(products._N_R)) == kernel_Ktilde(x, y, kid, euclid1)
-
-
-def test_every_n_r_defaults_to_the_shared_rule_size():
-    # read from the signatures, so a literal default cannot come back in one function only
-    defaults = {}
-    for name in products.__all__:
-        params = inspect.signature(getattr(products, name)).parameters
-        if "n_r" in params:
-            defaults[name] = params["n_r"].default
-    names = ["kernel_Ktilde", "apply_T_split", "cz_growth_check", "cz_smooth_check"]
-    assert defaults == dict.fromkeys(names, products._N_R)
+def test_ktilde_rule_doubling_agrees(monkeypatch):
+    # twice the nodes move no kernel value, near pairs and hi -> 1 included:
+    # the default rule is converged there
+    kappas = [kappa_indicator(0.1, 0.9), kappa_indicator(0.05, 1.0 - 1e-6)]
+    for model in (euclidean_heat_model(1), torus_heat_model()):
+        pairs = np.concatenate([sample_product_pairs(50, 0, model, d=1), np.stack([np.stack(p) for p in _NEAR_PAIRS])])
+        default = [products._ktilde_rows(pairs[:, 0], pairs[:, 1], kappa, model) for kappa in kappas]
+        with monkeypatch.context() as m:
+            m.setattr(products, "_N_R", 2 * products._N_R)
+            doubled = [products._ktilde_rows(pairs[:, 0], pairs[:, 1], kappa, model) for kappa in kappas]
+        for want, got in zip(doubled, default):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 # -- T split on the product grid -----------------------------------------------
@@ -579,9 +626,9 @@ def test_t_split_additivity_and_idempotence(torus, kid):
     grid = product_grid(torus, d=1, k_max=6, n_y=16)
     rng = np.random.default_rng(9)
     f = grid.function(rng.standard_normal(grid.shape[0] * grid.shape[1]))
-    ((loc, glob),) = apply_T_split([f], kid, torus, grid, n_r=128)
+    ((loc, glob),) = apply_T_split([f], kid, torus, grid)
     # a huge region cap makes every pair local: the full operator
-    ((full, rest),) = apply_T_split([f], kid, torus, grid, s=1e9, n_r=128)
+    ((full, rest),) = apply_T_split([f], kid, torus, grid, s=1e9)
     assert np.all(rest.values == 0.0)
     assert np.allclose(loc.values + glob.values, full.values, rtol=1e-12, atol=1e-14)
 
@@ -591,10 +638,10 @@ def test_t_split_stack_matches_single_calls(torus, kid):
     rng = np.random.default_rng(4)
     n = grid.shape[0] * grid.shape[1]
     fs = [grid.function(rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(3)]
-    stacked = apply_T_split(fs, kid, torus, grid, n_r=128)
+    stacked = apply_T_split(fs, kid, torus, grid)
     assert len(stacked) == 3
     for f, (loc, glob) in zip(fs, stacked):
-        ((loc1, glob1),) = apply_T_split([f], kid, torus, grid, n_r=128)
+        ((loc1, glob1),) = apply_T_split([f], kid, torus, grid)
         assert np.array_equal(loc.values, loc1.values)
         assert np.array_equal(glob.values, glob1.values)
 
@@ -607,7 +654,7 @@ def test_t_split_grid_mismatch(torus, kid):
         apply_T_split([bad], kid, torus, small)
 
 
-def _split_by_r_nodes(f, kappa, model, grid, mask, n_r):
+def _split_by_r_nodes(f, kappa, model, grid, mask):
     """Reference T split, the local part cut by the x1-pair mask: the
     r-quadrature summed node by node over dense Mehler-derivative and
     heat-kernel matrices, with no use of the circulant structure or the FFT."""
@@ -615,12 +662,12 @@ def _split_by_r_nodes(f, kappa, model, grid, mask, n_r):
     F = f.values.reshape(n1, n2)
     x1, y2 = grid.x1_points, grid.y_points
     leb = lebesgue_weights(x1, grid.x1_gamma_weights)
-    r, w = _r_quadrature(kappa, n_r)
+    r, omega, w = _r_quadrature(kappa)
     T_full = np.zeros(F.shape, dtype=complex)
     T_loc = np.zeros(F.shape, dtype=complex)
-    for ri, ki in zip(r, kappa(r) * w):
-        md = _mehler_dr_raw(float(ri), x1[:, None, :], x1[None, :, :])
-        pk = model.kernel(-math.log(ri), y2[:, None, :], y2[None, :, :])
+    for ri, oi, ki in zip(r, omega, kappa(r) * w):
+        md = _mehler_dr_raw(float(ri), float(oi), x1[:, None, :], x1[None, :, :])
+        pk = model.kernel(-math.log1p(-oi), y2[:, None, :], y2[None, :, :])
         right = F @ (pk * grid.y_weights[None, :]).T
         A = md * leb[None, :]
         T_full += ki * (A @ right)
@@ -681,9 +728,8 @@ def _check_split_against_r_nodes(model, kappa, grid, s, with_base, seed):
         # cutting twice changes nothing, so that is the split at s = 1/2
         mask &= local_mask(grid, 0.5)
         s = 0.5
-    # 100 r-nodes keep the node-by-node reference short
-    ((loc, glob),) = apply_T_split([f], kappa, model, grid, s=s, n_r=100)
-    want_loc, want_glob, scale = _split_by_r_nodes(f, kappa, model, grid, mask, n_r=100)
+    ((loc, glob),) = apply_T_split([f], kappa, model, grid, s=s)
+    want_loc, want_glob, scale = _split_by_r_nodes(f, kappa, model, grid, mask)
     assert scale > 0.0
     assert np.max(np.abs(loc.values - want_loc)) <= 1e-12 * scale
     assert np.max(np.abs(glob.values - want_glob)) <= 1e-12 * scale
@@ -696,21 +742,21 @@ def test_t_split_sums_one_x1_pair_per_symmetry_class(torus, kid, monkeypatch, k_
     # class {(i, j), (j, i), (n1-1-i, n1-1-j), (n1-1-j, n1-1-i)}, and nowhere else
     grid = product_grid(torus, d=1, k_max=k_max, n_y=n_y, n_x=n_x)
     index = {float(x): k for k, x in enumerate(grid.x1_points[:, 0])}
-    n_r, pairs, entries = 512, [], []
+    n_nodes, pairs, entries = products._N_R, [], []
 
-    def recording(r, x1, y1):
-        out = _mehler_gamma_dr_raw(r, x1, y1)
-        assert np.size(r) == n_r
+    def recording(r, omega, x1, y1):
+        out = _mehler_gamma_dr_raw(r, omega, x1, y1)
+        assert np.size(r) == np.size(omega) == n_nodes
         xb, yb = (p[..., 0].ravel().tolist() for p in np.broadcast_arrays(x1, y1))
         pairs.extend((index[x], index[y]) for x, y in zip(xb, yb))
         entries.append(out.size)
         return out
 
     monkeypatch.setattr(products, "_mehler_gamma_dr_raw", recording)
-    apply_T_split([grid.function(np.ones(n_x * n_y))], kid, torus, grid, n_r=n_r)
+    apply_T_split([grid.function(np.ones(n_x * n_y))], kid, torus, grid)
     assert sorted(pairs) == [(i, j) for i in range(n_x) for j in range(i, n_x - i)]
     assert len(pairs) == n_pairs
-    assert sum(entries) == n_pairs * n_r  # 2,129,920 at the default grid
+    assert sum(entries) == n_pairs * n_nodes  # 399,360 at the default grid
 
 
 @pytest.mark.parametrize(
@@ -866,10 +912,10 @@ def _di_mp(x1, y1):
 
 
 # (x1, y1, rel): sampled pairs, one near the boundary of N_2 (0.99 of the
-# cutoff), small |x1| in d = 1 and 3, and a near-diagonal pair.  Its
-# features sit at 1 - r ~ 1e-8, where a double r carries about 8 digits:
-# it meets the oracle to 3e-13, and the error grows as the pair nears the
-# diagonal (1.3e-9 at |x1 - y1| = 1e-6)
+# cutoff), small |x1| in d = 1 and 3, and near-diagonal pairs, whose features
+# sit at 1 - r ~ |x1 - y1|^2, down to 1e-12.  D_I runs in omega = 1 - r there,
+# and each near pair meets the oracle to 2.5e-16 or better (measured: 1.5e-16
+# at |x1 - y1| = 1e-4 and 1e-5, exact at 1e-6, 2.4e-16 for the d = 2 pair)
 _DI_ORACLE_PAIRS = [
     (*sample_local_pairs(65, 321, d=2)[64], 1e-12),
     (*sample_local_pairs(13, 99, d=1)[12], 1e-12),
@@ -877,6 +923,9 @@ _DI_ORACLE_PAIRS = [
     ([1e-3], [0.3], 1e-12),
     ([1e-3, 0.0, 0.0], [0.2, 0.1, -0.2], 1e-12),
     ([0.5], [0.5001], 1e-11),
+    ([0.5], [0.50001], 1e-12),
+    ([0.5], [0.500001], 1e-12),
+    ([0.5, 0.1], [0.5, 0.1001], 1e-12),
 ]
 
 
