@@ -14,6 +14,8 @@ against central finite differences.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
@@ -67,6 +69,9 @@ def hermite_basis(k_max: int, n_nodes: int | None = None) -> tuple[np.ndarray, n
     The weights are those of the Gaussian probability measure, so they sum to 1.
     At most 370 nodes: from 371 NumPy's ``hermgauss`` underflows to a zero
     weight, and from 372 to NaN weights.
+
+    Built once per node count on first use and shared by every caller, so
+    both arrays are read-only.
     """
     if n_nodes is None:
         n_nodes = default_node_count(k_max)
@@ -74,8 +79,16 @@ def hermite_basis(k_max: int, n_nodes: int | None = None) -> tuple[np.ndarray, n
         raise ValueError(f"n_nodes: need at least k_max+1 = {k_max + 1} Gauss-Hermite nodes, got {n_nodes}")
     if n_nodes > _MAX_HERMITE_NODES:
         raise ValueError(f"n_nodes: at most {_MAX_HERMITE_NODES} Gauss-Hermite nodes, got {n_nodes}")
-    nodes, w = hermgauss(n_nodes)
-    return nodes, w / np.sqrt(np.pi)
+    return _hermite_rule(n_nodes)
+
+
+@lru_cache(maxsize=32)
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, w = hermgauss(n)
+    weights = w / np.sqrt(np.pi)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def default_node_count(k_max: int) -> int:

@@ -20,6 +20,7 @@ no integrand forms 1 - r from r.  D_I runs in omega for the same reason.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -439,22 +440,27 @@ def product_grid(model: HeatKernelModel, d: int = 1, k_max: int = 12, n_y: int =
 _N_R = 96
 
 
-def _r_quadrature(kappa: KappaSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The r-rule on kappa's support as (r, omega, w): omega = 1 - r and dr = r omega dv.
+def _r_quadrature(kappa: KappaSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The r-rule on kappa's support as (r, omega, t, w): omega = 1 - r, t = -log r, dr = r omega dv.
 
     Gauss-Legendre in v = logit r = log(r / (1 - r)) on [logit lo, logit hi],
     r = 1 / (1 + e^{-v}) and omega = 1 / (1 + e^{v}), each to full relative
     accuracy.  A kernel's r-integrand has its features at 1 - r ~ eta^2 for a
     pair eta apart, next to its singular point r = 1; in v they spread over a
     few units, and an integrand that takes omega in place of 1 - r keeps its
-    digits there.
+    digits there.  At a node with r < 1.1e-16 omega rounds to 1, so there
+    r = e^v and t = -v, both exact to rounding and finite down to the
+    smallest subnormal lo.
     """
     if not kappa.compact:
         raise ValueError("kernel quadrature needs kappa with compact support inside (0, 1)")
     v, w = _legendre_on(*(math.log(p / (1.0 - p)) for p in kappa.support), _N_R)
-    r = 1.0 / (1.0 + np.exp(-v))
     omega = 1.0 / (1.0 + np.exp(v))
-    return r, omega, w * r * omega
+    resolved = omega < 1.0
+    r, t = np.exp(v), -v
+    r[resolved] = 1.0 / (1.0 + np.exp(-v[resolved]))
+    t[resolved] = -np.log1p(-omega[resolved])
+    return r, omega, t, w * r * omega
 
 
 # the batched kernel quadratures take point pairs in blocks against all r-nodes
@@ -477,8 +483,7 @@ def _ktilde_rows(x, y, kappa: KappaSpec, model: HeatKernelModel) -> np.ndarray:
     quadrature, so batched and one-pair values agree bit for bit.
     """
     (x1, x2), (y1, y2) = _columns(model, x), _columns(model, y)
-    r, omega, w = _r_quadrature(kappa)
-    t = -np.log1p(-omega)  # -log r
+    r, omega, t, w = _r_quadrature(kappa)
     weight = w * kappa(r)
     out = np.empty(len(x1), dtype=complex)
     for blk in _pair_blocks(len(x1)):
@@ -575,11 +580,11 @@ def apply_T_split(
     # B.w^Leb = K.w^gamma: the kernel against gamma takes the gamma weights
     weights = np.broadcast_to(grid.x1_gamma_weights, (n1, n1))
     mask = local_mask(grid, s)
-    r, omega, w = _r_quadrature(kappa)
+    r, omega, t, w = _r_quadrature(kappa)
     # B_xi = B_{-xi}: the frequencies 0..n2 // 2 carry every kernel
     n_f = n2 // 2 + 1
     neg = -np.arange(n_f) % n2
-    coef = _heat_spectrum(model, grid.y_points, -np.log1p(-omega)) * (kappa(r) * w)
+    coef = _heat_spectrum(model, grid.y_points, t) * (kappa(r) * w)
     coef = np.concatenate([coef.real, coef.imag])  # the complex r-sum as one real product
     F = np.stack([g.values.reshape(n1, n2) for g in fs])
     G = np.fft.fft(F * grid.y_weights, axis=-1)
@@ -752,49 +757,124 @@ def cz_smooth_check(triples, kappa: KappaSpec, model: HeatKernelModel) -> CZEsti
 _SAMPLE_SD = 1.5
 
 
+# SeedSequence's hash (numpy/random/bit_generator.pyx): mix_entropy's and
+# generate_state's multiplicative hashes and the pool mix, all mod 2^32
+_MASK32 = 0xFFFFFFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _child_seed_words(seed: int, n: int) -> np.ndarray:
+    """The PCG64 seed words of SeedSequence(seed).spawn(n) as an (n, 4) uint64 array.
+
+    Child i hashes the entropy words of seed (zero-padded to the pool size 4)
+    followed by its spawn key i, then draws generate_state(4, np.uint64).
+    The hash constants step the same way whatever the data, so the words
+    every child shares run as Python ints and the spawn key as one uint32
+    array, each step on all children at once.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed: expected a non-negative integer, got {seed}")
+    run = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = run + [0] * (4 - len(run)) + [np.arange(n, dtype=np.uint32)]
+    const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        xor, const = const, const * _HASH_MULT_A & _MASK32
+        value = (value ^ xor) * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return out ^ out >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _HASH_INIT_B
+    state = np.empty((n, 8), dtype=np.uint32)
+    for k in range(8):
+        xor, const = const, const * _HASH_MULT_B & _MASK32
+        value = (pool[k % 4] ^ xor) * const & _MASK32
+        state[:, k] = value ^ value >> 16
+    return state.astype("<u4").view("<u8")
+
+
 def _child_rngs(seed: int, n: int):
-    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
+    """The n child streams of SeedSequence(seed).spawn(n), in order, as one reused Generator.
+
+    Each step yields the same Generator, its PCG64 state set to what
+    default_rng(SeedSequence(seed).spawn(n)[i]) starts from: PCG64 seeds
+    itself with two 128-bit LCG steps from the words of _child_seed_words.
+    The next step re-seeds it, so a caller draws from step i's stream only
+    within step i and keeps no reference to it: use it as the iterable of a
+    for loop, directly or through zip or enumerate.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for s_hi, s_lo, i_hi, i_lo in _child_seed_words(seed, n).tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
-def _draw_pair(rng: np.random.Generator, model: HeatKernelModel, d: int, out: np.ndarray) -> None:
-    """One (x, y) draw on R^d x Y into the rows out[0] and out[1]: x1 and y1 first, then x2 and y2."""
-    (x1, x2), (y1, y2) = _columns(model, out[0]), _columns(model, out[1])
-    x1[:], y1[:] = rng.normal(0.0, _SAMPLE_SD, d), rng.normal(0.0, _SAMPLE_SD, d)
-    if model.torus:
-        x2[:], y2[:] = rng.uniform(0.0, 1.0, 1), rng.uniform(0.0, 1.0, 1)
-    else:
-        x2[:] = rng.normal(0.0, _SAMPLE_SD, model.dim)
-        y2[:] = rng.normal(0.0, _SAMPLE_SD, model.dim)
+def _sample_points(n: int, seed: int, model: HeatKernelModel, d: int, triples: bool):
+    """The (x, y) of n samples as an (n, 2, d + model.dim) array, and for triples each one's v and u.
+
+    Sample i draws from child stream i, in the order x1, y1, x2, y2 and then
+    v and u = (u1, u2): one call for its consecutive normals and one for
+    the torus's uniform x2 and y2.  The columns go into place for all rows at once.
+    """
+    _check_x1_dim(d)
+    k = d + model.dim
+    n_normal = 2 * d if model.torus else 2 * k
+    xy = np.empty((n, 2 * k))
+    v, u = np.empty(n), np.empty((n, k))
+    for i, rng in enumerate(_child_rngs(seed, n)):
+        xy[i, :n_normal] = rng.normal(0.0, _SAMPLE_SD, n_normal)
+        if model.torus:
+            xy[i, n_normal:] = rng.uniform(0.0, 1.0, 2)
+        if triples:
+            v[i] = rng.uniform(0.2, 1.0)
+            u[i] = rng.normal(0.0, 1.0, k)
+    out = np.empty((n, 2, k))
+    out[..., :d] = xy[:, :2 * d].reshape(n, 2, d)
+    out[..., d:] = xy[:, 2 * d:].reshape(n, 2, model.dim)
+    return out, v, u
 
 
 def sample_product_pairs(n: int, seed: int, model: HeatKernelModel, d: int = 1) -> np.ndarray:
     """Random (x, y) pairs on R^d x Y for the growth audit, as an (n, 2, d + model.dim) array."""
-    _check_x1_dim(d)
-    out = np.empty((n, 2, d + model.dim))
-    for rng, pair in zip(_child_rngs(seed, n), out):
-        _draw_pair(rng, model, d, pair)
-    return out
+    return _sample_points(n, seed, model, d, triples=False)[0]
 
 
 def sample_product_triples(n: int, seed: int, model: HeatKernelModel, d: int = 1) -> np.ndarray:
     """Random (x, y, y') triples with y' a small perturbation of y, as an (n, 3, d + model.dim) array."""
-    _check_x1_dim(d)
-    out = np.empty((n, 3, d + model.dim))
-    v = np.empty(n)
-    u = np.empty((n, d + model.dim))
+    xy, v, u = _sample_points(n, seed, model, d, triples=True)
+    x, y = xy[:, 0], xy[:, 1]
     u1, u2 = _columns(model, u)
-    # the draws do not depend on eta: only they run triple by triple
-    for i, rng in enumerate(_child_rngs(seed, n)):
-        _draw_pair(rng, model, d, out[i])
-        v[i] = rng.uniform(0.2, 1.0)
-        u1[i], u2[i] = rng.normal(0.0, 1.0, d), rng.normal(0.0, 1.0, model.dim)
-    x, y, yp = np.moveaxis(out, 1, 0)
     scale = 0.25 * _eta_rows(model, x, y) * v
     # |u|^2 from one dot product per row and factor: the stacked matmul rounds
     # like u1 @ u1, where a sum over the row can differ in the last bit
     sq = (u1[:, None, :] @ u1[:, :, None] + u2[:, None, :] @ u2[:, :, None])[:, 0, 0]
-    yp[...] = y + scale[:, None] * u / np.sqrt(sq)[:, None]
-    return out
+    return np.stack([x, y, y + scale[:, None] * u / np.sqrt(sq)[:, None]], axis=1)
 
 
 def sample_local_pairs(n: int, seed: int, d: int = 2):

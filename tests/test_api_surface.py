@@ -259,3 +259,23 @@ def test_no_library_option_only_tests_set():
     assert wired == [], f"passed by a package call now, drop them from _UNPASSED: {wired}"
     prefixes = ("ROADMAP item ", "benchmark tracer: ", "entry point")
     assert all(reason.startswith(prefixes) for reason in _UNPASSED.values())
+
+
+def test_child_streams_are_only_looped_over():
+    # products._child_rngs yields one Generator, re-seeded at every step, so
+    # a caller that kept it would draw from a later child's stream: each
+    # package use is the iterable of a for statement, directly or through
+    # zip or enumerate
+    calls, looped = [], []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and node.id == "_child_rngs":
+                calls.append((path.name, node.lineno, node.col_offset))
+            elif isinstance(node, ast.For):
+                it = node.iter
+                wrapped = isinstance(it, ast.Call) and getattr(it.func, "id", None) in ("zip", "enumerate")
+                for arg in it.args if wrapped else [it]:
+                    if isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "_child_rngs":
+                        looped.append((path.name, arg.func.lineno, arg.func.col_offset))
+    assert looped, "no package loop over _child_rngs"
+    assert sorted(calls) == sorted(looped), "uses of _child_rngs outside a for loop's iterable"

@@ -56,6 +56,23 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert kappa == "1.9173100715259903 (1.551185960340718+1.126898410158095j)"
 
 
+def test_cli_import_leaves_numpy_random_unloaded():
+    # NumPy loads numpy.random lazily, on first use: a module-level np.random
+    # reference in the package would put that import (about 18 ms) into every
+    # CLI start; the seeded experiments load it when they draw
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, specmult.cli\n"
+        "print('numpy.random' in sys.modules)\n"
+        "from specmult.products import sample_product_pairs, torus_heat_model\n"
+        "sample_product_pairs(2, 0, torus_heat_model())\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
+
+
 # -- config files and validation ----------------------------------------------
 
 

@@ -3,7 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
+from specmult import ouhermite
 from specmult.ouhermite import (
     _mehler_dr_raw,
     _mehler_gamma_dr_raw,
@@ -16,6 +18,7 @@ from specmult.ouhermite import (
     mehler_kernel,
     ou_system,
 )
+from specmult.products import product_grid, torus_heat_model
 from specmult.spectral import MultiplierSpec, apply_multiplier, reconstruct
 
 
@@ -255,6 +258,32 @@ def test_mehler_gamma_dr_matches_mpmath_and_the_lebesgue_kernel(d):
                 xs, ys = ([mpmath.mpf(float(v)) for v in x[n]] for n in (i, j))
                 want = float(mpmath.diff(lambda t: _gamma_kernel_mp(t, xs, ys), rk))
             assert kd[k, i, j] == pytest.approx(want, rel=1e-12)
+
+
+def test_hermite_basis_rule_is_shared_and_read_only(monkeypatch):
+    # built once per node count and shared: a second call returns the same
+    # read-only arrays, hermgauss scaled to the Gaussian measure, and the OU
+    # system and the product grid of one size build one rule between them
+    builds = []
+
+    def counting(n):
+        builds.append(n)
+        return hermgauss(n)
+
+    monkeypatch.setattr(ouhermite, "hermgauss", counting)
+    ouhermite._hermite_rule.cache_clear()
+    try:
+        nodes, weights = hermite_basis(16, 40)
+        want_nodes, want_w = hermgauss(40)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_w / np.sqrt(np.pi))
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        again = hermite_basis(12, 40)
+        assert again[0] is nodes and again[1] is weights
+        ou_system(1, 16, 40)
+        product_grid(torus_heat_model(), 1, 16, 8, n_x=40)
+        assert builds == [40]
+    finally:
+        ouhermite._hermite_rule.cache_clear()  # drop the rules built through the patched name
 
 
 def test_hermite_basis_rejects_node_counts_numpy_cannot_weight():

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -618,6 +619,36 @@ def test_ktilde_rule_doubling_agrees(monkeypatch):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+def test_r_rule_stays_finite_as_lo_reaches_zero():
+    # omega rounds to 1 at the nodes with r < 1.1e-16: there r = e^v and
+    # t = -v, so no node gives an infinite heat time, an overflowing image
+    # count or an overflowing e^{-v}, down to a subnormal lo; every node with
+    # omega < 1 keeps the bits of the written-out rule
+    r, omega, t, w = _r_quadrature(kappa_indicator(0.1, 0.9))
+    want_r, want_omega, want_w = _r_rule(kappa_indicator(0.1, 0.9))
+    assert np.array_equal(r, want_r) and np.array_equal(omega, want_omega) and np.array_equal(w, want_w)
+    assert np.array_equal(t, -np.log1p(-want_omega))
+    x, y = np.array([0.5, 0.3]), np.array([0.6, 0.35])
+    for lo in (1e-17, 1e-300, 1e-320):
+        kappa = kappa_indicator(lo, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, omega, t, w = _r_quadrature(kappa)
+            assert all(np.all(np.isfinite(a)) for a in (r, omega, t, w))
+            for model in (euclidean_heat_model(1), torus_heat_model()):
+                assert np.isfinite(kernel_Ktilde(x, y, kappa, model))
+            grid = product_grid(torus_heat_model(), d=1, k_max=6, n_y=16)
+            f = grid.function(np.cos(np.arange(grid.shape[0] * grid.shape[1])))
+            ((loc, glob),) = apply_T_split([f], kappa, torus_heat_model(), grid)
+            assert np.all(np.isfinite(loc.values)) and np.all(np.isfinite(glob.values))
+    # the r-integrand of Ktilde carries a factor r, so what lies below 1e-10 is
+    # far below the rule's accuracy (measured 1.1e-14 and 9.6e-15)
+    for model in (euclidean_heat_model(1), torus_heat_model()):
+        want = kernel_Ktilde(x, y, kappa_indicator(1e-10, 0.5), model)
+        got = kernel_Ktilde(x, y, kappa_indicator(1e-17, 0.5), model)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 # -- T split on the product grid -----------------------------------------------
 
 
@@ -662,7 +693,7 @@ def _split_by_r_nodes(f, kappa, model, grid, mask):
     F = f.values.reshape(n1, n2)
     x1, y2 = grid.x1_points, grid.y_points
     leb = lebesgue_weights(x1, grid.x1_gamma_weights)
-    r, omega, w = _r_quadrature(kappa)
+    r, omega, _, w = _r_quadrature(kappa)
     T_full = np.zeros(F.shape, dtype=complex)
     T_loc = np.zeros(F.shape, dtype=complex)
     for ri, oi, ki in zip(r, omega, kappa(r) * w):
@@ -985,8 +1016,9 @@ def test_cz_smooth_frozen_and_stable(euclid1, kid):
 
 
 def _triples_row_by_row(n, seed, model, d):
-    """sample_product_triples written out one triple at a time, each row's
-    eta, scale and y' formed from that row alone."""
+    """sample_product_triples written out one triple at a time: each from its
+    own default_rng of SeedSequence(seed).spawn(n), one draw call per point
+    and factor, and each row's eta, scale and y' formed from that row alone."""
     out = np.empty((n, 3, d + model.dim))
     for child, (x, y, yp) in zip(np.random.SeedSequence(seed).spawn(n), out):
         rng = np.random.default_rng(child)
@@ -1005,13 +1037,36 @@ def _triples_row_by_row(n, seed, model, d):
     return out
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_triple_sampler_is_the_row_by_row_formula(euclid1, torus, d):
-    # the sampler draws triple by triple and forms eta, the scale and y' for
-    # all rows at once; every row must keep the bits of its own formula
+    # the samplers draw each sample's normals in one call from the package's
+    # own child streams and form the columns, eta, the scale and y' for all
+    # rows at once; every row must keep the bits of NumPy's child stream
+    # drawn call by call and of its own formula.  A pair is the first two
+    # points of the triple drawn from the same stream.
     for model in (euclid1, euclidean_heat_model(2), torus):
         for seed in (8, 13):
-            assert np.array_equal(sample_product_triples(300, seed, model, d=d), _triples_row_by_row(300, seed, model, d))
+            want = _triples_row_by_row(300, seed, model, d)
+            assert np.array_equal(sample_product_triples(300, seed, model, d=d), want)
+            assert np.array_equal(sample_product_pairs(300, seed, model, d=d), want[:, :2])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 3**90])
+def test_child_rngs_are_seed_sequence_spawn(seed):
+    # the hashed seed words give each child the PCG64 state NumPy's own
+    # SeedSequence.spawn gives it, for seeds of one to five 32-bit words (3**90
+    # has more than the pool holds); if NumPy ever changes SeedSequence, this
+    # fails here instead of letting every seeded report drift
+    for n in (1, 2, 1000):
+        want = [np.random.PCG64(child).state for child in np.random.SeedSequence(seed).spawn(n)]
+        got, rngs = [], set()
+        for rng in products._child_rngs(seed, n):
+            got.append(rng.bit_generator.state)
+            rngs.add(id(rng))
+        assert got == want
+        assert len(rngs) == 1  # one Generator, re-seeded at every step
+    with pytest.raises(ValueError, match="seed"):
+        next(products._child_rngs(-1, 1))
 
 
 def test_sampler_prefix_stability(euclid1, torus):
