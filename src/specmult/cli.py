@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -92,95 +92,100 @@ class NumericalFailure(RuntimeError):
 
 # -- configuration -----------------------------------------------------------
 
+# A config field states its range once: ``read`` checks a raw value against it
+# and ``doc`` words it for the usage error.
+
 
 @dataclass(frozen=True)
-class _Field:
+class _Int:
+    """An integer in lo..hi; with ``pow2``, a power of two there."""
+
     default: str
-    parse: Callable[[str], object]
-    check: Callable[[object], bool]
-    doc: str
+    lo: int
+    hi: int
+    pow2: bool = False
+
+    def read(self, raw: str) -> int:
+        value = int(raw)
+        if not self.lo <= value <= self.hi or self.pow2 and value & (value - 1):
+            raise ValueError(raw)
+        return value
+
+    @property
+    def doc(self) -> str:
+        return f"{'a power of two' if self.pow2 else 'an integer'} in {self.lo}..{self.hi}"
 
 
-def _int_range(lo: int, hi: int) -> Callable[[object], bool]:
-    return lambda v: lo <= v <= hi
+@dataclass(frozen=True)
+class _Orders(_Int):
+    """Comma-separated orders, each in lo..hi, and at most ``most`` of them if it is set."""
+
+    most: int | None = None
+
+    def read(self, raw: str) -> tuple[int, ...]:
+        value = tuple(_Int.read(self, part) for part in raw.split(","))
+        if self.most and len(value) > self.most:
+            raise ValueError(raw)
+        return value
+
+    @property
+    def doc(self) -> str:
+        most = f"at most {self.most} " if self.most else ""
+        return f"{most}comma-separated orders, each in {self.lo}..{self.hi}"
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError("expected a boolean")
+@dataclass(frozen=True)
+class _Real:
+    """A real in the open interval (lo, hi)."""
+
+    default: str
+    lo: float
+    hi: float
+
+    def read(self, raw: str) -> float:
+        value = float(raw)
+        if not self.lo < value < self.hi:  # NaN included
+            raise ValueError(raw)
+        return value
+
+    @property
+    def doc(self) -> str:
+        return f"a real in ({self.lo:g}, {self.hi:g})"
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(","))
+@dataclass(frozen=True)
+class _Name:
+    """A ``what``: one of the names ``names()`` gives, asked for only when a value is read."""
+
+    default: str
+    what: str
+    names: Callable[[], Iterable[str]]
+
+    def read(self, raw: str) -> str:
+        if raw not in self.names():
+            raise ValueError(raw)
+        return raw
+
+    @property
+    def doc(self) -> str:
+        return f"{self.what}, one of " + ", ".join(self.names())
+
+
+@dataclass(frozen=True)
+class _Bool:
+    """true, yes, 1 or on; false, no, 0 or off; in any case."""
+
+    default: str
+    doc = "true/false"
+
+    def read(self, raw: str) -> bool:
+        word = raw.strip().lower()
+        if word not in ("true", "yes", "1", "on", "false", "no", "0", "off"):
+            raise ValueError(raw)
+        return word in ("true", "yes", "1", "on")
 
 
 _ONE_ARG_BUILTINS = ("one", "riesz1", "imag", "imag_decay", "log_bump")
-
-_SCHEMAS: Mapping[str, Mapping[str, _Field]] = {
-    "marcinkiewicz": {
-        "multiplier": _Field(
-            "riesz2", str, lambda v: v in BUILTIN_MULTIPLIERS, "a built-in multiplier name"
-        ),
-        "rho": _Field(
-            "1,1",
-            _parse_int_list,
-            lambda v: len(v) >= 1 and all(0 <= r <= 4 for r in v),
-            "comma-separated orders, each in 0..4",
-        ),
-    },
-    "mellin-decay": {
-        "multiplier": _Field(
-            "one", str, lambda v: v in _ONE_ARG_BUILTINS, "a one-variable built-in multiplier"
-        ),
-        "rho": _Field("1", int, _int_range(1, 3), "an integer order in 1..3"),
-        "u_count": _Field("25", int, _int_range(5, 200), "number of u samples in 5..200"),
-        "svg": _Field("false", _parse_bool, lambda v: True, "true/false"),
-    },
-    "square-function": {
-        "n_order": _Field(
-            "1",
-            _parse_int_list,
-            lambda v: 1 <= len(v) <= 2 and all(1 <= e <= 4 for e in v),
-            "one or two comma-separated exponents in 1..4",
-        ),
-        "k_max": _Field("12", int, _int_range(4, 40), "an integer in 4..40"),
-        "trials": _Field("20", int, _int_range(1, 200), "an integer in 1..200"),
-    },
-    "riesz-cross-check": {
-        "trials": _Field("5", int, _int_range(1, 50), "an integer in 1..50"),
-        "k_max": _Field("12", int, _int_range(4, 24), "an integer in 4..24"),
-        "n_x": _Field("128", int, _int_range(32, 256), "an integer in 32..256"),
-        "n_max": _Field("3", int, _int_range(1, 8), "an integer in 1..8"),
-        "n_y": _Field("32", int, _int_range(8, 128), "an integer in 8..128"),
-    },
-    "cz-estimates": {
-        "model_dim": _Field("1", int, _int_range(1, 2), "1 or 2"),
-        "pairs": _Field("200", int, _int_range(10, 2000), "an integer in 10..2000"),
-    },
-    "cz-decompose": {
-        "fixture": _Field("step", str, lambda v: v in ("step", "random"), "step or random"),
-        "threshold": _Field("1.0", float, lambda v: 0 < v < math.inf, "a positive finite real"),
-        # 64 random fibers take about 0.4 s at 8192 on 2 vCPUs, about 2x more per doubling
-        "grid": _Field(
-            "256", int, lambda v: 8 <= v <= 8192 and v & (v - 1) == 0, "a power of two in 8..8192"
-        ),
-        "fibers": _Field("1", int, _int_range(1, 64), "an integer in 1..64"),
-    },
-    "norm-estimate": {
-        "operator": _Field(
-            "riesz", str, lambda v: v in operator_registry(), "a registered operator id"
-        ),
-        "p": _Field("2.0", float, lambda v: 1.0 < v < math.inf, "a real in (1, inf)"),
-        "trials": _Field("20", int, _int_range(1, 500), "an integer in 1..500"),
-    },
-}
-
-# kinds whose experiments draw random samples and therefore need a seed
-_SAMPLED = ("square-function", "riesz-cross-check", "cz-estimates", "norm-estimate")
 
 
 @dataclass(frozen=True)
@@ -221,40 +226,26 @@ def build_config(
     seed: int | None = None,
     out: str | None = None,
 ) -> ExperimentConfig:
-    if kind not in _SCHEMAS:
+    if kind not in _EXPERIMENTS:
         raise UsageError(f"kind: unknown experiment {kind!r}")
-    schema = _SCHEMAS[kind]
-    raw = {name: field.default for name, field in schema.items()}
+    experiment = _EXPERIMENTS[kind]
+    raw = {name: field.default for name, field in experiment.fields.items()}
     reserved: dict[str, str] = {}
     for source in (file_values or {}), (overrides or {}):
         for key, value in source.items():
             if key in ("seed", "out"):
                 reserved[key] = value
-            elif key in schema:
+            elif key in experiment.fields:
                 raw[key] = value
             else:
                 raise UsageError(f"{key}: not a parameter of {kind}")
 
     params: dict[str, object] = {}
-    for name, field in schema.items():
+    for name, field in experiment.fields.items():
         try:
-            value = field.parse(raw[name])
+            params[name] = field.read(raw[name])
         except ValueError:
             raise UsageError(f"{name}: expected {field.doc} (got {raw[name]!r})") from None
-        if not field.check(value):
-            raise UsageError(f"{name}: expected {field.doc} (got {raw[name]!r})")
-        params[name] = value
-    if kind == "riesz-cross-check":
-        # the torus band needs at least 2*n_max + 2 grid points
-        if params["n_y"] < 2 * params["n_max"] + 2:
-            raise UsageError(
-                f"n_y: expected at least 2*n_max + 2 = {2 * params['n_max'] + 2} (got {params['n_y']})"
-            )
-        # below 2*k_max + 8 Gauss-Hermite nodes the kernel path misses the 1e-5 agreement
-        if params["n_x"] < 2 * params["k_max"] + 8:
-            raise UsageError(
-                f"n_x: expected at least 2*k_max + 8 = {2 * params['k_max'] + 8} (got {params['n_x']})"
-            )
 
     if seed is None and "seed" in reserved:
         try:
@@ -263,7 +254,7 @@ def build_config(
             raise UsageError(f"seed: expected an integer (got {reserved['seed']!r})") from None
     if seed is not None and seed < 0:
         raise UsageError("seed: must be non-negative")
-    if seed is None and (kind in _SAMPLED or params.get("fixture") == "random"):
+    if seed is None and experiment.seeded(params):
         raise UsageError("seed: required for sampled experiments")
     if out is None:
         out = reserved.get("out", f"reports/{kind}")
@@ -376,7 +367,8 @@ def estimate_pnorm(operator: str, p: float, trials: int, seed: int) -> NormEstim
 
 # -- experiments --------------------------------------------------------------
 
-Tables = dict[str, tuple[list[str], list[list]]]
+# name -> a CSV table (header, rows) written to name.csv, or text written to the file name
+Tables = dict[str, tuple[list[str], list[list]] | str]
 
 
 def _run_marcinkiewicz(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
@@ -414,22 +406,14 @@ def _run_mellin_decay(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
     }
     tables: Tables = {"decay": (["u", "sup_abs"], rows)}
     if cfg.param("svg"):
-        tables["decay_fit_svg"] = (["__svg__"], _decay_svg_rows(report))
+        fit = report.constant * (1.0 + report.u_grid) ** (-report.rho)
+        curves = {"measured": report.sup_abs, "envelope": fit}
+        tables["decay_fit.svg"] = _svg_line_chart(report.u_grid, curves, "Mellin decay of sup_t |M(m_{N,t})|")
     return results, invariants, tables
 
 
-def _decay_svg_rows(report) -> list[list]:
-    fit = report.constant * (1.0 + report.u_grid) ** (-report.rho)
-    svg = _svg_line_chart(
-        report.u_grid,
-        {"measured": report.sup_abs, "envelope": fit},
-        title="Mellin decay of sup_t |M(m_{N,t})|",
-    )
-    return [[svg]]
-
-
 def _svg_line_chart(x: np.ndarray, curves: dict[str, np.ndarray], title: str) -> str:
-    """A minimal static log-log polyline chart; no plotting dependency."""
+    """A minimal static log-log polyline chart, as SVG text; no plotting dependency."""
     width, height, pad = 640, 400, 50
     lx = np.log10(np.asarray(x, dtype=float))
     all_y = np.concatenate([np.maximum(np.asarray(y, dtype=float), 1e-300) for y in curves.values()])
@@ -455,7 +439,7 @@ def _svg_line_chart(x: np.ndarray, curves: dict[str, np.ndarray], title: str) ->
             f'<text x="{width - pad + 4}" y="{sy(ly[-1]):.2f}" font-size="11" '
             f'fill="{color}">{label}</text>'
         )
-    parts.append("</svg>")
+    parts.append("</svg>\n")
     return "\n".join(parts)
 
 
@@ -505,10 +489,16 @@ def _riesz_spectral_side(cfg: ExperimentConfig, kappa) -> tuple[list, list, floa
 
 
 def _run_riesz_cross_check(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
+    n_x, k_max, n_max, n_y = (cfg.param(name) for name in ("n_x", "k_max", "n_max", "n_y"))
+    # the torus band needs at least 2*n_max + 2 grid points
+    if n_y < 2 * n_max + 2:
+        raise UsageError(f"n_y: expected at least 2*n_max + 2 = {2 * n_max + 2} (got {n_y})")
+    # below 2*k_max + 8 Gauss-Hermite nodes the kernel path misses the 1e-5 agreement
+    if n_x < 2 * k_max + 8:
+        raise UsageError(f"n_x: expected at least 2*k_max + 8 = {2 * k_max + 8} (got {n_x})")
     kappa = kappa_indicator(0.1, 0.9)
     model = torus_heat_model()
-    n_x, k_max = cfg.param("n_x"), cfg.param("k_max")
-    grid = product_grid(model, d=1, k_max=k_max, n_y=cfg.param("n_y"), n_x=n_x)
+    grid = product_grid(model, d=1, k_max=k_max, n_y=n_y, n_x=n_x)
     fs, g_spec, resid = _riesz_spectral_side(cfg, kappa)
     splits = apply_T_split(fs, kappa, model, grid)  # one r-quadrature for all trials
     rows = []
@@ -651,14 +641,73 @@ def _run_norm_estimate(cfg: ExperimentConfig) -> tuple[dict, dict, Tables]:
     return results, invariants, {"trials": (["trial", "ratio"], rows)}
 
 
-_EXPERIMENTS: Mapping[str, Callable[[ExperimentConfig], tuple[dict, dict, Tables]]] = {
-    "marcinkiewicz": _run_marcinkiewicz,
-    "mellin-decay": _run_mellin_decay,
-    "square-function": _run_square_function,
-    "riesz-cross-check": _run_riesz_cross_check,
-    "cz-estimates": _run_cz_estimates,
-    "cz-decompose": _run_cz_decompose,
-    "norm-estimate": _run_norm_estimate,
+class _Experiment:
+    """One experiment kind: its runner, whether given params need a seed, and its fields in order."""
+
+    def __init__(
+        self,
+        runner: Callable[[ExperimentConfig], tuple[dict, dict, Tables]],
+        seeded: Callable[[Mapping[str, object]], bool],
+        **fields: _Int | _Real | _Name | _Bool,
+    ):
+        self.runner = runner
+        self.seeded = seeded
+        self.fields = fields
+
+
+_EXPERIMENTS: dict[str, _Experiment] = {
+    "marcinkiewicz": _Experiment(
+        _run_marcinkiewicz,
+        lambda params: False,
+        multiplier=_Name("riesz2", "a built-in multiplier name", lambda: BUILTIN_MULTIPLIERS),
+        rho=_Orders("1,1", 0, 4),
+    ),
+    "mellin-decay": _Experiment(
+        _run_mellin_decay,
+        lambda params: False,
+        multiplier=_Name("one", "a one-variable built-in multiplier", lambda: _ONE_ARG_BUILTINS),
+        rho=_Int("1", 1, 3),
+        u_count=_Int("25", 5, 200),
+        svg=_Bool("false"),
+    ),
+    "square-function": _Experiment(
+        _run_square_function,
+        lambda params: True,
+        n_order=_Orders("1", 1, 4, most=2),
+        k_max=_Int("12", 4, 40),
+        trials=_Int("20", 1, 200),
+    ),
+    "riesz-cross-check": _Experiment(
+        _run_riesz_cross_check,
+        lambda params: True,
+        trials=_Int("5", 1, 50),
+        k_max=_Int("12", 4, 24),
+        n_x=_Int("128", 32, 256),
+        n_max=_Int("3", 1, 8),
+        n_y=_Int("32", 8, 128),
+    ),
+    "cz-estimates": _Experiment(
+        _run_cz_estimates,
+        lambda params: True,
+        model_dim=_Int("1", 1, 2),
+        pairs=_Int("200", 10, 2000),
+    ),
+    "cz-decompose": _Experiment(
+        _run_cz_decompose,
+        lambda params: params["fixture"] == "random",
+        fixture=_Name("step", "a fixture", lambda: ("step", "random")),
+        threshold=_Real("1.0", 0.0, math.inf),
+        # 64 random fibers take about 0.4 s at 8192 on 2 vCPUs, about 2x more per doubling
+        grid=_Int("256", 8, 8192, pow2=True),
+        fibers=_Int("1", 1, 64),
+    ),
+    "norm-estimate": _Experiment(
+        _run_norm_estimate,
+        lambda params: True,
+        operator=_Name("riesz", "a registered operator id", operator_registry),
+        p=_Real("2.0", 1.0, math.inf),
+        trials=_Int("20", 1, 500),
+    ),
 }
 
 
@@ -697,9 +746,8 @@ def run(config: ExperimentConfig) -> dict:
     a UsageError.
     """
     start = time.perf_counter()
-    runner = _EXPERIMENTS[config.kind]
     try:
-        results, invariants, tables = runner(config)
+        results, invariants, tables = _EXPERIMENTS[config.kind].runner(config)
     except (EvaluationError, MellinTailError, ATLViolation, FloatingPointError) as exc:
         raise NumericalFailure(str(exc)) from exc
     for key, value in results.items():
@@ -709,10 +757,11 @@ def run(config: ExperimentConfig) -> dict:
     try:
         out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
-        for name, (header, rows) in tables.items():
-            if header == ["__svg__"]:
-                (out / f"{name.removesuffix('_svg')}.svg").write_text(rows[0][0] + "\n")
+        for name, table in tables.items():
+            if isinstance(table, str):
+                (out / name).write_text(table)
                 continue
+            header, rows = table
             with open(out / f"{name}.csv", "w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(header)
@@ -743,8 +792,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run spectral-multiplier experiments and write CSV/JSON reports.",
     )
     sub = parser.add_subparsers(dest="kind", required=True, metavar="EXPERIMENT")
-    for kind, schema in _SCHEMAS.items():
-        fields = ", ".join(f"{n} (default {f.default})" for n, f in schema.items())
+    for kind, experiment in _EXPERIMENTS.items():
+        fields = ", ".join(f"{n} (default {f.default})" for n, f in experiment.fields.items())
         p = sub.add_parser(kind, help=f"parameters: {fields}")
         p.add_argument("--config", metavar="PATH", help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="RNG seed for sampled experiments")

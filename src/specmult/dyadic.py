@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import _check_size
+
 __all__ = [
     "CZBad",
     "CZResult",
@@ -62,7 +64,7 @@ class DyadicSystem:
 
     def __post_init__(self):
         if self.n < 8 or self.n & (self.n - 1):
-            raise ValueError("grid size must be a power of two, at least 8")
+            raise ValueError(f"n: grid size must be a power of two, at least 8, got {self.n}")
 
     @property
     def l_max(self) -> int:
@@ -110,6 +112,7 @@ class DyadicSystem:
 
 
 def dyadic_system(n: int = 256) -> DyadicSystem:
+    _check_size("n", n, 0)
     return DyadicSystem(n=int(n))
 
 
@@ -209,8 +212,8 @@ def cz_decompose(f, s: float, system: DyadicSystem) -> CZResult:
         With ``good`` shaped as f and bad parts merged by cube identity
         across fibers.
     """
-    if s <= 0:
-        raise ValueError("threshold s must be positive")
+    if not s > 0:  # NaN included
+        raise ValueError(f"threshold s must be positive, got {s!r}")
     arr = np.asarray(f)
     if arr.shape[-1] != system.n:
         raise ValueError("last axis of f must match the system grid")
@@ -254,6 +257,10 @@ def weak_quasinorm(values, weights) -> float:
     w = np.asarray(weights, dtype=float).ravel()
     if a.shape != w.shape:
         raise ValueError(f"weights: expected one per value ({a.size}), got {w.size}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("values: expected finite values")
+    if not np.all((w >= 0) & np.isfinite(w)):
+        raise ValueError("weights: expected finite non-negative weights")
     order = np.argsort(a)[::-1]
     a = a[order]
     cum = np.cumsum(w[order])

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .spectral import GridFunction, SpectralSystem, _pair_rows
+from .spectral import GridFunction, SpectralSystem, _check_size, _pair_rows
 
 __all__ = [
     "hermite_basis",
@@ -73,6 +73,7 @@ def hermite_basis(k_max: int, n_nodes: int | None = None) -> tuple[np.ndarray, n
     Built once per node count on first use and shared by every caller, so
     both arrays are read-only.
     """
+    _check_size("k_max", k_max, 0)
     if n_nodes is None:
         n_nodes = default_node_count(k_max)
     if n_nodes < k_max + 1:

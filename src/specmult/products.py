@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ouhermite import _mehler_dr_raw, _mehler_gamma_dr_raw, _mehler_kernel_raw, _product_grid, _w_dr_raw, hermite_basis
-from .spectral import GridFunction, MultiplierSpec, SpectralSystem, _legendre_on, _pair_rows
+from .spectral import GridFunction, MultiplierSpec, SpectralSystem, _check_size, _legendre_on, _pair_rows
 
 __all__ = [
     "KappaSpec",
@@ -323,8 +323,7 @@ def torus_system(n_max: int, n_grid: int | None = None) -> SpectralSystem:
     s = 1 is sqrt(2) sin(2 pi n x); eigenvalue (2 pi n)^2.  Dropping the
     constant mode keeps the spectrum of A strictly positive.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _check_size("n_max", n_max, 1)
     if n_grid is None:
         n_grid = max(8 * n_max, 32)
     if n_grid < 2 * n_max + 2:
@@ -439,6 +438,13 @@ def product_grid(model: HeatKernelModel, d: int = 1, k_max: int = 12, n_y: int =
 # move no kernel value by 1e-12 (tests/test_products.py).
 _N_R = 96
 
+# the r-rule starts here on supports reaching further down: both kernel
+# r-integrands stay bounded as r -> 0, so the part of a support below the
+# floor is at most 2**-52 of that bound, while the 96 logit nodes spread
+# over the whole support would lose digits (745 units of logit r at the
+# smallest subnormal lo)
+_R_FLOOR = 2.0**-52
+
 
 def _r_quadrature(kappa: KappaSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The r-rule on kappa's support as (r, omega, t, w): omega = 1 - r, t = -log r, dr = r omega dv.
@@ -448,19 +454,18 @@ def _r_quadrature(kappa: KappaSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     accuracy.  A kernel's r-integrand has its features at 1 - r ~ eta^2 for a
     pair eta apart, next to its singular point r = 1; in v they spread over a
     few units, and an integrand that takes omega in place of 1 - r keeps its
-    digits there.  At a node with r < 1.1e-16 omega rounds to 1, so there
-    r = e^v and t = -v, both exact to rounding and finite down to the
-    smallest subnormal lo.
+    digits there.  A lo below ``_R_FLOOR`` is raised to it, so omega < 1 at
+    every node; a support whose hi does not reach above it is a ValueError.
     """
     if not kappa.compact:
         raise ValueError("kernel quadrature needs kappa with compact support inside (0, 1)")
-    v, w = _legendre_on(*(math.log(p / (1.0 - p)) for p in kappa.support), _N_R)
+    lo, hi = kappa.support
+    if hi <= _R_FLOOR:
+        raise ValueError(f"kernel quadrature needs kappa's support to reach above r = 2**-52, got {kappa.support}")
+    v, w = _legendre_on(*(math.log(p / (1.0 - p)) for p in (max(lo, _R_FLOOR), hi)), _N_R)
+    r = 1.0 / (1.0 + np.exp(-v))
     omega = 1.0 / (1.0 + np.exp(v))
-    resolved = omega < 1.0
-    r, t = np.exp(v), -v
-    r[resolved] = 1.0 / (1.0 + np.exp(-v[resolved]))
-    t[resolved] = -np.log1p(-omega[resolved])
-    return r, omega, t, w * r * omega
+    return r, omega, -np.log1p(-omega), w * r * omega
 
 
 # the batched kernel quadratures take point pairs in blocks against all r-nodes

@@ -119,6 +119,12 @@ def _pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])
 
 
+def _check_size(name: str, value, least: int) -> None:
+    """Reject a system size that is not an integer of at least ``least``, naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name}: expected an integer >= {least}, got {value!r}")
+
+
 def _quadrature_rule(points, weights) -> tuple[np.ndarray, np.ndarray]:
     """A quadrature rule as (n, dim) float points and n positive float weights."""
     weights = np.asarray(weights, dtype=float)

@@ -154,12 +154,12 @@ def test_negative_seed_rejected():
         ("cz-decompose", "grid", "100", "a power of two"),
         ("cz-decompose", "grid", "abc", "a power of two.*got 'abc'"),
         ("cz-decompose", "grid", "1073741824", "a power of two in 8..8192"),
-        ("cz-decompose", "threshold", "inf", "a positive finite real"),
+        ("cz-decompose", "threshold", "inf", "a real in \\(0, inf\\)"),
         ("marcinkiewicz", "rho", "1,5", "comma-separated orders, each in 0..4"),
         ("marcinkiewicz", "multiplier", "mystery", "a built-in multiplier name"),
-        ("mellin-decay", "u_count", "3", "number of u samples in 5..200"),
+        ("mellin-decay", "u_count", "3", "an integer in 5..200"),
         ("mellin-decay", "svg", "maybe", "true/false"),
-        ("square-function", "n_order", "1,2,3", "one or two comma-separated exponents"),
+        ("square-function", "n_order", "1,2,3", "at most 2 comma-separated orders, each in 1..4"),
     ],
 )
 def test_field_validation_names_the_field(kind, key, value, doc):
@@ -468,7 +468,7 @@ def test_main_unwritable_out_exit(tmp_path, monkeypatch, capsys, kind):
         raise AssertionError("the experiment ran")
 
     # out is checked before the experiment starts
-    monkeypatch.setitem(cli._EXPERIMENTS, "cz-decompose", never)
+    monkeypatch.setattr(cli._EXPERIMENTS["cz-decompose"], "runner", never)
     blocker = tmp_path / "report"
     blocker.write_text("not a directory\n")
     out = blocker if kind == "existing-file" else blocker / "sub"
@@ -498,7 +498,7 @@ def test_main_numerical_failure_exit(tmp_path, monkeypatch, capsys):
     def blow_up(cfg):
         raise EvaluationError("multiplier overflowed")
 
-    monkeypatch.setitem(cli._EXPERIMENTS, "cz-decompose", blow_up)
+    monkeypatch.setattr(cli._EXPERIMENTS["cz-decompose"], "runner", blow_up)
     rc = main(["cz-decompose", "--out", str(tmp_path / "r")])
     assert rc == 3
     assert capsys.readouterr().err == "numerical failure: multiplier overflowed\n"
@@ -506,8 +506,8 @@ def test_main_numerical_failure_exit(tmp_path, monkeypatch, capsys):
 
 
 def test_main_nonfinite_result_exit(tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(
-        cli._EXPERIMENTS, "cz-decompose", lambda cfg: ({"gap": math.nan}, {}, {})
+    monkeypatch.setattr(
+        cli._EXPERIMENTS["cz-decompose"], "runner", lambda cfg: ({"gap": math.nan}, {}, {})
     )
     rc = main(["cz-decompose", "--out", str(tmp_path / "r")])
     assert rc == 3
@@ -515,9 +515,9 @@ def test_main_nonfinite_result_exit(tmp_path, monkeypatch, capsys):
 
 
 def test_main_failed_invariant_exit(tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(
-        cli._EXPERIMENTS,
-        "cz-decompose",
+    monkeypatch.setattr(
+        cli._EXPERIMENTS["cz-decompose"],
+        "runner",
         lambda cfg: ({"value": 1.0}, {"holds": True, "breaks": False}, {}),
     )
     out = tmp_path / "r"
@@ -587,3 +587,81 @@ def test_riesz_cross_check_frees_its_system_before_the_split(tmp_path, monkeypat
     finally:
         tracemalloc.stop()
     assert len(peaks) == 1 and peaks[0] < 9e6
+
+
+# -- schema corners -------------------------------------------------------------
+
+# corner configs that exit 4, each with the ROADMAP item that owns it and its
+# FOUND: line in CHANGES.md; an entry must leave once its config passes
+_CORNERS_EXIT_4 = {
+    ("cz-estimates", "pairs", "10", 0): "ROADMAP item 12, CHANGES.md FOUND: line 28",
+    ("cz-estimates", "model_dim", "2", 0): "ROADMAP item 12, CHANGES.md FOUND: line 60",
+}
+
+# corner configs too slow for tier-1, each with its cost (2 vCPUs)
+_CORNERS_NOT_RUN = {
+    # 25 riesz2 seminorms on the 6.9M-point grid; exits 0
+    ("marcinkiewicz", "rho", "4,4"): "7.5 s a run",
+}
+
+
+def _corners(field) -> tuple[list[str], list[str]]:
+    """The raw values at each end of a field's range, and values just outside it."""
+    if isinstance(field, cli._Real):
+        # open ends: the end itself lies just outside, the next float just inside
+        inside = [repr(math.nextafter(field.lo, math.inf)), repr(math.nextafter(field.hi, -math.inf))]
+        return inside, [repr(field.lo), repr(field.hi)]
+    if isinstance(field, cli._Orders):
+        count = len(field.default.split(","))
+        counts = sorted({count, field.most or count})
+        inside = [",".join([str(end)] * n) for n in counts for end in (field.lo, field.hi)]
+        too_many = [",".join([str(field.lo)] * (field.most + 1))] if field.most else []
+        return inside, [str(field.lo - 1), str(field.hi + 1), *too_many]
+    if isinstance(field, cli._Int):
+        return [str(field.lo), str(field.hi)], [str(field.lo - 1), str(field.hi + 1)]
+    if isinstance(field, cli._Name):
+        names = list(field.names())
+        return [names[0], names[-1]], ["no-such-name"]
+    assert isinstance(field, cli._Bool)
+    return ["true", "false"], ["maybe"]
+
+
+def _corner_cases():
+    """(kind, field name, raw value, seed, accepted) for every corner; seed 1 only where it draws."""
+    for kind, experiment in cli._EXPERIMENTS.items():
+        for name, field in experiment.fields.items():
+            inside, outside = _corners(field)
+            for value in inside:
+                params = build_config(kind, overrides={name: value}, seed=0).params
+                for seed in (0, 1) if experiment.seeded(params) else (0,):
+                    yield kind, name, value, seed, True
+            for value in outside:
+                yield kind, name, value, 0, False
+
+
+def test_every_schema_corner_runs_or_names_a_field(tmp_path, capsys):
+    # each field at each end of its range, the others at their defaults:
+    # exit 0, or a usage error that names a field; just outside the range, a
+    # usage error that names that field; never a traceback
+    exit_4, not_run = set(), set()
+    for i, (kind, name, value, seed, accepted) in enumerate(_corner_cases()):
+        if (kind, name, value) in _CORNERS_NOT_RUN:
+            not_run.add((kind, name, value))
+            continue
+        config = f"{kind} {name}={value} at seed {seed}"
+        argv = [kind, "--seed", str(seed), "--out", str(tmp_path / str(i)), "--override", f"{name}={value}"]
+        try:
+            rc = main(argv)
+        except Exception as exc:
+            pytest.fail(f"{config} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, config
+        named = err.removeprefix("usage error: ").partition(":")[0]
+        if (kind, name, value, seed) in _CORNERS_EXIT_4:
+            assert rc == 4, f"{config} exits {rc} now: drop it from _CORNERS_EXIT_4"
+            exit_4.add((kind, name, value, seed))
+        elif accepted:
+            assert rc == 0 or rc == 2 and named in cli._EXPERIMENTS[kind].fields, f"{config} exits {rc}: {err}"
+        else:
+            assert rc == 2 and named == name, f"{config} exits {rc}: {err}"
+    assert exit_4 == set(_CORNERS_EXIT_4) and not_run == set(_CORNERS_NOT_RUN)

@@ -126,6 +126,13 @@ def test_cz_constant_below_threshold(sys256):
     assert np.array_equal(res.good, f)
 
 
+@pytest.mark.parametrize("s", [np.nan, 0.0, -1.0])
+def test_cz_rejects_a_threshold_that_is_not_positive(sys256, s):
+    # `s <= 0` let NaN through: no cube exceeds it, so good = f with no error
+    with pytest.raises(ValueError, match="threshold s must be positive"):
+        cz_decompose(step_quarter(sys256.n), s, sys256)
+
+
 def test_cz_step_fixture(sys256):
     # level-0 average is 1 <= s, level-1 cube [0, 1/2) has average 2 > s
     n = sys256.n
@@ -317,6 +324,23 @@ def test_weak_quasinorm_edge_cases(sys256):
 def test_weak_quasinorm_names_mismatched_weights(sys256):
     with pytest.raises(ValueError, match=r"weights: expected one per value \(256\), got 4"):
         weak_quasinorm(np.ones(sys256.n), sys256.weights[:4])
+
+
+@pytest.mark.parametrize(
+    ("values", "weights", "named"),
+    [
+        ([np.nan, 1.0], [0.5, 0.5], "values"),
+        ([np.inf, 1.0], [0.5, 0.5], "values"),
+        ([1.0, 1.0], [0.5, -0.5], "weights"),
+        ([1.0, 1.0], [0.5, np.nan], "weights"),
+        ([1.0, 1.0], [0.5, np.inf], "weights"),
+    ],
+)
+def test_weak_quasinorm_rejects_invalid_input(values, weights, named):
+    # a NaN value used to drop out of the sort, and a negative weight gave 0.0
+    with pytest.raises(ValueError, match=f"^{named}: expected finite"):
+        weak_quasinorm(values, weights)
+    assert weak_quasinorm([2.0, 1.0], [0.0, 0.5]) == 0.5
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

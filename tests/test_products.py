@@ -620,33 +620,47 @@ def test_ktilde_rule_doubling_agrees(monkeypatch):
 
 
 def test_r_rule_stays_finite_as_lo_reaches_zero():
-    # omega rounds to 1 at the nodes with r < 1.1e-16: there r = e^v and
-    # t = -v, so no node gives an infinite heat time, an overflowing image
-    # count or an overflowing e^{-v}, down to a subnormal lo; every node with
-    # omega < 1 keeps the bits of the written-out rule
+    # a lo below 2**-52 is raised to it, so omega < 1 at every node and no
+    # node gives an infinite heat time, an overflowing image count or an
+    # overflowing e^{-v}, down to a subnormal lo; the default rule keeps the
+    # bits of the written-out rule
     r, omega, t, w = _r_quadrature(kappa_indicator(0.1, 0.9))
     want_r, want_omega, want_w = _r_rule(kappa_indicator(0.1, 0.9))
     assert np.array_equal(r, want_r) and np.array_equal(omega, want_omega) and np.array_equal(w, want_w)
     assert np.array_equal(t, -np.log1p(-want_omega))
     x, y = np.array([0.5, 0.3]), np.array([0.6, 0.35])
-    for lo in (1e-17, 1e-300, 1e-320):
+    models = (euclidean_heat_model(1), torus_heat_model())
+    grid = product_grid(torus_heat_model(), d=1, k_max=6, n_y=16)
+    f = grid.function(np.random.default_rng(0).standard_normal(grid.shape[0] * grid.shape[1]))
+
+    def split(lo):
+        ((loc, glob),) = apply_T_split([f], kappa_indicator(lo, 0.5), torus_heat_model(), grid)
+        return loc.values + glob.values
+
+    # the r-integrand of Ktilde carries a factor r, so what lies below 1e-10 is
+    # far below the rule's accuracy (measured 8.0e-15 and 7.2e-15); the T
+    # split's is only bounded, so its reference support starts at 1e-14
+    # (measured 4.3e-14; before the floor 2.0e-3 to 3.4e-1 off at these lo)
+    want_k = [kernel_Ktilde(x, y, kappa_indicator(1e-10, 0.5), model) for model in models]
+    want_t = split(1e-14)
+    for lo in (1e-17, 1e-100, 1e-200, 1e-300, 1e-320, 5e-324):
         kappa = kappa_indicator(lo, 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r, omega, t, w = _r_quadrature(kappa)
+            assert np.all(omega < 1.0)
             assert all(np.all(np.isfinite(a)) for a in (r, omega, t, w))
-            for model in (euclidean_heat_model(1), torus_heat_model()):
-                assert np.isfinite(kernel_Ktilde(x, y, kappa, model))
-            grid = product_grid(torus_heat_model(), d=1, k_max=6, n_y=16)
-            f = grid.function(np.cos(np.arange(grid.shape[0] * grid.shape[1])))
-            ((loc, glob),) = apply_T_split([f], kappa, torus_heat_model(), grid)
-            assert np.all(np.isfinite(loc.values)) and np.all(np.isfinite(glob.values))
-    # the r-integrand of Ktilde carries a factor r, so what lies below 1e-10 is
-    # far below the rule's accuracy (measured 1.1e-14 and 9.6e-15)
-    for model in (euclidean_heat_model(1), torus_heat_model()):
-        want = kernel_Ktilde(x, y, kappa_indicator(1e-10, 0.5), model)
-        got = kernel_Ktilde(x, y, kappa_indicator(1e-17, 0.5), model)
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            for model, want in zip(models, want_k):
+                assert kernel_Ktilde(x, y, kappa, model) == pytest.approx(want, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(split(lo), want_t, rtol=0.0, atol=1e-12 * np.max(np.abs(want_t)))
+
+
+def test_r_rule_rejects_a_support_below_its_floor():
+    with pytest.raises(ValueError, match=r"support to reach above r = 2\*\*-52, got \(1e-300, 1e-20\)"):
+        _r_quadrature(kappa_indicator(1e-300, 1e-20))
+    with pytest.raises(ValueError, match="support to reach above"):
+        _r_quadrature(kappa_indicator(1e-300, 2.0**-52))
+    assert np.all(np.isfinite(_r_quadrature(kappa_indicator(1e-300, 2.0**-51))[0]))
 
 
 # -- T split on the product grid -----------------------------------------------

@@ -10,7 +10,8 @@ from scipy.special import roots_legendre
 from specmult import spectral
 from specmult.cli import _ou16, _ou_torus, _square_system
 from specmult.multipliers import builtin_multiplier, square_function
-from specmult.ouhermite import hermite_eval, ou_system
+from specmult.dyadic import dyadic_system
+from specmult.ouhermite import hermite_basis, hermite_eval, ou_system
 from specmult.products import torus_system
 from specmult.spectral import (
     CapacityError,
@@ -517,3 +518,29 @@ def test_gauss_legendre_at_odd_n_moves_only_weights():
 def test_gauss_legendre_rejects_a_non_positive_n():
     with pytest.raises(ValueError, match="n must be a positive integer"):
         gauss_legendre(0)
+
+
+@pytest.mark.parametrize(
+    ("build", "named"),
+    [
+        (lambda: ou_system(1, -1), "k_max"),
+        (lambda: ou_system(1, 1.5), "k_max"),
+        (lambda: ou_system(2, True), "k_max"),
+        (lambda: hermite_basis(-1), "k_max"),
+        (lambda: torus_system(1.5), "n_max"),
+        (lambda: torus_system(0), "n_max"),
+        (lambda: dyadic_system(16.5), "n"),
+        (lambda: dyadic_system(np.float64(16.0)), "n"),
+    ],
+)
+def test_system_sizes_must_be_integers(build, named):
+    # these gave a bare IndexError or TypeError, a 48-node rule for k_max = -1,
+    # or a dyadic system of int(n) points
+    with pytest.raises(ValueError, match=f"^{named}: expected an integer >= "):
+        build()
+
+
+def test_system_sizes_take_numpy_integers():
+    assert len(ou_system(1, np.int64(3))) == 4
+    assert len(torus_system(np.int32(2))) == 4
+    assert dyadic_system(np.int64(16)).n == 16
