@@ -26,9 +26,11 @@ from typing import Iterator
 import numpy as np
 
 from .spectral import (
+    EvaluationError,
     GridFunction,
     MultiplierSpec,
     SpectralSystem,
+    _check_size,
     _coefficients,
     _legendre_on,
     _trapezoid,
@@ -79,8 +81,9 @@ class DyadicRange:
     seed: int = 7
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
+        _check_size("K", self.K, 1)
+        _check_size("n_offdyadic", self.n_offdyadic, 0)
+        _check_size("seed", self.seed, 0)
 
     def radii(self) -> np.ndarray:
         R = 2.0 ** np.arange(-self.K, self.K + 1)
@@ -105,11 +108,6 @@ _CAUCHY_RADIUS = 0.5  # that circle's radius relative to lam
 _TILE_POINTS = 1 << 14  # grid points per seminorm tile: each temporary fits in 256 KiB, so malloc reuses it
 
 
-def _axis_outer(factors) -> np.ndarray:
-    """The product of per-axis 1-d factors on their tensor grid, last axis fastest."""
-    return functools.reduce(np.multiply.outer, factors).ravel()
-
-
 def _axis_rows(axes) -> np.ndarray:
     """The tensor grid of the 1-d axes as (n, d) rows, last axis fastest.
 
@@ -122,45 +120,46 @@ def _axis_rows(axes) -> np.ndarray:
     return cols.reshape(len(axes), -1).T
 
 
-def _partial_values(m: MultiplierSpec, gamma, axes) -> np.ndarray:
-    """lam^0-free partial derivative values d^gamma m on the tensor grid of axes.
+def _partial_values(m: MultiplierSpec, gamma: tuple[int, ...], axes) -> tuple[np.ndarray, float]:
+    """(v, c) with c v = lam^gamma d^gamma m on the tensor grid of axes.
 
     For d = 1 and a multiplier with ``sector_evaluate``, the Cauchy integral
     on the circle |z - lam| = rho lam, rho = _CAUCHY_RADIUS, by the
     trapezoid rule on _CAUCHY_NODES nodes theta_j:
-    d^k m(lam) = k! (rho lam)^{-k} mean_j m(lam (1 + rho e^{i theta_j})) e^{-i k theta_j},
+    lam^k d^k m(lam) = k! rho^{-k} mean_j m(lam (1 + rho e^{i theta_j})) e^{-i k theta_j},
     reduced over the node axis row by row, so a row does not depend on the tile.
     Otherwise the tensor central-difference stencil with per-axis relative
     steps h_j = _STEP_REL * lam_j, nodes lam_j + (g_j/2 - i) h_j and weights
-    (-1)^i C(g_j, i), last axis fastest.  Steps, shifted nodes and the
-    divisor prod_j h_j^g_j are formed on the axes; only the multiplier sees
-    (n, d) rows.
+    (-1)^i C(g_j, i), last axis fastest: lam^gamma / h^gamma is the constant
+    c = _STEP_REL^{-|gamma|}.  v is the weighted sum of multiplier values and
+    c depends only on m and gamma, so a caller scales once, not per point.
+    Shifted nodes are formed on the axes; only the multiplier sees (n, d) rows.
     """
-    gamma = tuple(int(g) for g in gamma)
     if not any(gamma):
-        return m(_axis_rows(axes))
+        return m(_axis_rows(axes)), 1.0
     if len(gamma) == 1 and m.sector_evaluate is not None:
         (k,), (lam,) = gamma, axes
         theta = 2.0 * math.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES
         z = np.multiply.outer(lam, 1.0 + _CAUCHY_RADIUS * np.exp(1j * theta))
         vals = m.sector_evaluate(z.reshape(-1, 1)).reshape(z.shape)
-        return (vals * np.exp(-1j * k * theta)).mean(axis=1) * (
-            math.factorial(k) / (_CAUCHY_RADIUS * lam) ** k
-        )
+        return (vals * np.exp(-1j * k * theta)).mean(axis=1), math.factorial(k) / _CAUCHY_RADIUS**k
     h = [_STEP_REL * a for a in axes]
     stencil = [[(g / 2.0 - i, (-1.0) ** i * math.comb(g, i)) for i in range(g + 1)] for g in gamma]
-    vals = None  # the first term sets the dtype: a real multiplier stays real
+    vals = None  # the first node's weight is 1, and its term sets the dtype: a real multiplier stays real
     for node in itertools.product(*stencil):
         offset, coeff = zip(*node)
         term = m(_axis_rows([a + o * hj for a, o, hj in zip(axes, offset, h)]))
-        term *= math.prod(coeff)
+        coeff = math.prod(coeff)
         if vals is None:
             vals = term
-        else:
+        elif coeff == 1.0:
             vals += term
-    # scalar exponents: NumPy squares for g = 2, where an exponent array would call pow
-    vals /= _axis_outer([hj**g for hj, g in zip(h, gamma)])
-    return vals
+        elif coeff == -1.0:
+            vals -= term
+        else:
+            term *= coeff
+            vals += term
+    return vals, _STEP_REL ** -sum(gamma)
 
 
 def marcinkiewicz_seminorm(
@@ -174,16 +173,19 @@ def marcinkiewicz_seminorm(
     Per-axis Gauss-Legendre in log lam on the d-fold tensor grid, evaluated
     one radius of the first axis at a time.  Each radius block is filled in
     tiles of a few first-axis nodes against the full axes of the others, so
-    every temporary stays near _TILE_POINTS points; the weight
-    prod_j lam_j^gamma_j and the stencil are formed on the axes.  Each block
-    contracts its node axes but the first, and the stacked (n_R, n_gl, ...)
-    blocks contract the first node axis in one product.  Exact
-    2-homogeneity in m.
+    every temporary stays near _TILE_POINTS points; the stencil is formed on
+    the axes, and the constant scale of _partial_values is applied once, to
+    the largest box.  Each block contracts its node axes but the first, and
+    the stacked (n_R, n_gl, ...) blocks contract the first node axis in one
+    product.  Exact 2-homogeneity in m.
     """
-    gamma = tuple(int(g) for g in gamma)
     d = m.arity
+    gamma = tuple(gamma)
     if len(gamma) != d:
         raise ValueError("gamma must have one entry per multiplier argument")
+    for g in gamma:
+        _check_size("gamma", g, 0)
+    gamma = tuple(int(g) for g in gamma)
     if d > 2:
         raise NotImplementedError("seminorm implemented for d <= 2")
     R = dyadic.radii()
@@ -195,15 +197,13 @@ def marcinkiewicz_seminorm(
     for first in lam_axis.reshape(len(R), n_gl):
         box = np.empty((n_gl,) + (len(R), n_gl) * (d - 1))
         for i in range(0, n_gl, rows):
-            axes = [first[i : i + rows]] + [lam_axis] * (d - 1)
-            vals = _partial_values(m, gamma, axes)
-            vals *= _axis_outer([a**g for a, g in zip(axes, gamma)])
+            vals, scale = _partial_values(m, gamma, [first[i : i + rows]] + [lam_axis] * (d - 1))
             np.square(np.abs(vals), out=box[i : i + rows].reshape(-1))  # a view: box is C-contiguous
         for axis in range(2 * d - 2, 0, -2):  # contract the other node axes, last first
             box = np.moveaxis(box, axis, -1) @ wq
         blocks.append(box)
     box = np.moveaxis(np.stack(blocks), 1, -1) @ wq
-    return float(box.max() * math.log(2.0) ** d)
+    return float(box.max() * scale**2 * math.log(2.0) ** d)
 
 
 # -- Mellin transform -------------------------------------------------------
@@ -230,20 +230,32 @@ def _check_tails(g: np.ndarray, s: np.ndarray, w: np.ndarray, what: str):
         )
 
 
+def _frequencies(u, name: str, least: int = 0) -> np.ndarray:
+    """u as a 1-d float array of at least ``least`` finite frequencies, or a ValueError naming it."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or u.size < least or not np.isfinite(u).all():
+        what = f"at least {least} finite frequencies" if least else "finite frequencies"
+        raise ValueError(f"{name}: expected a 1-d array of {what}, got shape {u.shape}")
+    return u
+
+
 def mellin_on_grid(m: MultiplierSpec, u_values: np.ndarray) -> np.ndarray:
-    """Vectorized 1-d Mellin transform on many frequencies, on the log grid."""
+    """Vectorized 1-d Mellin transform on a 1-d array of finite frequencies, on the log grid."""
     if m.arity != 1:
         raise ValueError("mellin_on_grid handles d = 1")
+    u_values = _frequencies(u_values, "u_values")
     s, w = _log_grid()
     g = m(np.exp(s)[:, None])
     _check_tails(g, s, w, "mellin integrand")
-    return _fourier_rows(np.asarray(u_values, dtype=float), s, w * g)
+    return _fourier_rows(u_values, s, w * g)
 
 
 # frequencies per phase block: the complex (block, len(s)) matrix e^{-ius}
-# is at most 26 MB on the 2^14-node log grid
-_U_BLOCK = 100
+# is at most 10.5 MB on the 2^14-node log grid, and 8 MB at decay_check's cut
+_U_BLOCK = 40
 _EXP_ZERO = 750.0  # np.exp(-x) is exactly 0.0 for every x >= ~745.2
+# orders below it keep (t lam)**N finite up to every cut (log of the largest double: 709.78)
+_N_MAX = 709.0 / math.log(_EXP_ZERO)
 
 
 def _phase_blocks(u: np.ndarray, s: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
@@ -303,9 +315,13 @@ def decay_check(
     smooth multipliers vary slowly in t).  u_grid is a 1-d array of finite
     frequencies with at least two distinct ones in its top decade, where the
     slope is fitted.  Each t sums only the nodes below its cut
-    t lam < _EXP_ZERO, past which every term is an exact zero, so the phase
-    matrix is built only up to the largest cut.  The t loop runs inside each
-    block of at most _U_BLOCK frequencies, and one block is held at a time.
+    t lam < _EXP_ZERO, past which the envelope is an exact zero, so the phase
+    matrix is built only up to the largest cut.  0 < N makes the Mellin
+    integral converge at lam -> 0, N < _N_MAX keeps (t lam)**N finite below
+    every cut, and m must be finite on the log grid.
+    The t loop runs inside each block of at most _U_BLOCK frequencies, one
+    block is held at a time, and each t's envelope is written into buffers
+    allocated once per call.
     """
     if m.arity != 1:
         raise NotImplementedError("decay_check handles d = 1")
@@ -314,11 +330,14 @@ def decay_check(
     N, rho = float(N), float(rho)
     if not N > rho:
         raise ValueError("need N > rho")
+    if not 0.0 < N < _N_MAX:
+        raise ValueError(
+            f"N: expected an order in (0, {_N_MAX:.2f}), where the Mellin integral converges"
+            f" and (t lam)**N stays finite, got {N!r}"
+        )
     if u_grid is None:
         u_grid = np.geomspace(2.0, 40.0, 25)
-    u_grid = np.asarray(u_grid, dtype=float)
-    if u_grid.ndim != 1 or u_grid.size < 2 or not np.isfinite(u_grid).all():
-        raise ValueError(f"u_grid: expected a 1-d array of at least 2 finite frequencies, got shape {u_grid.shape}")
+    u_grid = _frequencies(u_grid, "u_grid", least=2)
     decade = u_grid >= u_grid.max() / 10.0  # the slope is fitted on the top decade
     if len(np.unique(u_grid[decade])) < 2:
         raise ValueError("u_grid: the slope fit needs at least 2 distinct frequencies in its top decade")
@@ -327,18 +346,26 @@ def decay_check(
     s, w = _log_grid()
     lam = np.exp(s)
     base = m(lam[:, None])
+    bad = ~np.isfinite(base)
+    if bad.any():
+        raise EvaluationError(
+            f"multiplier {m.name or 'm'} is not finite at lambda = {float(lam[np.argmax(bad)])!r} on the log grid"
+        )
     cuts = np.searchsorted(lam, _EXP_ZERO / t_samples)
-    # past a cut the full sum adds tl**N * 0.0 * m(lam): an exact zero, unless
-    # m is not finite or tl**N overflows (log of the largest double: 709.78),
-    # where it is NaN, so every node is kept
-    if not (np.isfinite(base).all() and N * math.log(t_samples[-1] * lam[-1]) < 709.0):
-        cuts[:] = len(lam)
+    K = int(cuts.max())
+    tl, e, g = np.empty(K), np.empty(K), np.empty(K, dtype=base.dtype)
     S = np.zeros(len(u_grid))
-    for rows, E in _phase_blocks(u_grid, s[: cuts.max()]):
+    for rows, E in _phase_blocks(u_grid, s[:K]):
         for t, k in zip(t_samples, cuts):
-            tl = t * lam[:k]
-            g = tl**N * np.exp(-tl) * base[:k]
-            S[rows] = np.maximum(S[rows], np.abs(E[:, :k] @ (w[:k] * g)))
+            # w (t lam)**N e^{-t lam} m(lam) below the cut, in the buffers' first k entries
+            tl_k, e_k, g_k = tl[:k], e[:k], g[:k]
+            np.multiply(t, lam[:k], out=tl_k)
+            np.exp(np.negative(tl_k, out=e_k), out=e_k)
+            tl_k **= N  # the operator keeps NumPy's scalar fast paths (N = 2 squares)
+            tl_k *= e_k
+            np.multiply(tl_k, base[:k], out=g_k)
+            np.multiply(w[:k], g_k, out=g_k)
+            np.maximum(S[rows], np.abs(E[:, :k] @ g_k), out=S[rows])
     x = np.log1p(u_grid[decade])
     y = np.log(np.maximum(S[decade], 1e-300))
     slope = float(np.polyfit(x, y, 1)[0]) if np.any(S[decade] > 0) else -np.inf

@@ -35,7 +35,15 @@ from specmult.cli import build_config, run
 from specmult.multipliers import _EXP_ZERO, _U_BLOCK, _axis_rows, _partial_values, _phase_blocks, _t_grid, _t_kernel
 from specmult.ouhermite import ou_system
 from specmult.products import torus_system
-from specmult.spectral import MultiplierSpec, SpectralSystem, _pair_rows, gauss_legendre, reconstruct, tensor
+from specmult.spectral import (
+    EvaluationError,
+    MultiplierSpec,
+    SpectralSystem,
+    _pair_rows,
+    gauss_legendre,
+    reconstruct,
+    tensor,
+)
 
 MAR_RIESZ1_RHO1 = 0.6931462268866521  # frozen regression value, default dyadic range
 MAR_RIESZ2_RHO11 = 0.48045301391729195  # riesz2, max over gamma <= (1, 1), default dyadic range
@@ -120,7 +128,8 @@ def test_cauchy_partials_match_mpmath(name):
     circle = np.multiply.outer(lam, 1.0 + _CAUCHY_RADIUS * np.exp(2j * math.pi * np.arange(n) / n))
     disc_max = np.abs(m.sector_evaluate(circle.reshape(-1, 1))).reshape(circle.shape).max(axis=1)
     for k in range(1, 5):
-        got = lam**k * _partial_values(m, (k,), [lam])
+        vals, scale = _partial_values(m, (k,), [lam])
+        got = scale * vals
         ceiling = math.factorial(k) * _CAUCHY_RADIUS**-k * disc_max
         with mpmath.workdps(30):
             exact = np.array(
@@ -205,12 +214,11 @@ def _full_grid_seminorm(m, gamma, dyadic, n_gl=32):
     R = dyadic.radii()
     _, wq = gauss_legendre(n_gl)
     lam_axis = _seminorm_axis(dyadic, n_gl)
-    lam = np.stack(np.meshgrid(*[lam_axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
-    weight = math.prod(lam[:, j] ** g for j, g in enumerate(gamma))
-    box = (np.abs(weight * _partial_values(m, gamma, [lam_axis] * d)) ** 2).reshape((len(R), n_gl) * d)
+    vals, scale = _partial_values(m, gamma, [lam_axis] * d)
+    box = (np.abs(vals) ** 2).reshape((len(R), n_gl) * d)
     for axis in range(2 * d - 1, 0, -2):
         box = np.moveaxis(box, axis, -1) @ (wq / 2.0)
-    return float(box.max() * math.log(2.0) ** d)
+    return float(box.max() * scale**2 * math.log(2.0) ** d)
 
 
 def test_blocked_seminorm_equals_full_grid():
@@ -263,6 +271,7 @@ def _log_uniform_points(n, d, seed):
 
 
 def test_partial_values_written_out_d1():
+    # the stencil's sum, and its one scale lam^g / h^g = _STEP_REL^-g
     m = builtin_multiplier("imag_decay")  # no sector_evaluate: the stencil
     lam = _log_uniform_points(2000, 1, 0)
     h = _STEP_REL * lam
@@ -272,20 +281,23 @@ def test_partial_values_written_out_d1():
 
     written = {
         0: m(lam),
-        1: (at(0.5) - at(-0.5)) / h[:, 0],
-        2: (at(1.0) - 2.0 * at(0.0) + at(-1.0)) / h[:, 0] ** 2,
-        3: (at(1.5) - 3.0 * at(0.5) + 3.0 * at(-0.5) - at(-1.5)) / h[:, 0] ** 3,
-        4: (at(2.0) - 4.0 * at(1.0) + 6.0 * at(0.0) - 4.0 * at(-1.0) + at(-2.0)) / h[:, 0] ** 4,
+        1: at(0.5) - at(-0.5),
+        2: at(1.0) - 2.0 * at(0.0) + at(-1.0),
+        3: at(1.5) - 3.0 * at(0.5) + 3.0 * at(-0.5) - at(-1.5),
+        4: at(2.0) - 4.0 * at(1.0) + 6.0 * at(0.0) - 4.0 * at(-1.0) + at(-2.0),
     }
     for g, expected in written.items():
-        np.testing.assert_array_equal(_partial_values(m, (g,), [lam[:, 0]]), expected)
+        vals, scale = _partial_values(m, (g,), [lam[:, 0]])
+        np.testing.assert_array_equal(vals, expected)
+        assert scale == _STEP_REL**-g
     riesz1 = builtin_multiplier("riesz1")  # a sector_evaluate: the Cauchy rule wins over the stencil
     theta = 2.0 * math.pi * np.arange(64) / 64
     x = lam[:, 0]
     z = x[:, None] * (1.0 + 0.5 * np.exp(1j * theta))[None, :]
     on_circle = (z / (1.0 + z)) * np.exp(-1j * theta)  # riesz1 on the circle, times e^{-i theta}
-    expected = on_circle.mean(axis=1) * (1.0 / (0.5 * x))
-    np.testing.assert_array_equal(_partial_values(riesz1, (1,), [x]), expected)
+    vals, scale = _partial_values(riesz1, (1,), [x])
+    np.testing.assert_array_equal(vals, on_circle.mean(axis=1))
+    assert scale == 1.0 / 0.5  # k! / rho^k
 
 
 def test_partial_values_written_out_d2():
@@ -299,17 +311,19 @@ def test_partial_values_written_out_d2():
         return m(np.column_stack([lam[:, 0] + o1 * h1, lam[:, 1] + o2 * h2]))
 
     written = {
-        (1, 0): (at(0.5, 0.0) - at(-0.5, 0.0)) / h1,
-        (1, 1): (at(0.5, 0.5) - at(0.5, -0.5) - at(-0.5, 0.5) + at(-0.5, -0.5)) / (h1 * h2),
-        (0, 2): (at(0.0, 1.0) - 2.0 * at(0.0, 0.0) + at(0.0, -1.0)) / h2**2,
+        (1, 0): at(0.5, 0.0) - at(-0.5, 0.0),
+        (1, 1): at(0.5, 0.5) - at(0.5, -0.5) - at(-0.5, 0.5) + at(-0.5, -0.5),
+        (0, 2): at(0.0, 1.0) - 2.0 * at(0.0, 0.0) + at(0.0, -1.0),
         (2, 2): (
             at(1.0, 1.0) - 2.0 * at(1.0, 0.0) + at(1.0, -1.0)
             - 2.0 * at(0.0, 1.0) + 4.0 * at(0.0, 0.0) - 2.0 * at(0.0, -1.0)
             + at(-1.0, 1.0) - 2.0 * at(-1.0, 0.0) + at(-1.0, -1.0)
-        ) / (h1**2 * h2**2),
+        ),
     }
     for g, expected in written.items():
-        np.testing.assert_array_equal(_partial_values(m, g, list(axes)), expected)
+        vals, scale = _partial_values(m, g, list(axes))
+        np.testing.assert_array_equal(vals, expected)
+        assert scale == _STEP_REL**-sum(g)
 
 
 def test_mar_norm_product_bounded_by_factor_norms():
@@ -325,8 +339,33 @@ def test_mar_norm_product_bounded_by_factor_norms():
 
 
 def test_dyadic_range_validation():
-    with pytest.raises(ValueError, match="K must be >= 1"):
+    with pytest.raises(ValueError, match="K: expected an integer >= 1"):
         DyadicRange(K=0)
+
+
+def _seminorm_of(name, gamma):
+    return lambda: marcinkiewicz_seminorm(builtin_multiplier(name), gamma)
+
+
+_BAD_SEMINORM_INPUTS = [
+    pytest.param(_seminorm_of("imag_decay", (-1,)), "gamma", id="stencil-negative"),
+    pytest.param(_seminorm_of("riesz1", (-1,)), "gamma", id="cauchy-negative"),
+    pytest.param(_seminorm_of("riesz1", (1.5,)), "gamma", id="fractional"),
+    pytest.param(_seminorm_of("riesz2", (1, True)), "gamma", id="bool-order"),
+    pytest.param(lambda: DyadicRange(K=2.5), "K", id="fractional-K"),
+    pytest.param(lambda: DyadicRange(K=True), "K", id="bool-K"),
+    pytest.param(lambda: DyadicRange(n_offdyadic=-2), "n_offdyadic", id="negative-offdyadic"),
+    pytest.param(lambda: DyadicRange(n_offdyadic=1.0), "n_offdyadic", id="float-offdyadic"),
+    pytest.param(lambda: DyadicRange(seed=-1), "seed", id="negative-seed"),
+]
+
+
+@pytest.mark.parametrize("call, name", _BAD_SEMINORM_INPUTS)
+def test_seminorm_inputs_rejected_by_name(call, name):
+    # these once raised a bare TypeError, a factorial error or NumPy's seed
+    # error, or ran quietly (order 1.5 ran as order 1, K = 2.5 built non-dyadic radii)
+    with pytest.raises(ValueError, match=f"^{name}: expected an integer"):
+        call()
 
 
 def test_dyadic_radii_sorted_and_seeded():
@@ -352,6 +391,15 @@ def test_mellin_log_gaussian():
     for v, g in zip(u, got):
         expect = math.sqrt(2.0 * math.pi) * math.exp(-v * v / 2.0)
         assert abs(g - expect) < 1e-8
+
+
+def test_mellin_rejects_bad_u_values():
+    # a 2-d array once raised NumPy's broadcast error, and a NaN frequency gave a NaN row
+    m = builtin_multiplier("log_bump")
+    for u in (np.zeros((2, 3)), np.array([1.0, np.nan]), np.array([np.inf]), np.float64(1.0)):
+        with pytest.raises(ValueError, match="u_values: expected a 1-d array of finite frequencies"):
+            mellin_on_grid(m, u)
+    assert mellin_on_grid(m, np.array([])).shape == (0,)
 
 
 def test_mellin_rejects_fat_tails():
@@ -415,7 +463,7 @@ def test_decay_check_builtin_family():
 
 
 def test_decay_check_blocks_match_small_calls(monkeypatch):
-    # 600 frequencies span six phase blocks; each 25-point call fits in one
+    # 600 frequencies span several phase blocks; each 25-point call fits in one
     m = builtin_multiplier("imag_decay")
     monkeypatch.setattr(multipliers, "_LOG_NODES", 1 << 11)
     u = np.geomspace(2.0, 40.0, 600)
@@ -495,6 +543,13 @@ def test_decay_check_cut_is_exact(monkeypatch):
     u = np.geomspace(2.0, 40.0, 200)
     one = builtin_multiplier("one")
     np.testing.assert_array_equal(decay_check(one, 4, 3, u_grid=u).sup_abs, _uncut_decay_sup(one, 4, u))
+    # at N = 20 the cut sums are still exact: |Gamma(20 - iu)|, checked against
+    # mpmath on the rows above the trapezoid sum's rounding floor
+    rep = decay_check(one, 20, 3, u_grid=u)
+    exact = np.array([float(abs(mpmath.gamma(mpmath.mpc(20, -v)))) for v in u])
+    rows = exact >= 1e-6 * exact.max()
+    assert rows.sum() >= 50 and np.isfinite(rep.sup_abs).all() and np.isfinite(rep.constant)
+    np.testing.assert_allclose(rep.sup_abs[rows], exact[rows], rtol=1e-9, atol=0.0)
     monkeypatch.setattr(multipliers, "_LOG_NODES", 1 << 12)
     for count in (25, 101, 200):
         u = np.geomspace(2.0, 40.0, count)
@@ -502,13 +557,33 @@ def test_decay_check_cut_is_exact(monkeypatch):
             m = builtin_multiplier(name)
             got = decay_check(m, 4, 3, u_grid=u).sup_abs
             np.testing.assert_array_equal(got, _uncut_decay_sup(m, 4, u), err_msg=f"{name} {count}")
-    # tl**N overflows at N = 20, and m is inf past every cut: the uncut sums are NaN, and so is the report
-    inf_tail = MultiplierSpec(1, lambda lam: np.where(lam[:, 0] > 1e8, np.inf, 1.0).astype(complex))
+    # the uncut sums at N = 20 are NaN: (t lam)**20 overflows past the cuts and meets e^{-t lam} = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, N in ((one, 20), (inf_tail, 4)):
-            want = _uncut_decay_sup(m, N, u)
-            assert np.isnan(want).all()
-            np.testing.assert_array_equal(decay_check(m, N, 3, u_grid=u).sup_abs, want)
+        assert np.isnan(_uncut_decay_sup(one, 20, u)).all()
+    # past N = 107 (t lam)**N overflows below the cut, at N <= 0 the integral
+    # diverges at lam -> 0 (N = -30 gave NaN, N = -0.5 a finite number, both
+    # with slope_ok()), and an m that is not finite on the log grid has no
+    # exact-zero tail: each is named, not reported
+    for N in (107.5, 0.0, -0.5, -30.0):
+        with pytest.raises(ValueError, match=rf"^N: expected an order in \(0, 107\.\d+\).*got {N!r}"):
+            decay_check(one, N, N - 1.0, u_grid=u)
+    inf_tail = MultiplierSpec(1, lambda lam: np.where(lam[:, 0] > 1e8, np.inf, 1.0).astype(complex), name="inf_tail")
+    with pytest.raises(EvaluationError, match="multiplier inf_tail is not finite"):
+        decay_check(inf_tail, 4, 3, u_grid=u)
+
+
+def test_decay_check_memory_below_ten_megabytes():
+    # mellin-decay u_count=200 at the default log grid: five 40-row phase blocks,
+    # each cut at the largest t lam = _EXP_ZERO (8 MB), one held at a time;
+    # 100-row blocks peaked at 20.4 MB
+    one, u = builtin_multiplier("one"), np.geomspace(2.0, 40.0, 200)
+    tracemalloc.start()
+    try:
+        decay_check(one, 4, 3, u_grid=u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def test_exp_is_exactly_zero_past_every_cut(monkeypatch):

@@ -552,8 +552,8 @@ def _heat_kernel_mp(model, t, z2):
 
 def _ktilde_mp(x, y, kappa, model):
     """Ktilde(x, y) for an indicator kappa (1 on its support) by mpmath.quad
-    at 30 digits.  The integrand is divided by its largest sampled value, so
-    the quadrature's tolerance is relative even where Ktilde is tiny."""
+    at 30 digits, as an mpf.  The integrand is divided by its largest sampled
+    value, so the quadrature's tolerance is relative even where Ktilde is tiny."""
     (x1, x2), (y1, y2) = _split(model, x), _split(model, y)
     with mpmath.workdps(30):
         z1 = [mpmath.mpf(a) - mpmath.mpf(b) for a, b in zip(x1, y1)]
@@ -567,7 +567,7 @@ def _ktilde_mp(x, y, kappa, model):
 
         lo, hi = (mpmath.mpf(v) for v in kappa.support)
         scale = max(abs(integrand(r)) for r in mpmath.linspace(lo, hi, 33))
-        return complex(scale * mpmath.quad(lambda r: integrand(r) / scale, mpmath.linspace(lo, hi, 9)))
+        return scale * mpmath.quad(lambda r: integrand(r) / scale, mpmath.linspace(lo, hi, 9))
 
 
 # near-diagonal pairs made by hand: x = (0.5, 0.3) against y offset by 1e-2 or
@@ -587,13 +587,11 @@ _ORACLE_SUPPORTS = [
 ]
 
 
-@pytest.mark.parametrize("support, rel", [pytest.param(*case, id=str(case[0])) for case in _ORACLE_SUPPORTS])
-def test_ktilde_default_rule_matches_mpmath(support, rel):
-    # the default r-rule against a 30-digit quadrature, on each model's draw
-    # as cz-estimates makes it at its default config and seed 0 (400 pairs,
-    # x1 in R^1): the pairs farthest apart in x1 and in x2, and the pair
-    # nearest the diagonal; and on the hand-made near pairs
-    kappa = kappa_indicator(*support)
+def _ktilde_oracle_pairs():
+    """(model, x, y) for each model: of its draw as cz-estimates makes it at
+    its default config and seed 0 (400 pairs, x1 in R^1), the pairs farthest
+    apart in x1 and in x2 and the pair nearest the diagonal; then, for a
+    1-dimensional x1, the hand-made near pairs."""
     for model in (euclidean_heat_model(1), euclidean_heat_model(2), torus_heat_model()):
         pairs = sample_product_pairs(400, 0, model, d=1)
         x, y = pairs[:, 0], pairs[:, 1]
@@ -601,8 +599,147 @@ def test_ktilde_default_rule_matches_mpmath(support, rel):
         picks.add(int(np.argmin(_eta_rows(model, x, y))))
         near = _NEAR_PAIRS if model.dim == 1 else []
         for xi, yi in [(x[i], y[i]) for i in sorted(picks)] + near:
-            got = kernel_Ktilde(xi, yi, kappa, model)
-            assert got == pytest.approx(_ktilde_mp(xi, yi, kappa, model), rel=rel, abs=0.0), (model.name, xi, yi)
+            yield model, xi, yi
+
+
+# _ktilde_mp on each support's _ktilde_oracle_pairs, in order, frozen as
+# mpmath.nstr(value, 30, min_fixed=1, max_fixed=0): 17 pairs a support, about
+# 0.2 s each to recompute.  The oracle test recomputes one pair per support.
+_KTILDE_30 = {
+    (0.1, 0.9): (
+        "-2.02260586081492083101941373789e-6",
+        "3.99482841817378092849960258591e-1",
+        "-2.65999694303190880347326738041e-15",
+        "4.20397624598482280343551498276e-1",
+        "4.20801720820323998614862310655e-1",
+        "4.20749197561317243631006309012e-1",
+        "4.20805237743621611895256732859e-1",
+        "-4.25586946618331260781486215898e-13",
+        "-1.9294809242015176119779679133e-16",
+        "2.83051293713480914638958208352e-2",
+        "-6.32032785843409462772271651168e-2",
+        "7.28759243134770851604161171643e-1",
+        "-2.67754859028800499645346736325e-14",
+        "7.29975580696293421131295223978e-1",
+        "7.30597623753923309975303363518e-1",
+        "7.30597404671899221036945761188e-1",
+        "7.30603843735830370258111731869e-1",
+    ),
+    (0.05, 0.99): (
+        "-3.72012851690196196704885848437e-6",
+        "3.4895976461403195075940174618",
+        "-3.38497381223359759718145102058e-15",
+        "5.37709471868725009037967409861",
+        "5.41873782723138065021409451457",
+        "5.41227238325636984056247947373",
+        "5.41909071435329595291815452192",
+        "-9.8895879395994064379013095866e-13",
+        "-2.5536812026008868093062373884e-16",
+        "-1.33276578392587745692458020348",
+        "-3.36843811723106652129489119815e-1",
+        "5.08903349403669874431192657814",
+        "-3.35964212500137380084134179952e-14",
+        "5.72862352986955318030141297734",
+        "5.77057210307303412733234329066",
+        "5.76424656649095164291871591736",
+        "5.77092944478414126971884884592",
+    ),
+    (0.5, 0.999): (
+        "-4.75849268308969472732589770903e-11",
+        "-8.88646894382802577843509403625",
+        "-8.18650059119914225040672276372e-20",
+        "5.18680766010071113596243773957e+1",
+        "5.59307968699770914365203392649e+1",
+        "5.52768347359848867454073020235e+1",
+        "5.59659680726579410841671695833e+1",
+        "-1.34670860972372995634088553698e-20",
+        "-1.77737514126671257127608802861e-21",
+        "-1.37234826430593075242466215676",
+        "-3.67598612761046791740873796649e-1",
+        "1.91701684039969894344042276997e+1",
+        "-1.67396314733714020129960231393e-18",
+        "5.21570874904537939697280756897e+1",
+        "5.62200917075206391641836162964e+1",
+        "5.5566268642154044068927495992e+1",
+        "5.62552671412163819484345879042e+1",
+    ),
+    (0.01, 0.5): (
+        "-5.18321321632798069995933856134e-6",
+        "2.3694764770799945423784088882e-2",
+        "-3.6462379253434852314602404815e-15",
+        "2.41294596269737674980452370991e-2",
+        "2.41379001326523997371731691357e-2",
+        "2.41373632219153858395434148042e-2",
+        "2.41379791768520977836949757781e-2",
+        "-1.53315899546243185561336430807e-12",
+        "-2.78620684574033992163793992987e-16",
+        "4.14271262934176791288505249422e-3",
+        "3.10445158345514885046414230702e-2",
+        "8.71927590329916746892032879086e-2",
+        "-3.60990558692961761819635102433e-14",
+        "8.72217884502540933818397576244e-2",
+        "8.72519163755839816222863076793e-2",
+        "8.72522207277522986664487319063e-2",
+        "8.72522207277523247799736962037e-2",
+    ),
+    (0.5, 0.99999): (
+        "-4.75849268308969472732589770903e-11",
+        "-1.5211520164091628217440330611e+1",
+        "-8.18650059119914225040672276372e-20",
+        "-1.04232271570293427311128877065e+3",
+        "5.21604775317967578295304827899e+3",
+        "2.06567681474055899101478492613e+3",
+        "5.55679729094465657064649527725e+3",
+        "-1.34670860972372995634088553698e-20",
+        "-1.77737514126671257127608802861e-21",
+        "-1.37234826430593075242466215916",
+        "-3.67598612761046791740873796649e-1",
+        "2.04184651184465802083476009586e+1",
+        "-1.67396314733714020129960231393e-18",
+        "-1.04203370481348759050118513093e+3",
+        "5.21633704801721933068071149702e+3",
+        "2.06596624864672814833830506182e+3",
+        "5.55708659001321501151076263657e+3",
+    ),
+    (0.05, 0.999999): (
+        "-3.72012851690196196704885848437e-6",
+        "-1.51879275680570010935087285693e+1",
+        "-3.38497381223359759718145102058e-15",
+        "-1.12570803680274908980350624688e+3",
+        "2.39773621572615942596423370934e+4",
+        "2.25045861571144443488184633212e+3",
+        "4.97868617563909423120270397797e+4",
+        "-9.8895879395994064379013095866e-13",
+        "-2.5536812026008868093062373884e-16",
+        "-1.36821611417333306220821514089",
+        "-3.3684408668583657861591588065e-1",
+        "2.05049799251343491711721881559e+1",
+        "-3.35964212500137380084134179952e-14",
+        "-1.1253565079915598454575984816e+3",
+        "2.39777139915374429633218628421e+4",
+        "2.25081058989468701432815024205e+3",
+        "4.97872135951213802179269610117e+4",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "support, rel, live", [pytest.param(*case, 3 * i, id=str(case[0])) for i, case in enumerate(_ORACLE_SUPPORTS)]
+)
+def test_ktilde_default_rule_matches_mpmath(support, rel, live):
+    # the default r-rule against the frozen 30-digit values; pair `live`, a
+    # different one for each support, is recomputed by _ktilde_mp, so the table
+    # stays tied to the oracle that made it (and to the draw: a moved pair misses its value)
+    kappa = kappa_indicator(*support)
+    cases, want = list(_ktilde_oracle_pairs()), _KTILDE_30[support]
+    assert len(cases) == len(want)
+    for (model, xi, yi), value in zip(cases, want):
+        got = kernel_Ktilde(xi, yi, kappa, model)
+        assert got == pytest.approx(float(value), rel=rel, abs=0.0), (model.name, xi, yi)
+    model, xi, yi = cases[live]
+    with mpmath.workdps(30):
+        value = mpmath.mpf(want[live])
+        assert abs(_ktilde_mp(xi, yi, kappa, model) - value) <= 1e-20 * abs(value), (model.name, xi, yi)
 
 
 def test_ktilde_rule_doubling_agrees(monkeypatch):
