@@ -478,10 +478,11 @@ def _riesz_spectral_side(cfg: ExperimentConfig, kappa) -> tuple[list, list, floa
     g_spec = [reconstruct(apply_multiplier(m_ker, sys_, c), sys_).values for c in coeffs]
     fs = [reconstruct(c, sys_) for c in coeffs]
 
-    # resolvent partition: L(L+A)^{-1} + A(L+A)^{-1} = I on the joint spectrum
+    # resolvent partition: L(L+A)^{-1} + A(L+A)^{-1} = I on the joint spectrum,
+    # checked on the first trial's coefficients
     riesz = builtin_multiplier("riesz2")
     flip = MultiplierSpec(2, lambda lam: riesz(lam[:, ::-1]), name="riesz2-flip")
-    c = sys_.random_coefficients(np.random.default_rng(cfg.seed))
+    c = coeffs[0]
     ca = apply_multiplier(riesz, sys_, c)
     cb = apply_multiplier(flip, sys_, c)
     resid = np.max(np.abs(ca + cb - c))

@@ -63,6 +63,8 @@ class DyadicSystem:
     n: int
 
     def __post_init__(self):
+        _check_size("n", self.n, 0)
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 8 or self.n & (self.n - 1):
             raise ValueError(f"n: grid size must be a power of two, at least 8, got {self.n}")
 
@@ -112,8 +114,7 @@ class DyadicSystem:
 
 
 def dyadic_system(n: int = 256) -> DyadicSystem:
-    _check_size("n", n, 0)
-    return DyadicSystem(n=int(n))
+    return DyadicSystem(n=n)
 
 
 def dyadic_average(f, l: int, system: DyadicSystem) -> np.ndarray:

@@ -17,7 +17,6 @@ samples per decade.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,7 +32,6 @@ from .spectral import (
     _check_size,
     _coefficients,
     _legendre_on,
-    _trapezoid,
 )
 
 __all__ = [
@@ -217,7 +215,9 @@ _TAIL_TOL = 1e-9  # largest integrand mass allowed in the outer 5% of that windo
 def _log_grid() -> tuple[np.ndarray, np.ndarray]:
     """The trapezoid rule of _LOG_NODES uniform nodes in s = log lam on [-_S_MAX, _S_MAX]: (s, weights)."""
     s = np.linspace(-_S_MAX, _S_MAX, _LOG_NODES)
-    return s, _trapezoid(_LOG_NODES, s[1] - s[0])
+    w = np.full(_LOG_NODES, s[1] - s[0])
+    w[[0, -1]] *= 0.5
+    return s, w
 
 
 def _check_tails(g: np.ndarray, s: np.ndarray, w: np.ndarray, what: str):
@@ -341,7 +341,7 @@ def decay_check(
     decade = u_grid >= u_grid.max() / 10.0  # the slope is fitted on the top decade
     if len(np.unique(u_grid[decade])) < 2:
         raise ValueError("u_grid: the slope fit needs at least 2 distinct frequencies in its top decade")
-    # reference scale lam ~ 1: same [1e-4, 1e4] span as the g_N grid
+    # four decades of t on either side of the reference scale lam ~ 1
     t_samples = np.geomspace(1e-4, 1e4, 256)
     s, w = _log_grid()
     lam = np.exp(s)
@@ -455,69 +455,52 @@ def worst_case_order(profile: DecayProfile) -> np.ndarray:
 # -- square function --------------------------------------------------------
 
 
-_T_NODES = 256  # log-spaced t per axis of the square function
+_GAMMA_MAX_ORDER = 85  # Gamma(2 N) overflows a double from N = 86 (171! > 1.8e308)
 
 
-@functools.lru_cache(maxsize=32)
-def _t_grid(lam_min: float, lam_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """_T_NODES log-spaced t in [1e-4/lam_max, 1e4/lam_min] with trapezoid dt/t weights.
+def _orders(N, d: int) -> tuple[int, ...]:
+    """N as d integer orders in 1.._GAMMA_MAX_ORDER, or a ValueError naming it."""
+    orders = np.atleast_1d(N).tolist()  # a few entries: Python compares them faster than NumPy
+    if len(orders) != d or not all(v >= 1 and v % 1 == 0 for v in orders):
+        raise ValueError(f"N: expected one integer order >= 1 per eigenvalue map ({d}), got {N!r}")
+    if max(orders, default=1) > _GAMMA_MAX_ORDER:
+        raise ValueError(f"N: orders above {_GAMMA_MAX_ORDER} overflow Gamma(2 N), got {N!r}")
+    return tuple(int(v) for v in orders)
 
-    Built once per (lam_min, lam_max) and shared by every caller, so both
-    arrays are read-only.
+
+def _square_kernel(lam: np.ndarray, N: tuple[int, ...]) -> np.ndarray:
+    """The t-kernel of g_N on the (n, d) positive eigenvalue rows lam, an (n, n) array.
+
+    M(a, b) = prod_j int_0^inf (t a_j)^N_j (t b_j)^N_j e^{-t (a_j + b_j)} dt/t
+    = prod_j Gamma(2 N_j) (a_j b_j / (a_j + b_j)^2)^N_j.
     """
-    t = np.geomspace(1e-4 / lam_max, 1e4 / lam_min, _T_NODES)
-    w = _trapezoid(_T_NODES, math.log(t[-1] / t[0]) / (_T_NODES - 1))
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
-
-
-@functools.lru_cache(maxsize=8)
-def _t_kernel(lam: bytes, bounds: tuple[tuple[float, float], ...], N: tuple[int, ...]) -> np.ndarray:
-    """The t-kernel of g_N on the supported eigenvalue rows, an (n_sup, n_sup) array.
-
-    ``lam`` is the float64 bytes of the (n_sup, d) supported rows, axis j
-    sums t over ``_t_grid(*bounds[j])``, and M(a, b) is the product over
-    axes of k_j(a, b) = sum_i w_i (t_i a)^N_j (t_i b)^N_j e^{-t_i (a+b)}.
-    It does not depend on the coefficients, so a trial loop over one
-    support builds it once; shared by every caller, so it is read-only.
-    """
-    lam = np.frombuffer(lam).reshape(-1, len(N))
-    M = np.ones((len(lam), len(lam)))
-    for j, (bound, Nj) in enumerate(zip(bounds, N)):
-        t, w = _t_grid(*bound)
-        a, inv = np.unique(lam[:, j], return_inverse=True)
-        P = (np.outer(a, t)) ** Nj * np.exp(-np.outer(a, t))  # (n_a, n_t)
-        Kj = (P * w) @ P.T
-        M *= Kj[np.ix_(inv, inv)]
-    M.flags.writeable = False
+    M = 1.0
+    for a, Nj in zip(lam.T, N):
+        col = a[:, None]
+        s = col + a
+        M = M * (math.gamma(2 * Nj) * (col * a / (s * s)) ** Nj)
     return M
 
 
 def square_constant(N) -> float:
     """prod_j Gamma(2 N_j) / 4^{N_j}: the exact L^2 factor of g_N."""
-    return float(math.prod(math.gamma(2 * n) / 4.0**n for n in np.atleast_1d(N).tolist()))
+    N = _orders(N, np.size(N))
+    return float(math.prod(math.gamma(2 * n) / 4.0**n for n in N))
 
 
 def square_function(sys: SpectralSystem, c: np.ndarray, N) -> GridFunction:
-    """g_N(f)(x) = ( sum_t w_t | sum_k (t lam(k))^N e^{-<t,lam(k)>} c_k H_k(x) |^2 )^{1/2}.
+    """g_N(f)(x) = ( int_{(0, inf)^d} | sum_k (t lam(k))^N e^{-<t,lam(k)>} c_k H_k(x) |^2 dt/t )^{1/2}.
 
-    N holds one integer order >= 1 per eigenvalue map.  Axis j sums t over the
-    _t_grid of its positive eigenvalues.  The t-sum over the tensor grid is
-    contracted analytically per axis, which is an exact rearrangement of the
-    finite sums; the resulting t-kernel is cached per supported spectrum and N.
+    N holds one integer order in 1..85 per eigenvalue map.  The t-integral
+    is taken in closed form: g_N(x)^2 = sum_ab c_a conj(c_b) M_ab H_a(x) H_b(x)
+    with M = _square_kernel on the supported eigenvalue rows, so
+    ||g_N f||_2^2 = square_constant(N) ||f||_2^2 holds to rounding.
     """
-    orders = np.atleast_1d(N)
-    if len(orders) != sys.dimension or not np.all((orders >= 1) & (orders % 1 == 0)):
-        raise ValueError(f"N: expected one integer order >= 1 per eigenvalue map ({sys.dimension}), got {N!r}")
-    N = tuple(int(v) for v in orders)
+    N = _orders(N, sys.dimension)
     spectrum = sys._lam
-    bounds = []
     for j in range(sys.dimension):
-        pos = spectrum[:, j][spectrum[:, j] > 0]
-        if len(pos) == 0:
+        if not np.any(spectrum[:, j] > 0):
             raise ATLViolation(f"eigenvalue map {j} is identically zero")
-        bounds.append((float(pos.min()), float(pos.max())))
     c = _coefficients(c, sys)
     rows = np.flatnonzero(c)
     if not rows.size:
@@ -530,9 +513,8 @@ def square_function(sys: SpectralSystem, c: np.ndarray, N) -> GridFunction:
             f"sits on a zero eigenvalue (axis {int(j)})"
         )
     cvec = c[rows]
-    M = _t_kernel(lam.tobytes(), tuple(bounds), N)
     B = sys.basis_matrix()[rows]
-    C = (cvec[:, None] * np.conj(cvec)[None, :]) * M
+    C = (cvec[:, None] * np.conj(cvec)[None, :]) * _square_kernel(lam, N)
     # B is real, so only Re C reaches the real part of sum_ab C_ab B_bp B_ap
     g2 = np.einsum("ap,ap->p", C.real @ B, B)
     return sys.grid_function(np.sqrt(np.clip(g2, 0.0, None)))

@@ -41,6 +41,7 @@ def hermite_vandermonde(k_max: int, x: np.ndarray) -> np.ndarray:
     ||H_n||_{L^2(gamma)} = 1.  Three-term recurrence:
     H_{n+1} = x*sqrt(2/(n+1))*H_n - sqrt(n/(n+1))*H_{n-1}.
     """
+    _check_size("k_max", k_max, 0)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     V = np.empty((k_max + 1, len(x)))
     V[0] = 1.0
@@ -76,6 +77,7 @@ def hermite_basis(k_max: int, n_nodes: int | None = None) -> tuple[np.ndarray, n
     _check_size("k_max", k_max, 0)
     if n_nodes is None:
         n_nodes = default_node_count(k_max)
+    _check_size("n_nodes", n_nodes, 1)
     if n_nodes < k_max + 1:
         raise ValueError(f"n_nodes: need at least k_max+1 = {k_max + 1} Gauss-Hermite nodes, got {n_nodes}")
     if n_nodes > _MAX_HERMITE_NODES:

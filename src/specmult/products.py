@@ -326,6 +326,7 @@ def torus_system(n_max: int, n_grid: int | None = None) -> SpectralSystem:
     _check_size("n_max", n_max, 1)
     if n_grid is None:
         n_grid = max(8 * n_max, 32)
+    _check_size("n_grid", n_grid, 1)
     if n_grid < 2 * n_max + 2:
         raise ValueError(
             f"n_grid: grid too coarse for the requested band, need n_grid >= 2*n_max + 2 = {2 * n_max + 2}, "
@@ -424,6 +425,7 @@ class ProductGrid:
 def product_grid(model: HeatKernelModel, d: int = 1, k_max: int = 12, n_y: int = 32,
                  n_x: int | None = None) -> ProductGrid:
     _check_x1_dim(d)
+    _check_size("n_y", n_y, 1)
     x1, gw = _product_grid(*hermite_basis(k_max, n_x), d)
     y_pts, y_w = model.grid(n_y)
     return ProductGrid(x1, gw, y_pts, y_w)

@@ -106,14 +106,6 @@ def _legendre_on(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (hi - lo) * xi + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-def _trapezoid(n: int, h: float) -> np.ndarray:
-    """Weights of the n-node trapezoid rule with uniform spacing h."""
-    w = np.full(n, h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def _pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The product rule on rows: row (i, j) is row i of a next to row j of b."""
     return np.hstack([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))])
@@ -238,7 +230,10 @@ class SpectralSystem:
         Row i is the joint eigenvalue (lambda_1, ..., lambda_d) >= 0 of
         basis element i; d is the multiplier arity.
     basis : (n, n_points) array
-        Values of the basis elements on the quadrature grid.
+        Values of the basis elements on the quadrature grid, kept
+        read-only, so ``reconstruct``'s complex copy of it stays equal: a
+        writable array is copied, and a read-only one is shared, so a large
+        basis built read-only (as ``tensor`` builds its own) is not held twice.
     points, weights : quadrature rule for the underlying measure
         Checked once here and kept as read-only copies, so the rule cannot
         change afterwards and ``grid_function`` need not check it again.
@@ -280,9 +275,13 @@ class SpectralSystem:
         self.points, self.weights = (np.array(a) for a in _quadrature_rule(points, weights))
         self.points.flags.writeable = False
         self.weights.flags.writeable = False
-        self._basis = np.asarray(basis, dtype=float)
-        if self._basis.shape != (n, len(self.weights)):
+        basis = np.asarray(basis, dtype=float)
+        if basis.shape != (n, len(self.weights)):
             raise ValueError("basis matrix has wrong shape")
+        if basis.flags.writeable:
+            basis = basis.copy()
+            basis.flags.writeable = False
+        self._basis = basis
         self.name = name
 
     # -- derived structure ------------------------------------------------
@@ -304,7 +303,7 @@ class SpectralSystem:
         return self._lam.copy()
 
     def basis_matrix(self) -> np.ndarray:
-        """(n_basis, n_points) matrix of basis values on the grid."""
+        """(n_basis, n_points) matrix of basis values on the grid, read-only."""
         return self._basis
 
     @cached_property
@@ -419,10 +418,12 @@ def tensor(sys_a: SpectralSystem, sys_b: SpectralSystem) -> SpectralSystem:
     na, nb = len(sys_a), len(sys_b)
     if na * nb > _MAX_BASIS:
         raise CapacityError(f"tensor basis would have {na * nb} > {_MAX_BASIS} elements")
+    basis = np.kron(sys_a.basis_matrix(), sys_b.basis_matrix())
+    basis.flags.writeable = False  # the system shares it, with no second copy
     return SpectralSystem(
         _pair_rows(sys_a.basis_index_set, sys_b.basis_index_set),
         _pair_rows(sys_a.eigenvalue_matrix(), sys_b.eigenvalue_matrix()),
-        np.kron(sys_a.basis_matrix(), sys_b.basis_matrix()),
+        basis,
         _pair_rows(sys_a.points, sys_b.points),
         np.kron(sys_a.weights, sys_b.weights),
         name=f"{sys_a.name}(x){sys_b.name}",

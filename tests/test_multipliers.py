@@ -31,8 +31,7 @@ from specmult.multipliers import (
     worst_case_order,
 )
 from specmult import multipliers
-from specmult.cli import build_config, run
-from specmult.multipliers import _EXP_ZERO, _U_BLOCK, _axis_rows, _partial_values, _phase_blocks, _t_grid, _t_kernel
+from specmult.multipliers import _EXP_ZERO, _U_BLOCK, _axis_rows, _partial_values, _phase_blocks, _square_kernel
 from specmult.ouhermite import ou_system
 from specmult.products import torus_system
 from specmult.spectral import (
@@ -760,33 +759,36 @@ def test_square_function_single_eigenvector(ou1):
     assert np.max(np.abs(g.values - 0.5 * np.abs(f.values))) < 1e-6 * scale
 
 
+def _assert_l2_identity(sys, N, seed):
+    # ||g_N f||_2^2 = square_constant(N) ||f||_2^2: the t-integral is exact,
+    # so the identity holds to rounding
+    c = sys.random_coefficients(np.random.default_rng(seed), atl_safe=True)
+    g = square_function(sys, c, N)
+    expect = square_constant(N) * np.linalg.norm(c) ** 2
+    assert g.norm_lp(2) ** 2 == pytest.approx(expect, rel=1e-13, abs=0.0), (sys.name, N)
+
+
 def test_square_function_l2_identity(ou1):
-    c = ou1.random_coefficients(np.random.default_rng(3), atl_safe=True)
-    g = square_function(ou1, c, 1)
-    assert g.norm_lp(2) ** 2 == pytest.approx(0.25 * np.linalg.norm(c) ** 2, rel=1e-6)
+    for N in (1, 2, 4):
+        _assert_l2_identity(ou1, N, 3)
+    _assert_l2_identity(ou_system(1, 40), 1, 3)
 
 
 def test_square_function_l2_identity_two_axes():
     s6 = ou_system(1, 6)
-    sys2 = tensor(s6, s6)
-    c = sys2.random_coefficients(np.random.default_rng(4), atl_safe=True)
-    g = square_function(sys2, c, (1, 2))
-    expect = square_constant((1, 2)) * np.linalg.norm(c) ** 2
-    assert g.norm_lp(2) ** 2 == pytest.approx(expect, rel=1e-6)
+    _assert_l2_identity(tensor(s6, s6), (1, 2), 4)
+    _assert_l2_identity(tensor(ou_system(1, 8), torus_system(3, 32)), (2, 2), 4)
 
 
 def _square_function_einsum(sys, c, N):
-    """g_N from the per-axis t-kernels and the 3-operand contraction sum_ab C_ab B_bp B_ap."""
-    spectrum = sys.eigenvalue_matrix()
+    """g_N from the closed-form t-kernel and the 3-operand contraction sum_ab C_ab B_bp B_ap."""
     rows = np.flatnonzero(c)
-    lam = spectrum[rows]
+    lam = sys.eigenvalue_matrix()[rows]
     cvec = c[rows]
     M = np.ones((len(rows), len(rows)))
     for j, Nj in enumerate(N):
-        pos = spectrum[:, j][spectrum[:, j] > 0]
-        t, w = _t_grid(float(pos.min()), float(pos.max()))
-        P = np.outer(lam[:, j], t) ** Nj * np.exp(-np.outer(lam[:, j], t))
-        M *= (P * w) @ P.T
+        a, b = lam[:, j][:, None], lam[:, j][None, :]
+        M *= math.factorial(2 * Nj - 1) * (a * b / (a + b) ** 2) ** Nj
     B = sys.basis_matrix()[rows]
     C = (cvec[:, None] * np.conj(cvec)[None, :]) * M
     return np.sqrt(np.clip(np.einsum("ab,bp,ap->p", C, B, B).real, 0.0, None))
@@ -803,9 +805,10 @@ def _complex_coefficients(sys, seed):
 def test_square_function_matches_three_operand_einsum(ou1):
     # complex coefficients: Im C must drop out of the real-basis contraction
     ou_torus = tensor(ou_system(1, 12), torus_system(3, 32))
-    for sys, N in ((ou1, (1,)), (ou_torus, (2, 2)), (ou_torus, (1, 2))):
+    for sys, N in ((ou1, (1,)), (ou1, (3,)), (ou_torus, (2, 2)), (ou_torus, (1, 2))):
         for seed in range(3):
             c = _complex_coefficients(sys, seed)
+            c[seed::3] = 0.0  # a support that is not every ATL-safe row
             assert np.any(c.imag != 0.0)
             got = square_function(sys, c, N).values
             np.testing.assert_allclose(got, _square_function_einsum(sys, c, N), rtol=1e-13, atol=0.0)
@@ -824,99 +827,37 @@ def test_square_function_order_validation(ou1):
     for N in ((1, 1), (), 0, (0,), 1.5, (2.5,)):
         with pytest.raises(ValueError, match=r"N: expected one integer order >= 1 per eigenvalue map \(1\)"):
             square_function(ou1, c, N)
-    # a map with no positive eigenvalue has no t-range, even for f = 0
+    # Gamma(2 N) overflows from N = 86: these gave NaN values, or an OverflowError
+    assert np.isfinite(square_function(ou1, c, 85).values).all() and square_constant(85) > 0.0
+    for N in (86, (200,)):
+        for call in (lambda: square_function(ou1, c, N), lambda: square_constant(N)):
+            with pytest.raises(ValueError, match=r"^N: orders above 85 overflow Gamma"):
+                call()
+    # a map with no positive eigenvalue is rejected, even for f = 0
     flat = SpectralSystem(ou1.basis_index_set, 0.0 * ou1.eigenvalue_matrix(), ou1.basis_matrix(), ou1.points, ou1.weights)
     with pytest.raises(ATLViolation, match="eigenvalue map 0 is identically zero"):
         square_function(flat, np.zeros(len(flat)), 1)
 
 
-def _square_function_loop(sys, c, N):
-    """(M, g_N) as square_function built them with the t-kernel rebuilt on every call."""
-    spectrum = sys.eigenvalue_matrix()
-    grids = []
-    for j in range(sys.dimension):
-        pos = spectrum[:, j][spectrum[:, j] > 0]
-        grids.append(_t_grid(float(pos.min()), float(pos.max())))
-    rows = np.flatnonzero(c)
-    lam = spectrum[rows]
-    cvec = np.asarray(c, dtype=complex)[rows]
-    M = np.ones((len(rows), len(rows)))
-    for j, ((t, w), Nj) in enumerate(zip(grids, N)):
-        a, inv = np.unique(lam[:, j], return_inverse=True)
-        P = (np.outer(a, t)) ** Nj * np.exp(-np.outer(a, t))
-        Kj = (P * w) @ P.T
-        M *= Kj[np.ix_(inv, inv)]
-    B = sys.basis_matrix()[rows]
-    C = (cvec[:, None] * np.conj(cvec)[None, :]) * M
-    g2 = np.einsum("ap,ap->p", C.real @ B, B)
-    return M, np.sqrt(np.clip(g2, 0.0, None))
+@pytest.mark.parametrize(("a", "b", "N"), [(1.0, 2.0, 1), (1.0, 355.3, 2), (3.0, 40.0, 4), (0.5, 0.5, 3)])
+def test_square_kernel_is_its_t_integral(a, b, N):
+    M = _square_kernel(np.array([[a], [b]]), (N,))
+    with mpmath.workdps(30):
+        for (i, p), (j, q) in itertools.product(enumerate(map(mpmath.mpf, (a, b))), repeat=2):
+            integrand = lambda t: (t * p) ** N * (t * q) ** N * mpmath.exp(-t * (p + q)) / t
+            exact = mpmath.quad(integrand, [0, N / (p + q), mpmath.inf])
+            assert M[i, j] == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
-def test_cached_t_kernel_equals_per_call_loop(ou1, monkeypatch):
-    kernels = []
-
-    def recording(*key):
-        kernels.append(_t_kernel(*key))
-        return kernels[-1]
-
-    monkeypatch.setattr(multipliers, "_t_kernel", recording)
-    ou_torus = tensor(ou_system(1, 12), torus_system(3, 32))
-    for sys, N in ((ou1, (1,)), (ou1, (3,)), (ou_torus, (2, 2)), (ou_torus, (1, 2))):
-        for seed in range(2):
-            c = _complex_coefficients(sys, seed)
-            c[seed::3] = 0.0  # a support that is not every ATL-safe row
-            M, g = _square_function_loop(sys, c, N)
-            np.testing.assert_array_equal(square_function(sys, c, N).values, g)
-            np.testing.assert_array_equal(kernels[-1], M)
-            # shared by every caller of that support, so read-only
-            assert not kernels[-1].flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                kernels[-1][0, 0] = 0.0
-    # one supported spectrum inside two systems: the t-grids, and so M, differ
-    kernel_of = {}
-    for sys in (ou1, ou_system(1, 16)):
+def test_square_function_ignores_modes_f_does_not_touch():
+    # one f on modes 1..12 inside two systems: the t-integral is exact, so
+    # g_N does not see the modes 13..16 that only the larger system has
+    values = []
+    for sys in (ou_system(1, 12), ou_system(1, 16)):
         c = np.zeros(len(sys), dtype=complex)
-        c[[sys.position((k,)) for k in range(1, 13)]] = 1.0
-        M, g = _square_function_loop(sys, c, (1,))
-        np.testing.assert_array_equal(square_function(sys, c, (1,)).values, g)
-        np.testing.assert_array_equal(kernels[-1], M)
-        kernel_of[len(sys)] = kernels[-1]
-    assert not np.array_equal(kernel_of[13], kernel_of[17])
-
-
-def test_t_kernel_built_once_per_support_and_order(tmp_path, monkeypatch):
-    # every build sums axis j over _t_grid, once per axis; a trial loop
-    # over one support and one N builds the kernel once
-    grids = []
-
-    def counting(lam_min, lam_max):
-        grids.append((lam_min, lam_max))
-        return _t_grid(lam_min, lam_max)
-
-    monkeypatch.setattr(multipliers, "_t_grid", counting)
-    _t_kernel.cache_clear()
-    config = {"k_max": "40", "trials": "200"}
-    run(build_config("square-function", overrides=config, seed=0, out=str(tmp_path / "a")))
-    assert len(grids) == 1 and _t_kernel.cache_info().misses == 1
-    assert _t_kernel.cache_info().hits == 199
-    run(build_config("square-function", overrides=config, seed=1, out=str(tmp_path / "b")))
-    assert len(grids) == 1
-    run(build_config("square-function", overrides={**config, "n_order": "2"}, seed=0, out=str(tmp_path / "c")))
-    assert len(grids) == 2
-    run(build_config("square-function", overrides={"n_order": "2,2", "trials": "50"}, seed=0, out=str(tmp_path / "d")))
-    assert len(grids) == 4 and _t_kernel.cache_info().misses == 3
-    _t_kernel.cache_clear()  # drop the kernels built through the patched name
-
-
-def test_default_t_grid():
-    t, w = _t_grid(1.0, 12.0)
-    assert len(t) == len(w) == 256
-    assert t[0] == pytest.approx(1e-4 / 12.0) and t[-1] == pytest.approx(1e4)
-    np.testing.assert_allclose(np.diff(np.log(t)), math.log(t[-1] / t[0]) / 255, rtol=1e-10)
-    assert np.all(w > 0) and w[0] == w[-1] == 0.5 * w[1]
-    # built once per (lam_min, lam_max) and shared, so read-only
-    assert _t_grid(1.0, 12.0)[0] is t
-    assert not t.flags.writeable and not w.flags.writeable
+        c[[sys.position((k,)) for k in range(1, 13)]] = np.linspace(1.0, 2.0, 12) - 0.5j
+        values.append(square_function(sys, c, 1).values)
+    np.testing.assert_array_equal(values[0], values[1])
 
 
 # -- builtin family ------------------------------------------------------------

@@ -10,9 +10,9 @@ from scipy.special import roots_legendre
 from specmult import spectral
 from specmult.cli import _ou16, _ou_torus, _square_system
 from specmult.multipliers import builtin_multiplier, square_function
-from specmult.dyadic import dyadic_system
-from specmult.ouhermite import hermite_basis, hermite_eval, ou_system
-from specmult.products import torus_system
+from specmult.dyadic import DyadicSystem, dyadic_system
+from specmult.ouhermite import hermite_basis, hermite_eval, hermite_vandermonde, ou_system
+from specmult.products import euclidean_heat_model, product_grid, torus_heat_model, torus_system
 from specmult.spectral import (
     CapacityError,
     EvaluationError,
@@ -94,6 +94,23 @@ def test_system_rule_is_frozen(ou1):
     for name in ("points", "weights", "values"):
         np.testing.assert_array_equal(getattr(f, name), getattr(g, name))
     assert f.norm_lp(3.0) == g.norm_lp(3.0)
+
+
+def test_system_basis_is_read_only():
+    # a write to basis_matrix() used to leave reconstruct on the old values
+    sys_ = ou_system(1, 4)
+    e0 = np.eye(len(sys_))[0]
+    with pytest.raises(ValueError, match="read-only"):
+        sys_.basis_matrix()[0] *= 2.0
+    np.testing.assert_array_equal(reconstruct(e0, sys_).values, sys_.basis_matrix()[0])
+    basis = sys_.basis_matrix().copy()
+    copy = SpectralSystem(sys_.basis_index_set, sys_.eigenvalue_matrix(), basis, sys_.points, sys_.weights)
+    basis[0] = 0.0  # a writable array is copied, not frozen
+    assert np.all(copy.basis_matrix()[0] == 1.0)
+    # a read-only one cannot change, so it is shared: tensor's basis is not held twice
+    shared = SpectralSystem(sys_.basis_index_set, sys_.eigenvalue_matrix(), sys_.basis_matrix(), sys_.points, sys_.weights)
+    assert shared.basis_matrix() is sys_.basis_matrix()
+    assert not tensor(sys_, sys_).basis_matrix().flags.writeable
 
 
 def test_norm_lp_zero_and_infinite_functions():
@@ -531,6 +548,14 @@ def test_gauss_legendre_rejects_a_non_positive_n():
         (lambda: torus_system(0), "n_max"),
         (lambda: dyadic_system(16.5), "n"),
         (lambda: dyadic_system(np.float64(16.0)), "n"),
+        (lambda: DyadicSystem(8.0), "n"),
+        (lambda: DyadicSystem("16"), "n"),
+        (lambda: product_grid(euclidean_heat_model(1), n_y=16.5), "n_y"),
+        (lambda: product_grid(torus_heat_model(), n_y=0), "n_y"),
+        (lambda: torus_system(3, 32.5), "n_grid"),
+        (lambda: ou_system(1, 4, 12.5), "n_nodes"),
+        (lambda: hermite_vandermonde(-1, np.zeros(3)), "k_max"),
+        (lambda: hermite_vandermonde(2.5, np.zeros(3)), "k_max"),
     ],
 )
 def test_system_sizes_must_be_integers(build, named):
